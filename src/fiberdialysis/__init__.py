@@ -6,9 +6,9 @@ from .linalg import SparseMatrix, assemble_from_triplets, solve_linear
 from .flow import (HydraulicState, VelocityField, calibrate_hydraulics,
                    compute_velocity_field, solve_membrane_pressure, transmembrane_flux)
 from .transport import (BoundaryData, ConcentrationField, NewtonResult, ReactionParams,
-                        SpeciesConfig, TransportConfig, TransportSolver,
-                        assemble_newton_system, export_field_csv, newton_solve,
-                        outlet_concentration, reaction_jacobian, reaction_source)
+                        SpeciesConfig, TransportConfig, TransportSolver, export_field_csv,
+                        newton_solve, outlet_concentration, reaction_jacobian,
+                        reaction_source)
 from .optim import (GridResult, OptimResult, fd_gradient, grid_search,
                     powell_minimize, projected_gradient)
 from .cohort import (CohortTable, NoiseSpec, PatientRecord, add_measurement_noise,

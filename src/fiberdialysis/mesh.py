@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -159,6 +160,20 @@ class Mesh:
         tag_arr = np.array([t.value for t in tags], dtype=object)
         return edge_arr, tag_arr
 
+    # -- per-mesh data ---------------------------------------------------------
+
+    @cached_property
+    def fem(self) -> "FemData":
+        """P1 geometric quantities shared by every assembly on this mesh."""
+        return FemData(self)
+
+    @cached_property
+    def newton_pattern(self):
+        """Fixed structure of the transport Newton system on this mesh
+        (``transport.NewtonPattern``), built on the first solver that needs it."""
+        from .transport import NewtonPattern  # transport builds on this module
+        return NewtonPattern(self)
+
     # -- queries ---------------------------------------------------------------
 
     def edges_with_tag(self, tag: Boundary):
@@ -186,6 +201,42 @@ class Mesh:
             fh.write(f"edges {len(self.boundary_edges)}\n")
             for (a, b), t in zip(self.boundary_edges, self.edge_tags):
                 fh.write(f"{a} {b} {t}\n")
+
+
+class FemData:
+    """Per-mesh P1 quantities: element areas and r-weights, basis gradients,
+    midedge quadrature, r-weighted element masses and their vertex lumps."""
+
+    def __init__(self, mesh: Mesh):
+        tri = mesh.triangles
+        p = mesh.vertices[tri]
+        x1, r1 = p[:, 0, 0], p[:, 0, 1]
+        x2, r2 = p[:, 1, 0], p[:, 1, 1]
+        x3, r3 = p[:, 2, 0], p[:, 2, 1]
+        det = (x2 - x1) * (r3 - r1) - (x3 - x1) * (r2 - r1)
+        self.area = 0.5 * det
+        self.rbar = (r1 + r2 + r3) / 3.0
+        self.bx = np.stack([(r2 - r3), (r3 - r1), (r1 - r2)], axis=1) / det[:, None]
+        self.br = np.stack([(x3 - x2), (x1 - x3), (x2 - x1)], axis=1) / det[:, None]
+        # int_T r phi_a dA = area * (2 r_a + r_b + r_c) / 12 (exact)
+        rloc = p[:, :, 1]
+        self.mass_tri = self.area[:, None] * (rloc + rloc.sum(axis=1, keepdims=True)) / 12.0
+        # midedge quadrature (degree-2 exact): points opposite each vertex
+        self.phi_q = np.array([[0.5, 0.5, 0.0],
+                               [0.0, 0.5, 0.5],
+                               [0.5, 0.0, 0.5]])  # (q, a)
+        self.r_q = rloc @ self.phi_q.T  # (T, q)
+
+        self.is_blood = mesh.subdomain_of_triangle == Subdomain.BLOOD
+        self.is_membrane = mesh.subdomain_of_triangle == Subdomain.MEMBRANE
+
+        lump = np.zeros(mesh.n_vertices)
+        np.add.at(lump, tri.ravel(), self.mass_tri.ravel())
+        self.lump_all = lump
+        lump_b = np.zeros(mesh.n_vertices)
+        bt = tri[self.is_blood]
+        np.add.at(lump_b, bt.ravel(), self.mass_tri[self.is_blood].ravel())
+        self.lump_blood = lump_b
 
 
 def build_structured_mesh(geom: AxiGeometry, nx: int, nr_b: int, nr_m: int, nr_d: int) -> Mesh:

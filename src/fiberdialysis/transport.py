@@ -15,7 +15,11 @@ nonlinear system is solved by Newton in variational form: each step solves
 
     grad_F(c_n) c_{n+1} = grad_F(c_n) c_n - F(c_n)
 
-with Dirichlet rows eliminated to identity rows carrying the inlet data.
+for the free dofs only: the Dirichlet dofs take the inlet data directly and
+their columns move to the right-hand side.  The structure of that system is
+fixed per mesh (``NewtonPattern``): each step scatters values into it and
+factorizes the free block in a fill-reducing order computed once from the
+pattern, so every solve on a mesh takes the same path.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ import scipy.sparse as sp
 
 from .exceptions import ConfigurationError, NewtonError, SolverError
 from .flow import VelocityField
-from .linalg import SparseMatrix, solve_linear
-from .mesh import AxiGeometry, Boundary, Mesh, Subdomain, boundary_vertices
+from .linalg import SparseMatrix, fill_reducing_order, solve_linear
+from .mesh import AxiGeometry, Boundary, Mesh, boundary_vertices
 
 N_SPECIES = 5
 CROSSES_MEMBRANE = (True, False, False, True, True)
@@ -99,7 +103,6 @@ class TransportConfig:
     reactions: ReactionParams
     newton_tol: float = 1e-4
     newton_max_iter: int = 25
-    streamline_diffusion: bool = False
 
     def __post_init__(self):
         if not self.Pe > 0:
@@ -196,56 +199,127 @@ def reaction_jacobian(c, rp: ReactionParams) -> np.ndarray:
     return np.stack([-(row3 + row5), -row3, row3, -row5, row5])
 
 
-# -- FEM data ---------------------------------------------------------------------
+# -- per-mesh system structure -------------------------------------------------------
 
-class _FemData:
-    """Per-mesh geometric quantities used by every assembly."""
+def _operator_dofs(mesh: Mesh):
+    """Row and column dofs of the linear operator's triplets, in the order
+    ``TransportSolver._build_linear_operator`` emits their values: per
+    species the 3x3 blocks of its triangles, then the blood-membrane edge
+    blocks of the species that stay in blood."""
+    tri = mesh.triangles
+    rows, cols = [], []
+    for s in range(N_SPECIES):
+        a_tri = tri if CROSSES_MEMBRANE[s] else tri[mesh.fem.is_blood]
+        rows.append(N_SPECIES * np.repeat(a_tri, 3, axis=1).ravel() + s)
+        cols.append(N_SPECIES * np.tile(a_tri, (1, 3)).ravel() + s)
+    ends = mesh.edges_with_tag(Boundary.BLOOD_MEMBRANE).T
+    for s in range(N_SPECIES):
+        if CROSSES_MEMBRANE[s]:
+            continue
+        for va in ends:
+            for vb in ends:
+                rows.append(N_SPECIES * va + s)
+                cols.append(N_SPECIES * vb + s)
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+class NewtonPattern:
+    """Structure of the Newton system on one mesh, shared by every solver on
+    it and built once (``Mesh.newton_pattern``); solvers supply only values.
+
+    - Dirichlet dofs, and the inlet entry each one takes;
+    - the CSR pattern of the full Jacobian (identity Dirichlet rows), with
+      the positions the operator and reaction triplets scatter to;
+    - the free dofs in a fill-reducing order taken from this pattern alone,
+      and the CSC pattern of the free-free block in that order, with the
+      positions it gathers from the full pattern.  Only that block is
+      factorized.
+
+    Index maps are int32 and every array is read-only.
+    """
 
     def __init__(self, mesh: Mesh):
-        tri = mesh.triangles
-        p = mesh.vertices[tri]
-        x1, r1 = p[:, 0, 0], p[:, 0, 1]
-        x2, r2 = p[:, 1, 0], p[:, 1, 1]
-        x3, r3 = p[:, 2, 0], p[:, 2, 1]
-        det = (x2 - x1) * (r3 - r1) - (x3 - x1) * (r2 - r1)
-        self.area = 0.5 * det
-        self.rbar = (r1 + r2 + r3) / 3.0
-        self.bx = np.stack([(r2 - r3), (r3 - r1), (r1 - r2)], axis=1) / det[:, None]
-        self.br = np.stack([(x3 - x2), (x1 - x3), (x2 - x1)], axis=1) / det[:, None]
-        # int_T r phi_a dA = area * (2 r_a + r_b + r_c) / 12 (exact)
-        rloc = p[:, :, 1]
-        self.mass_tri = self.area[:, None] * (rloc + rloc.sum(axis=1, keepdims=True)) / 12.0
-        # midedge quadrature (degree-2 exact): points opposite each vertex
-        self.phi_q = np.array([[0.5, 0.5, 0.0],
-                               [0.0, 0.5, 0.5],
-                               [0.5, 0.0, 0.5]])  # (q, a)
-        self.r_q = rloc @ self.phi_q.T  # (T, q)
+        fem = mesh.fem
+        n = self.n_dof = N_SPECIES * mesh.n_vertices
+        self.mass_species = np.stack([fem.lump_all if CROSSES_MEMBRANE[s] else fem.lump_blood
+                                      for s in range(N_SPECIES)])
+        self.norm_mass = np.repeat(fem.lump_all, N_SPECIES)
+        self._build_dirichlet(mesh)
 
-        self.is_blood = mesh.subdomain_of_triangle == Subdomain.BLOOD
-        self.is_membrane = mesh.subdomain_of_triangle == Subdomain.MEMBRANE
+        op_rows, op_cols = _operator_dofs(mesh)
+        # 5x5 reaction block of every node, pair-major like reaction_jacobian
+        nodes = N_SPECIES * np.arange(mesh.n_vertices)
+        rx_rows = (nodes + np.repeat(np.arange(N_SPECIES), N_SPECIES)[:, None]).ravel()
+        rx_cols = (nodes + np.tile(np.arange(N_SPECIES), N_SPECIES)[:, None]).ravel()
+        self.op_keep = ~self.is_dirichlet[op_rows]
+        self.rx_keep = ~self.is_dirichlet[rx_rows]
+        keys = np.concatenate([op_rows[self.op_keep], self.dirichlet_dofs,
+                               rx_rows[self.rx_keep]]) * n
+        keys += np.concatenate([op_cols[self.op_keep], self.dirichlet_dofs,
+                                rx_cols[self.rx_keep]])
+        # build arrays go before the ordering's factorization sets the memory peak
+        del op_rows, op_cols, rx_rows, rx_cols
+        keys, pos = np.unique(keys, return_inverse=True)
+        pos = pos.astype(np.int32)
+        n_op, n_dir = int(self.op_keep.sum()), self.dirichlet_dofs.size
+        self.op_pos = pos[:n_op]
+        self.dirichlet_pos = pos[n_op:n_op + n_dir]
+        self.rx_pos = pos[n_op + n_dir:]
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        self.nnz = keys.size
+        del keys, pos
 
-        lump = np.zeros(mesh.n_vertices)
-        np.add.at(lump, tri.ravel(), self.mass_tri.ravel())
-        self.lump_all = lump
-        lump_b = np.zeros(mesh.n_vertices)
-        bt = tri[self.is_blood]
-        np.add.at(lump_b, bt.ravel(), self.mass_tri[self.is_blood].ravel())
-        self.lump_blood = lump_b
+        # slot k + 1 marks entry k of the full pattern, so the reordered
+        # free-free block lists the positions it gathers from
+        free = np.flatnonzero(~self.is_dirichlet)
+        slots = sp.csr_matrix((np.arange(1, self.nnz + 1), self.indices, self.indptr),
+                              shape=(n, n))[free][:, free]
+        order = fill_reducing_order(slots)
+        block = slots[order][:, order].tocsc()
+        del slots
+        self.free = free[order].astype(np.int32)
+        self.block_src = (block.data - 1).astype(np.int32)
+        self.block_indices = block.indices.astype(np.int32)
+        self.block_indptr = block.indptr.astype(np.int32)
 
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
-_FEM_CACHE: dict = {}
-_FEM_CACHE_LIMIT = 8  # few distinct meshes alive at once; bound the memory
+    def _build_dirichlet(self, mesh: Mesh):
+        r = mesh.vertices[:, 1]
+        inlet_b = boundary_vertices(mesh, Boundary.INLET_BLOOD)
+        inlet_d = boundary_vertices(mesh, Boundary.INLET_DIALYSATE)
+        non_blood = np.flatnonzero(r > mesh.geom.R1 + 1e-14)
 
+        # a dof takes entry `source` of inlet_blood + inlet_dialysate + (0.0,)
+        dofs, source = [], []
+        for s in range(N_SPECIES):
+            dofs.append(N_SPECIES * inlet_b + s)
+            source.append(np.full(inlet_b.size, s))
+            if CROSSES_MEMBRANE[s]:
+                dofs.append(N_SPECIES * inlet_d + s)
+                source.append(np.full(inlet_d.size, N_SPECIES + s))
+            else:
+                dofs.append(N_SPECIES * non_blood + s)
+                source.append(np.full(non_blood.size, 2 * N_SPECIES))
+        # a dof listed twice keeps its first assignment
+        self.dirichlet_dofs, first = np.unique(np.concatenate(dofs), return_index=True)
+        self.dirichlet_source = np.concatenate(source)[first]
+        self.is_dirichlet = np.zeros(self.n_dof, dtype=bool)
+        self.is_dirichlet[self.dirichlet_dofs] = True
 
-def _fem_data(mesh: Mesh) -> _FemData:
-    key = id(mesh)
-    data = _FEM_CACHE.get(key)
-    if data is None or data[0] is not mesh:
-        data = (mesh, _FemData(mesh))
-        _FEM_CACHE[key] = data
-        while len(_FEM_CACHE) > _FEM_CACHE_LIMIT:
-            _FEM_CACHE.pop(next(iter(_FEM_CACHE)))
-    return data[1]
+    def matrix(self, data) -> sp.csr_matrix:
+        """The full-system matrix with ``data`` in this pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n_dof, self.n_dof))
+
+    def free_block(self, full: sp.csr_matrix) -> SparseMatrix:
+        """The free-free block of a full-system matrix in this pattern, as CSC
+        in the fill-reducing order of ``free``."""
+        n_free = self.free.size
+        return SparseMatrix(sp.csc_matrix((full.data[self.block_src], self.block_indices,
+                                           self.block_indptr), shape=(n_free, n_free)))
 
 
 # -- solver ------------------------------------------------------------------------
@@ -262,58 +336,28 @@ class TransportSolver:
         self.velocity = velocity
         self.cfg = cfg
         self.bd = bd
-        self.fem = _fem_data(mesh)
-        self.n_dof = N_SPECIES * mesh.n_vertices
+        self.fem = mesh.fem
+        self.pattern = mesh.newton_pattern
+        self.n_dof = self.pattern.n_dof
         self._build_dirichlet(dirichlet_override)
-        self._build_masses()
         self._build_linear_operator()
-        self._build_reaction_pattern()
 
-    # .. boundary bookkeeping ..
+    # .. boundary values ..
 
     def _build_dirichlet(self, override):
-        mesh = self.mesh
-        r = mesh.vertices[:, 1]
-        inlet_b = boundary_vertices(mesh, Boundary.INLET_BLOOD)
-        inlet_d = boundary_vertices(mesh, Boundary.INLET_DIALYSATE)
-        non_blood = np.flatnonzero(r > mesh.geom.R1 + 1e-14)
-
-        dofs, vals = [], []
-        for s in range(N_SPECIES):
-            gb = self.bd.inlet_blood[s]
-            dofs.append(N_SPECIES * inlet_b + s)
-            vals.append(np.full(inlet_b.size, gb))
-            if CROSSES_MEMBRANE[s]:
-                gd = self.bd.inlet_dialysate[s]
-                dofs.append(N_SPECIES * inlet_d + s)
-                vals.append(np.full(inlet_d.size, gd))
-            else:
-                dofs.append(N_SPECIES * non_blood + s)
-                vals.append(np.zeros(non_blood.size))
-        self.dirichlet_dofs = np.concatenate(dofs)
-        self.dirichlet_vals = np.concatenate(vals)
-        if override is not None:
+        p = self.pattern
+        if override is None:
+            inlet = np.concatenate([self.bd.inlet_blood, self.bd.inlet_dialysate, [0.0]])
+            vals = inlet[p.dirichlet_source]
+        else:
             override = np.asarray(override, dtype=float)
-            if override.shape != (N_SPECIES, mesh.n_vertices):
+            if override.shape != (N_SPECIES, self.mesh.n_vertices):
                 raise ConfigurationError("dirichlet override must be (5, n_vertices)")
-            flat = override.T.reshape(-1)
-            self.dirichlet_vals = flat[self.dirichlet_dofs]
-        # deduplicate, keeping the first assignment per dof
-        _, first = np.unique(self.dirichlet_dofs, return_index=True)
-        self.dirichlet_dofs = self.dirichlet_dofs[np.sort(first)]
-        self.dirichlet_vals = self.dirichlet_vals[np.sort(first)]
-        self.is_dirichlet = np.zeros(self.n_dof, dtype=bool)
-        self.is_dirichlet[self.dirichlet_dofs] = True
+            vals = override.T.reshape(-1)[p.dirichlet_dofs]
+        self.dirichlet_dofs = p.dirichlet_dofs
+        self.dirichlet_vals = vals
         self.g_vec = np.zeros(self.n_dof)
-        self.g_vec[self.dirichlet_dofs] = self.dirichlet_vals
-
-    def _build_masses(self):
-        fem = self.fem
-        mass = np.empty((N_SPECIES, self.mesh.n_vertices))
-        for s in range(N_SPECIES):
-            mass[s] = fem.lump_all if CROSSES_MEMBRANE[s] else fem.lump_blood
-        self.mass_species = mass
-        self.norm_mass = np.tile(fem.lump_all[:, None], (1, N_SPECIES)).reshape(-1)
+        self.g_vec[p.dirichlet_dofs] = vals
 
     # .. linear operator (convection + diffusion + interface term) ..
 
@@ -335,77 +379,44 @@ class TransportSolver:
     def _build_linear_operator(self):
         mesh, fem, cfg = self.mesh, self.fem, self.cfg
         tri = mesh.triangles
+        p = self.pattern
         ux = self.velocity.u_x[tri]  # (T, 3)
         ur = self.velocity.u_r[tri]
         D_loc, S_loc = self._species_coefficients()
 
         w_diff = fem.area * fem.rbar
-        rows_all, cols_all, vals_all = [], [], []
+        vals_all = []
 
         # convection at midedge points: Ue (T, q, 2)
         ux_q = ux @ fem.phi_q.T
         ur_q = ur @ fem.phi_q.T
         wq = (fem.area / 3.0)[:, None] * fem.r_q  # (T, q)
 
+        shared = {}  # unscaled element matrices, one pair per set of triangles
         for s in range(N_SPECIES):
-            active = slice(None) if CROSSES_MEMBRANE[s] else fem.is_blood
-            a_tri = tri[active]
-            a_bx = fem.bx[active]
-            a_br = fem.br[active]
-            Dw = (D_loc[s] * w_diff)[active]
-            ke = Dw[:, None, None] * (
-                (cfg.eps2 / cfg.Pe) * a_bx[:, :, None] * a_bx[:, None, :]
-                + (1.0 / cfg.Pe) * a_br[:, :, None] * a_br[:, None, :])
-            # convection: sum_q w_q phi_a(q) * S * (Ux(q) bx_b + Ur(q) br_b)
-            Sfac = S_loc[s][active]
-            wq_a = wq[active]
-            conv_b = (ux_q[active][:, :, None] * a_bx[:, None, :]
-                      + ur_q[active][:, :, None] * a_br[:, None, :])  # (T, q, b)
-            ce = np.einsum("tq,qa,tqb->tab", wq_a, fem.phi_q, conv_b)
-            ce *= Sfac[:, None, None]
-            if cfg.streamline_diffusion:
-                ce += self._supg_element(s, active, a_bx, a_br, D_loc)
-            el = ke + ce
-            r_idx = np.repeat(a_tri, 3, axis=1).ravel()
-            c_idx = np.tile(a_tri, (1, 3)).ravel()
-            rows_all.append(N_SPECIES * r_idx + s)
-            cols_all.append(N_SPECIES * c_idx + s)
-            vals_all.append(el.ravel())
+            crosses = CROSSES_MEMBRANE[s]
+            active = slice(None) if crosses else fem.is_blood
+            if crosses not in shared:
+                a_bx = fem.bx[active]
+                a_br = fem.br[active]
+                stiff = ((cfg.eps2 / cfg.Pe) * a_bx[:, :, None] * a_bx[:, None, :]
+                         + (1.0 / cfg.Pe) * a_br[:, :, None] * a_br[:, None, :])
+                # convection: sum_q w_q phi_a(q) * S * (Ux(q) bx_b + Ur(q) br_b)
+                conv_b = (ux_q[active][:, :, None] * a_bx[:, None, :]
+                          + ur_q[active][:, :, None] * a_br[:, None, :])  # (T, q, b)
+                conv = np.einsum("tq,qa,tqb->tab", wq[active], fem.phi_q, conv_b)
+                shared[crosses] = stiff, conv
+            stiff, conv = shared[crosses]
+            ke = (D_loc[s] * w_diff)[active][:, None, None] * stiff
+            ce = conv * S_loc[s][active][:, None, None]
+            vals_all.append((ke + ce).ravel())
+        vals_all.extend(self._interface_term())
 
-        rows, cols, vals = self._interface_term()
-        rows_all.append(rows)
-        cols_all.append(cols)
-        vals_all.append(vals)
-
-        rows = np.concatenate(rows_all)
-        cols = np.concatenate(cols_all)
-        vals = np.concatenate(vals_all)
-        keep = ~self.is_dirichlet[rows]
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        rows = np.concatenate([rows, self.dirichlet_dofs])
-        cols = np.concatenate([cols, self.dirichlet_dofs])
-        vals = np.concatenate([vals, np.ones(self.dirichlet_dofs.size)])
-        self._lin_rows = rows
-        self._lin_cols = cols
-        self._lin_vals = vals
-        self.L_bc = sp.coo_matrix((vals, (rows, cols)),
-                                  shape=(self.n_dof, self.n_dof)).tocsr()
-
-    def _supg_element(self, s, active, a_bx, a_br, D_loc):
-        """Streamline-diffusion stabilization (optional guardrail, off by default)."""
-        fem, cfg = self.fem, self.cfg
-        tri = self.mesh.triangles
-        uxc = self.velocity.u_x[tri].mean(axis=1)[active]
-        urc = self.velocity.u_r[tri].mean(axis=1)[active]
-        speed = np.sqrt(uxc**2 + urc**2)
-        h = np.sqrt(2.0 * fem.area[active])
-        D_eff = np.maximum(D_loc[s][active] / cfg.Pe, 1e-300)
-        peh = speed * h / (2.0 * D_eff)
-        xi = np.clip(1.0 - 1.0 / np.maximum(peh, 1e-30), 0.0, None)
-        tau = np.where(speed > 0, h / (2.0 * speed + 1e-300) * xi, 0.0)
-        w = (fem.area * fem.rbar)[active] * tau
-        adv = uxc[:, None] * a_bx + urc[:, None] * a_br  # (T, a)
-        return w[:, None, None] * adv[:, :, None] * adv[:, None, :]
+        # triplet values in the order of _operator_dofs; Dirichlet rows are identity
+        vals = np.concatenate(vals_all)[p.op_keep]
+        self._op_data = np.bincount(p.op_pos, weights=vals, minlength=p.nnz)
+        self._op_data[p.dirichlet_pos] = 1.0
+        self.L_bc = p.matrix(self._op_data)
 
     def _interface_term(self):
         """-int_{Gamma_bm} r U_r c phi dx for the non-crossing species: the
@@ -421,37 +432,19 @@ class TransportSolver:
         gw = np.array([0.5, 0.5])
         ur0 = self.velocity.u_r[v0]
         ur1 = self.velocity.u_r[v1]
-        rows, cols, vals = [], [], []
+        vals = []
         phis = np.stack([1.0 - gp, gp])  # (a, g)
         for s in range(N_SPECIES):
             if CROSSES_MEMBRANE[s]:
                 continue
-            for a, va in enumerate((v0, v1)):
-                for b, vb in enumerate((v0, v1)):
+            for a in range(2):
+                for b in range(2):
                     contrib = np.zeros(edges.shape[0])
                     for g in range(2):
                         ur_g = ur0 * (1 - gp[g]) + ur1 * gp[g]
                         contrib += gw[g] * ur_g * phis[a, g] * phis[b, g]
-                    rows.append(N_SPECIES * va + s)
-                    cols.append(N_SPECIES * vb + s)
                     vals.append(-R1 * h * contrib)
-        return (np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-
-    # .. reaction coupling ..
-
-    def _build_reaction_pattern(self):
-        n_v = self.mesh.n_vertices
-        nodes = np.arange(n_v)
-        i_idx = np.repeat(np.arange(N_SPECIES), N_SPECIES)
-        j_idx = np.tile(np.arange(N_SPECIES), N_SPECIES)
-        rows = (N_SPECIES * nodes[None, :] + i_idx[:, None]).ravel()
-        cols = (N_SPECIES * nodes[None, :] + j_idx[:, None]).ravel()
-        keep = ~self.is_dirichlet[rows]
-        self._rx_rows = rows[keep]
-        self._rx_cols = cols[keep]
-        self._rx_keep = keep
-        # row-species mass, laid out pair-major like the pattern arrays
-        self._rx_mass = np.repeat(self.mass_species, N_SPECIES, axis=0)  # (25, n_v)
+        return vals
 
     # .. residual / jacobian / newton ..
 
@@ -460,20 +453,19 @@ class TransportSolver:
         f = reaction_source(c_nodal, self.cfg.reactions)
         if source_nodal is not None:
             f = f + source_nodal
-        rhs_nl = (self.mass_species * f).T.reshape(-1)
-        rhs_nl[self.is_dirichlet] = 0.0
+        rhs_nl = (self.pattern.mass_species * f).T.reshape(-1)
+        rhs_nl[self.pattern.is_dirichlet] = 0.0
         return self.L_bc @ c_flat - rhs_nl - self.g_vec
 
     def jacobian(self, c_flat) -> sp.csr_matrix:
+        """Newton Jacobian of the full system (identity Dirichlet rows), its
+        values scattered into the mesh's fixed pattern."""
+        p = self.pattern
         c_nodal = c_flat.reshape(-1, N_SPECIES).T
         jf = reaction_jacobian(c_nodal, self.cfg.reactions)  # (5, 5, n_v)
-        vals = (-(self._rx_mass * jf.reshape(N_SPECIES * N_SPECIES, -1))).ravel()
-        vals = vals[self._rx_keep]
-        rows = np.concatenate([self._lin_rows, self._rx_rows])
-        cols = np.concatenate([self._lin_cols, self._rx_cols])
-        data = np.concatenate([self._lin_vals, vals])
-        return sp.coo_matrix((data, (rows, cols)),
-                             shape=(self.n_dof, self.n_dof)).tocsr()
+        data = self._op_data.copy()
+        data[p.rx_pos] -= (p.mass_species[:, None, :] * jf).ravel()[p.rx_keep]
+        return p.matrix(data)
 
     def initial_field(self) -> ConcentrationField:
         """Constant extension of inlet blood values (dialysate inlet values on
@@ -497,12 +489,21 @@ class TransportSolver:
         return out
 
     def newton_norm(self, delta_flat):
-        return float(np.sqrt(np.sum(self.norm_mass * delta_flat**2)))
+        return float(np.sqrt(np.sum(self.pattern.norm_mass * delta_flat**2)))
 
     def step(self, c_flat, source_nodal=None):
-        A = self.jacobian(c_flat)
-        rhs = A @ c_flat - self.residual(c_flat, source_nodal)
-        return solve_linear(SparseMatrix(A), rhs)
+        """One Newton update: the solution x of J x = J c - F(c) with
+        x = g on the Dirichlet dofs.
+
+        Only the free dofs are factorized: J_ff x_f = (J (c - g) - F(c))_f,
+        whose right-hand side carries the Dirichlet columns J_fD g.
+        """
+        p = self.pattern
+        J = self.jacobian(c_flat)
+        rhs = J @ (c_flat - self.g_vec) - self.residual(c_flat, source_nodal)
+        x = self.g_vec.copy()
+        x[p.free] = solve_linear(p.free_block(J), rhs[p.free], preordered=True)
+        return x
 
     def solve(self, c0: ConcentrationField | None = None, source_nodal=None) -> tuple:
         cfg = self.cfg
@@ -534,20 +535,6 @@ class TransportSolver:
                 trace=trace)
         return ConcentrationField.from_flat(self.mesh, c_next), \
             NewtonResult(converged=True, n_solves=len(trace), trace=trace)
-
-
-def assemble_newton_system(mesh: Mesh, velocity: VelocityField, cfg: TransportConfig,
-                           bd: BoundaryData, c_n: ConcentrationField):
-    """One linearized Newton system at c_n: (matrix, right-hand side).
-
-    Dirichlet rows are identity rows whose right-hand side carries the
-    imposed inlet value.
-    """
-    solver = TransportSolver(mesh, velocity, cfg, bd)
-    c_flat = solver.project_dirichlet(c_n.flat())
-    A = solver.jacobian(c_flat)
-    rhs = A @ c_flat - solver.residual(c_flat)
-    return SparseMatrix(A), rhs
 
 
 def newton_solve(mesh: Mesh, velocity: VelocityField, cfg: TransportConfig,

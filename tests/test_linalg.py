@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fiberdialysis.exceptions import AssemblyError, SolverError
-from fiberdialysis.linalg import SparseMatrix, assemble_from_triplets, solve_linear
+from fiberdialysis.linalg import (SparseMatrix, assemble_from_triplets, fill_reducing_order,
+                                 solve_linear)
 
 
 def test_duplicate_entries_are_summed():
@@ -85,6 +86,40 @@ def test_dimension_mismatch():
     A = assemble_from_triplets(2, [(0, 0, 1.0), (1, 1, 1.0)])
     with pytest.raises(SolverError):
         solve_linear(A, np.ones(3))
+
+
+def _convection_diffusion(m, rng):
+    """Nonsymmetric five-point operator on an m x m grid, random coefficients."""
+    import scipy.sparse as sp
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    adv = sp.diags([-1.0, 1.0], [-1, 1], shape=(m, m))
+    eye = sp.identity(m)
+    A = (sp.kron(lap, eye) + sp.kron(eye, lap) + 0.3 * sp.kron(adv, eye)).tocsr()
+    A.data *= rng.uniform(0.5, 1.5, A.nnz)
+    return A
+
+
+def test_fill_reducing_order_depends_on_pattern_only():
+    import scipy.sparse.linalg as spla
+    rng = np.random.default_rng(13)
+    A = _convection_diffusion(12, rng)
+    q = fill_reducing_order(A)
+    # the order SuperLU takes when it factorizes A itself
+    perm_c = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c
+    assert np.array_equal(q, np.argsort(perm_c))
+    B = A.copy()
+    B.data = rng.standard_normal(B.nnz)
+    assert np.array_equal(fill_reducing_order(B), q)
+
+
+def test_preordered_solve_matches_ordered_solve():
+    rng = np.random.default_rng(14)
+    A = _convection_diffusion(12, rng)
+    b = rng.standard_normal(A.shape[0])
+    q = fill_reducing_order(A)
+    x = solve_linear(SparseMatrix(A), b)
+    xq = solve_linear(SparseMatrix(A[q][:, q].tocsc()), b[q], preordered=True)
+    assert np.linalg.norm(xq - x[q]) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_non_square_rejected():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from fiberdialysis.exceptions import ConfigurationError, NewtonError
 from fiberdialysis.flow import HydraulicState, VelocityField, compute_velocity_field
 from fiberdialysis.mesh import AxiGeometry, build_structured_mesh
 from fiberdialysis.transport import (BoundaryData, ConcentrationField, ReactionParams,
                                      SpeciesConfig, TransportConfig, TransportSolver,
-                                     assemble_newton_system, export_field_csv,
-                                     newton_solve, outlet_concentration,
+                                     export_field_csv, newton_solve, outlet_concentration,
                                      reaction_jacobian, reaction_source)
 
 GEOM = AxiGeometry(L=1.0, R1=0.4, R2=0.6, R=1.0)
@@ -103,15 +103,62 @@ def test_dirichlet_rows_are_identity_with_imposed_rhs():
     bd = BoundaryData(inlet_blood=(0.5, 1.0, 0.1, 2.0, 0.7),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
     solver = TransportSolver(mesh, flow_field(mesh), cfg, bd)
-    c0 = solver.initial_field()
-    A, rhs = assemble_newton_system(mesh, flow_field(mesh), cfg, bd, c0)
-    csr = A.to_csr()
+    c0 = solver.initial_field().flat()
+    csr = solver.jacobian(c0)
+    c1 = solver.step(c0)
     for dof, val in zip(solver.dirichlet_dofs, solver.dirichlet_vals):
         row = csr.getrow(dof)
         assert row.nnz == 1
         assert row.indices[0] == dof
         assert row.data[0] == 1.0
-        assert rhs[dof] == val
+        assert c1[dof] == val
+
+
+def _oracle_cases():
+    """(solver, field, source) on a small mesh: plain, with a Dirichlet
+    override, and with a nodal source (criterion 5(c) uses both)."""
+    mesh = build_structured_mesh(GEOM, 5, 3, 2, 3)
+    bd = BoundaryData(inlet_blood=(0.2, 3.0, 0.1, 4.0, 1.0),
+                      inlet_dialysate=(1.2, 0, 0, 0, 0))
+    rng = np.random.default_rng(12)
+    velocity = flow_field(mesh)
+    override = rng.uniform(0.5, 1.5, (5, mesh.n_vertices))
+    source = rng.standard_normal((5, mesh.n_vertices))
+    c = rng.uniform(0.1, 2.0, 5 * mesh.n_vertices)
+    return [(TransportSolver(mesh, velocity, transport_cfg(), bd), c, None),
+            (TransportSolver(mesh, velocity, transport_cfg(), bd,
+                             dirichlet_override=override), c, None),
+            (TransportSolver(mesh, velocity, transport_cfg(), bd), c, source)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_step_matches_full_system_oracle(case):
+    solver, c, source = _oracle_cases()[case]
+    J = solver.jacobian(c).tocsc()
+    expected = spla.spsolve(J, J @ c - solver.residual(c, source))
+    got = solver.step(c, source)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_cold_solve_independent_of_earlier_solves_on_the_mesh():
+    # the factorization order belongs to the mesh, not to its first solve
+    bd = BoundaryData(inlet_blood=(0.11, 3.7, 0.06, 5.0, 1.4),
+                      inlet_dialysate=(1.25, 0, 0, 0, 0))
+    other = BoundaryData(inlet_blood=(0.3, 2.0, 0.2, 4.0, 0.5),
+                         inlet_dialysate=(1.0, 0, 0, 0, 0))
+
+    def outlet(mesh, velocity, beta, data):
+        cfg = transport_cfg(species=species_cfg(alpha=(beta[0], 0, 0, beta[1], beta[1])))
+        field, _ = newton_solve(mesh, velocity, cfg, data)
+        return outlet_concentration(field, mesh, GEOM)
+
+    first_mesh = build_structured_mesh(GEOM, 10, 4, 2, 4)
+    first = outlet(first_mesh, flow_field(first_mesh), (0.8, 0.4), bd)
+    mesh = build_structured_mesh(GEOM, 10, 4, 2, 4)
+    velocity = flow_field(mesh)
+    outlet(mesh, velocity, (0.2, 0.9), other)
+    outlet(mesh, velocity, (1.0, 0.05), bd)
+    assert np.array_equal(outlet(mesh, velocity, (0.8, 0.4), bd), first)
 
 
 def test_linear_regime_block_structure():
