@@ -2,9 +2,9 @@
 
 from .mesh import (AxiGeometry, Boundary, Mesh, Subdomain, boundary_vertices,
                    build_structured_mesh)
-from .linalg import SparseMatrix, assemble_from_triplets, solve_linear
+from .linalg import SparseMatrix, solve_linear
 from .flow import (HydraulicState, VelocityField, calibrate_hydraulics,
-                   compute_velocity_field, solve_membrane_pressure, transmembrane_flux)
+                   compute_velocity_field, transmembrane_flux)
 from .transport import (BoundaryData, ConcentrationField, NewtonResult, ReactionParams,
                         SpeciesConfig, TransportConfig, TransportSolver, export_field_csv,
                         newton_solve, outlet_concentration, reaction_jacobian,

@@ -48,11 +48,27 @@ def _write_csv(path, header, rows):
                      else str(v) for v in row) + "\n")
 
 
-def _parse_pair(text, name):
+def _parse_numbers(text, name, form, counts=None, kind=float):
+    """The comma-separated numbers of option ``name``; ConfigurationError
+    (exit 2) unless each parses as ``kind`` and, when ``counts`` is given,
+    their count is one of ``counts``.  ``form`` describes the expected value."""
     parts = [p for p in text.split(",") if p.strip() != ""]
-    if len(parts) != 2:
-        raise ConfigurationError(f"{name} must be two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        values = [kind(p) for p in parts]
+    except ValueError:
+        values = []
+    if not values or (counts is not None and len(values) not in counts):
+        raise ConfigurationError(f"{name} must be {form}, got {text!r}")
+    return values
+
+
+def _parse_pair(text, name):
+    return tuple(_parse_numbers(text, name, "two comma-separated numbers", (2,)))
+
+
+def _parse_box(text, name):
+    lo1, hi1, lo2, hi2 = _parse_numbers(text, name, "lo1,hi1,lo2,hi2", (4,))
+    return (lo1, hi1), (lo2, hi2)
 
 
 def _load_config(args) -> RunConfig:
@@ -120,9 +136,9 @@ class _BundleMismatch(FiberDialysisError):
 
 def cmd_forward(args) -> int:
     cfg = _load_config(args)
+    beta = _parse_pair(args.beta, "--beta")
     ctx = _context(cfg)
     rec = _prepare_patient(ctx, cfg, args.patient)
-    beta = _parse_pair(args.beta, "--beta")
     out = _outdir(args)
     try:
         outlet, field, result = ctx.forward_detailed(rec, np.asarray(beta))
@@ -169,6 +185,12 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _sigmas(args, cfg):
+    if args.sigmas:
+        return _parse_numbers(args.sigmas, "--sigmas", "comma-separated numbers")
+    return [float(s) for s in cfg.options["noise_sigmas"]]
+
+
 def _load_targets(args, needed=("targets.json",)):
     import hashlib
     manifest = _check_bundle(args.targets, needed)
@@ -193,10 +215,7 @@ def _select_patients(records, spec_text):
 def _cost_config(cfg: RunConfig, records, bounds_text=None):
     bounds = tuple(tuple(b) for b in cfg.options["bounds"])
     if bounds_text:
-        parts = [float(v) for v in bounds_text.split(",")]
-        if len(parts) != 4:
-            raise ConfigurationError("--bounds must be lo1,hi1,lo2,hi2")
-        bounds = ((parts[0], parts[1]), (parts[2], parts[3]))
+        bounds = _parse_box(bounds_text, "--bounds")
     return MultiCostConfig(weights=default_weights(records),
                            lam=float(cfg.options["lambda"]),
                            bounds=bounds,
@@ -290,15 +309,12 @@ def cmd_grid(args) -> int:
     patients = _select_patients(records, args.patients)
     mcfg = _cost_config(cfg, patients, args.bounds)
     if args.box:
-        parts = [float(v) for v in args.box.split(",")]
-        if len(parts) != 4:
-            raise ConfigurationError("--box must be lo1,hi1,lo2,hi2")
-        box = ((parts[0], parts[1]), (parts[2], parts[3]))
+        box = _parse_box(args.box, "--box")
     else:
         box = ((0.02, 3.0), (0.02, 3.0)) if args.clinical else ((0.02, 1.0), (0.02, 1.0))
     if args.n:
-        ns = [int(v) for v in args.n.split(",")]
-        n1, n2 = (ns[0], ns[0]) if len(ns) == 1 else (ns[0], ns[1])
+        ns = _parse_numbers(args.n, "--n", "n or n1,n2", (1, 2), kind=int)
+        n1, n2 = ns[0], ns[-1]
     else:
         n1 = n2 = 31
     ctx = _context(cfg)
@@ -312,10 +328,7 @@ def cmd_grid(args) -> int:
                "n_evals": grid.n_evals,
                "patients": [p.id for p in patients]}
     if args.refine_box:
-        parts = [float(v) for v in args.refine_box.split(",")]
-        if len(parts) != 4:
-            raise ConfigurationError("--refine-box must be lo1,hi1,lo2,hi2")
-        rbox = ((parts[0], parts[1]), (parts[2], parts[3]))
+        rbox = _parse_box(args.refine_box, "--refine-box")
         refined = landscape_scan(patients, rbox, n1, n2, mcfg, ctx)
         _write_csv(os.path.join(out, "landscape_refined.csv"),
                    ["d_ca", "d_ci", "J", "log10_J"], refined.rows())
@@ -335,8 +348,7 @@ def cmd_grid(args) -> int:
 def cmd_noise_study(args) -> int:
     cfg = _load_config(args)
     manifest, records = _load_targets(args)
-    sigmas = [float(s) for s in (args.sigmas.split(",") if args.sigmas
-                                 else cfg.options["noise_sigmas"])]
+    sigmas = _sigmas(args, cfg)
     size = int(args.subcohort_size)
     n_sub = int(args.n_subcohorts)
     if len(records) < size * n_sub:
@@ -397,8 +409,7 @@ def cmd_noise_study(args) -> int:
 def cmd_sensitivity(args) -> int:
     cfg = _load_config(args)
     manifest, records = _load_targets(args)
-    sigmas = [float(s) for s in (args.sigmas.split(",") if args.sigmas
-                                 else cfg.options["noise_sigmas"])]
+    sigmas = _sigmas(args, cfg)
     beta_star = _parse_pair(args.beta_star, "--beta-star") if args.beta_star else \
         tuple(manifest.get("args", {}).get("beta_star", cfg.options["beta_star"]))
     ctx = _context(cfg)
@@ -565,9 +576,9 @@ def build_parser():
     p = sub.add_parser("noise-study", help="sub-cohort inversions under target noise")
     common(p, targets=True)
     p.add_argument("--sigmas", help="comma-separated noise levels (default config)")
-    p.add_argument("--subcohort-size", dest="subcohort_size", default=5)
-    p.add_argument("--n-subcohorts", dest="n_subcohorts", default=4)
-    p.add_argument("--full-at", dest="full_at", default=0.05,
+    p.add_argument("--subcohort-size", dest="subcohort_size", type=int, default=5)
+    p.add_argument("--n-subcohorts", dest="n_subcohorts", type=int, default=4)
+    p.add_argument("--full-at", dest="full_at", type=float, default=0.05,
                    help="also invert the pooled cohort at this noise level")
     p.add_argument("--init")
     p.add_argument("--bounds")

@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .exceptions import CalibrationError, ConfigurationError
-from .linalg import SparseMatrix, solve_linear
-from .mesh import AxiGeometry, Boundary, Mesh, Subdomain, boundary_vertices
+from .linalg import solve_linear  # noqa: F401  (bench/tracing.py wraps flow.solve_linear)
+from .mesh import AxiGeometry, Mesh, Subdomain
 
 _GAUSS4_T, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 
@@ -100,12 +99,12 @@ class VelocityField:
 
     def _divergence_residual(self):
         mesh = self.mesh
+        fem = mesh.fem
         tri = mesh.triangles
         verts = mesh.vertices
         region = mesh.subdomain_of_triangle
-        areas = mesh.triangle_areas()
-        rbar = verts[tri, 1].mean(axis=1)
-        rbar = np.maximum(rbar, 1e-30)
+        areas = fem.area
+        rbar = np.maximum(fem.rbar, 1e-30)
         total = np.zeros(mesh.n_triangles)
         if self._evaluator is not None:
             for a, b in ((0, 1), (1, 2), (2, 0)):
@@ -115,98 +114,13 @@ class VelocityField:
         else:
             # exact per-triangle integral of r*d_x(U_x) + d_r(r*U_r) for the
             # P1 interpolant: the integrand is linear, centroid rule is exact
-            p = verts[tri]
             ux = self.u_x[tri]
             ur = self.u_r[tri]
-            x1, r1 = p[:, 0, 0], p[:, 0, 1]
-            x2, r2 = p[:, 1, 0], p[:, 1, 1]
-            x3, r3 = p[:, 2, 0], p[:, 2, 1]
-            det = (x2 - x1) * (r3 - r1) - (x3 - x1) * (r2 - r1)
-            bx = np.stack([(r2 - r3), (r3 - r1), (r1 - r2)], axis=1) / det[:, None]
-            br = np.stack([(x3 - x2), (x1 - x3), (x2 - x1)], axis=1) / det[:, None]
-            dux_dx = (bx * ux).sum(axis=1)
-            dur_dr = (br * ur).sum(axis=1)
+            dux_dx = (fem.bx * ux).sum(axis=1)
+            dur_dr = (fem.br * ur).sum(axis=1)
             ur_c = ur.mean(axis=1)
             total = areas * (rbar * dux_dx + ur_c + rbar * dur_dr)
         return float(np.max(np.abs(total) / (areas * rbar)))
-
-
-# -- membrane pressure (P1 FEM) ------------------------------------------------
-
-def _as_profile(values, n):
-    if callable(values):
-        return values
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ConfigurationError(f"interface profile must have {n} values, got {arr.shape}")
-    return arr
-
-
-def solve_membrane_pressure(mesh: Mesh, p_on_bm, p_on_dm) -> np.ndarray:
-    """P1 solution of d_xx p + (1/r) d_r (r d_r p) = 0 on the membrane.
-
-    Dirichlet data on the blood/membrane and dialysate/membrane interfaces
-    (given per interface vertex, ordered by increasing x, or as a callable of
-    x, or a scalar); homogeneous Neumann on the lateral membrane ends.
-    Returns a full-length nodal array; entries outside the closed membrane
-    are NaN.  The discrete solution satisfies the maximum principle up to
-    solver roundoff.
-    """
-    mem_tris = mesh.triangles[mesh.subdomain_of_triangle == Subdomain.MEMBRANE]
-    if mem_tris.size == 0:
-        raise ConfigurationError("mesh has no membrane subdomain")
-
-    bm = boundary_vertices(mesh, Boundary.BLOOD_MEMBRANE)
-    dm = boundary_vertices(mesh, Boundary.DIALYSATE_MEMBRANE)
-    pb = _as_profile(p_on_bm, bm.size)
-    pd = _as_profile(p_on_dm, dm.size)
-    if callable(pb):
-        pb = np.asarray(pb(mesh.vertices[bm, 0]), dtype=float)
-    if callable(pd):
-        pd = np.asarray(pd(mesh.vertices[dm, 0]), dtype=float)
-
-    nodes = np.unique(mem_tris)
-    glob2loc = -np.ones(mesh.n_vertices, dtype=np.int64)
-    glob2loc[nodes] = np.arange(nodes.size)
-    ltri = glob2loc[mem_tris]
-
-    p = mesh.vertices[mem_tris]
-    x1, r1 = p[:, 0, 0], p[:, 0, 1]
-    x2, r2 = p[:, 1, 0], p[:, 1, 1]
-    x3, r3 = p[:, 2, 0], p[:, 2, 1]
-    det = (x2 - x1) * (r3 - r1) - (x3 - x1) * (r2 - r1)
-    area = 0.5 * det
-    rbar = (r1 + r2 + r3) / 3.0
-    bx = np.stack([(r2 - r3), (r3 - r1), (r1 - r2)], axis=1) / det[:, None]
-    br = np.stack([(x3 - x2), (x1 - x3), (x2 - x1)], axis=1) / det[:, None]
-
-    # int_T r grad(phi_a).grad(phi_b): gradients constant, r linear -> centroid exact
-    w = (area * rbar)[:, None, None]
-    ke = w * (bx[:, :, None] * bx[:, None, :] + br[:, :, None] * br[:, None, :])
-
-    rows = np.repeat(ltri, 3, axis=1).ravel()
-    cols = np.tile(ltri, (1, 3)).ravel()
-    K = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(nodes.size, nodes.size)).tocsr()
-
-    dirichlet = np.full(nodes.size, np.nan)
-    dirichlet[glob2loc[bm]] = pb
-    dirichlet[glob2loc[dm]] = pd
-    is_dir = np.isfinite(dirichlet)
-
-    # eliminate Dirichlet rows/columns: P K P + I_dir, rhs = -K g on free rows
-    g = np.where(is_dir, dirichlet, 0.0)
-    P = sp.diags((~is_dir).astype(float))
-    I_dir = sp.diags(is_dir.astype(float))
-    K_final = (P @ K @ P + I_dir).tocsr()
-    rhs = -(K @ g)
-    rhs[is_dir] = dirichlet[is_dir]
-    sol = solve_linear(SparseMatrix(K_final), rhs)
-
-    out = np.full(mesh.n_vertices, np.nan)
-    out[nodes] = sol
-    return out
 
 
 # -- reduced consistent velocity model -----------------------------------------
@@ -253,9 +167,6 @@ class _ReducedFlow:
     def flux_dialysate(self, x):
         """Signed axial flux (negative: flowing toward x = 0)."""
         return -self.hyd.Q_d - 2.0 * np.pi * (self.W(self.geom.L) - self.W(x))
-
-    def net_transmembrane_flux(self):
-        return 2.0 * np.pi * self.W(self.geom.L)
 
     def psi(self, r):
         R = self.geom.R

@@ -7,10 +7,11 @@ averages.  Identification minimizes the weighted multi-patient least squares
 (Powell in log-parameters) or the single-patient relative misfit (projected
 gradient), with forward failures folded into a large objective value.
 
-Per-patient forward solves are independent; ``ForwardContext`` fans them out
-over a process pool.  Warm-start fields travel through the main process with
-each task, so results do not depend on worker scheduling and re-runs are
-byte-identical.
+Per-patient forward solves are independent.  Each process runs them through
+one ``ForwardSolver``; ``ForwardContext`` holds the main process's and fans
+solves out over a process pool.  Warm-start fields travel through the main
+process with each task, so results do not depend on worker scheduling and
+re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -98,42 +99,53 @@ def default_weights(patients) -> np.ndarray:
 
 # -- forward context ---------------------------------------------------------------
 
+class ForwardSolver:
+    """The per-patient forward solve of one process: geometry, mesh and
+    config template, plus the velocity fields of the patients it has seen,
+    keyed by (patient id, hydraulics)."""
+
+    def __init__(self, geom: AxiGeometry, mesh_res, cfg_template: TransportConfig):
+        self.geom = geom
+        self.mesh = build_structured_mesh(geom, *mesh_res)
+        self.cfg_template = cfg_template
+        self._velocity: dict = {}
+
+    def solve(self, rec: PatientRecord, beta, c0_flat=None):
+        """Forward solve at beta = (d_Ca, d_Ci), warm-started from the flat
+        field ``c0_flat`` if given; returns (outlet, field, NewtonResult)."""
+        key = (rec.id, rec.hydraulics)
+        if key not in self._velocity:
+            self._velocity[key] = compute_velocity_field(self.mesh, self.geom, rec.hydraulics)
+        cfg = replace(self.cfg_template,
+                      species=self.cfg_template.species.with_beta(beta[0], beta[1]))
+        bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
+                          inlet_dialysate=tuple(rec.inlet_dialysate))
+        solver = TransportSolver(self.mesh, self._velocity[key], cfg, bd)
+        c0 = None if c0_flat is None else ConcentrationField.from_flat(self.mesh, c0_flat)
+        fld, result = solver.solve(c0=c0)
+        return outlet_concentration(fld, self.mesh, self.geom), fld, result
+
+    def task(self, rec: PatientRecord, beta, c0_flat):
+        """``solve`` as one pool task: (outlet list, converged flat field, None),
+        or (None, None, "Type: message") when the solve raises."""
+        try:
+            outlet, fld, _ = self.solve(rec, beta, c0_flat)
+        except Exception as exc:
+            return None, None, f"{type(exc).__name__}: {exc}"
+        return outlet.tolist(), fld.flat(), None
+
+
 _WORKER: dict = {}
 
 
 def _worker_init(geom, mesh_res, cfg_template):
-    _WORKER["geom"] = geom
-    _WORKER["mesh"] = build_structured_mesh(geom, *mesh_res)
-    _WORKER["cfg"] = cfg_template
-    _WORKER["velocity"] = {}
+    _WORKER["solver"] = ForwardSolver(geom, mesh_res, cfg_template)
 
 
 def _worker_forward(task):
-    """One forward solve: (record dict, beta, warm flat field or None) ->
-    (outlet list, converged flat field, error string)."""
-    rec_dict, beta, c0_flat = task
-    try:
-        rec = PatientRecord.from_dict(rec_dict)
-        geom = _WORKER["geom"]
-        mesh = _WORKER["mesh"]
-        cfg = _WORKER["cfg"]
-        vel_cache = _WORKER["velocity"]
-        key = (rec.id, rec.hydraulics)
-        if key not in vel_cache:
-            vel_cache[key] = compute_velocity_field(mesh, geom, rec.hydraulics)
-        velocity = vel_cache[key]
-        cfg_b = replace(cfg, species=cfg.species.with_beta(beta[0], beta[1]))
-        bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
-                          inlet_dialysate=tuple(rec.inlet_dialysate))
-        solver = TransportSolver(mesh, velocity, cfg_b, bd)
-        c0 = None
-        if c0_flat is not None:
-            c0 = ConcentrationField.from_flat(mesh, np.asarray(c0_flat))
-        fld, _ = solver.solve(c0=c0)
-        outlet = outlet_concentration(fld, mesh, geom)
-        return outlet.tolist(), fld.flat(), None
-    except Exception as exc:
-        return None, None, f"{type(exc).__name__}: {exc}"
+    """``ForwardSolver.task`` in a pool worker; ``task`` is (record, beta,
+    warm flat field or None)."""
+    return _WORKER["solver"].task(*task)
 
 
 class ForwardContext:
@@ -142,16 +154,17 @@ class ForwardContext:
     mutable state is the main-process warm-start cache."""
 
     def __init__(self, geom: AxiGeometry, mesh_res, cfg_template: TransportConfig,
-                 base_hydraulics: HydraulicState, jobs: int = 1, warm_start: bool = True):
+                 base_hydraulics: HydraulicState, jobs: int = 1):
         self.geom = geom
         self.mesh_res = tuple(int(n) for n in mesh_res)
-        self.mesh = build_structured_mesh(geom, *self.mesh_res)
         self.cfg_template = cfg_template
         self.base_hydraulics = base_hydraulics
         self.jobs = max(1, int(jobs))
-        self.warm_start = warm_start
+        self._solver = ForwardSolver(geom, self.mesh_res, cfg_template)
+        self.mesh = self._solver.mesh
+        # in-process forward solve: (record, beta, c0_flat=None) -> (outlet, field, NewtonResult)
+        self.forward_detailed = self._solver.solve
         self._warm: dict = {}
-        self._velocity: dict = {}
         self._pool = None
 
     # .. plumbing ..
@@ -177,12 +190,6 @@ class ForwardContext:
     def clear_warm_cache(self):
         self._warm.clear()
 
-    def _velocity_for(self, rec):
-        key = (rec.id, rec.hydraulics)
-        if key not in self._velocity:
-            self._velocity[key] = compute_velocity_field(self.mesh, self.geom, rec.hydraulics)
-        return self._velocity[key]
-
     # .. calibration ..
 
     def calibrate_record(self, rec: PatientRecord) -> PatientRecord:
@@ -196,44 +203,20 @@ class ForwardContext:
 
     # .. forward evaluation ..
 
-    def forward_detailed(self, rec: PatientRecord, beta, c0_flat=None):
-        """In-process forward solve; returns (outlet, field, NewtonResult)."""
-        beta = np.asarray(beta, dtype=float)
-        velocity = self._velocity_for(rec)
-        cfg = replace(self.cfg_template,
-                      species=self.cfg_template.species.with_beta(beta[0], beta[1]))
-        bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
-                          inlet_dialysate=tuple(rec.inlet_dialysate))
-        solver = TransportSolver(self.mesh, velocity, cfg, bd)
-        c0 = None if c0_flat is None else ConcentrationField.from_flat(self.mesh, c0_flat)
-        fld, result = solver.solve(c0=c0)
-        return outlet_concentration(fld, self.mesh, self.geom), fld, result
-
-    def forward_outlet(self, rec: PatientRecord, beta, c0_flat=None):
-        """In-process forward solve; returns (outlet, converged flat field)."""
-        outlet, fld, _ = self.forward_detailed(rec, beta, c0_flat=c0_flat)
-        return outlet, fld.flat()
-
     def forward_pairs(self, pairs, use_warm=None):
         """Forward solves for [(record, beta), ...]; returns a list aligned
         with ``pairs`` of (outlet array | None, error string | None).
 
-        Results are gathered by submission index and the warm cache is
-        updated in pair order, so outputs are independent of scheduling.
+        Each solve starts from the patient's last converged field unless
+        ``use_warm`` is False.  Results are gathered by submission index and
+        the warm cache is updated in pair order, so outputs are independent
+        of scheduling.
         """
-        warm = self.warm_start if use_warm is None else use_warm
-        tasks = []
-        for rec, beta in pairs:
-            c0 = self._warm.get(rec.id) if warm else None
-            tasks.append((rec.to_dict(), tuple(float(b) for b in np.asarray(beta)), c0))
+        warm = use_warm is None or bool(use_warm)
+        tasks = [(rec, tuple(float(b) for b in np.asarray(beta)),
+                  self._warm.get(rec.id) if warm else None) for rec, beta in pairs]
         if self.jobs == 1 or len(pairs) == 1:
-            raw = []
-            for (rec, beta), (_, _, c0) in zip(pairs, tasks):
-                try:
-                    outlet, flat = self.forward_outlet(rec, beta, c0_flat=c0)
-                    raw.append((list(outlet), flat, None))
-                except Exception as exc:
-                    raw.append((None, None, f"{type(exc).__name__}: {exc}"))
+            raw = [self._solver.task(*task) for task in tasks]
         else:
             raw = list(self._ensure_pool().map(_worker_forward, tasks))
         out = []
@@ -252,12 +235,11 @@ class ForwardContext:
         return self.forward_pairs([(rec, beta) for rec in records], use_warm=use_warm)
 
 
-def context_from_profile(profile, jobs: int = 1, mesh_res=None,
-                         warm_start: bool = True) -> ForwardContext:
+def context_from_profile(profile, jobs: int = 1, mesh_res=None) -> ForwardContext:
     """Build a ForwardContext from a constants profile (see config module)."""
     res = tuple(mesh_res) if mesh_res is not None else profile.mesh_resolution
     return ForwardContext(profile.geometry, res, profile.transport_config(),
-                          profile.base_hydraulics(), jobs=jobs, warm_start=warm_start)
+                          profile.base_hydraulics(), jobs=jobs)
 
 
 # -- cost functionals ----------------------------------------------------------------
@@ -273,11 +255,8 @@ def single_patient_cost(beta, patient: PatientRecord, ctx: ForwardContext) -> fl
         raise UsageError(
             "relative normalization undefined: a target component is zero; "
             "use the weighted multi-patient cost with absolute weights instead")
-    beta = np.asarray(beta, dtype=float)
-    c0 = ctx._warm.get(patient.id) if ctx.warm_start else None
-    outlet, flat = ctx.forward_outlet(patient, beta, c0_flat=c0)
-    if ctx.warm_start:
-        ctx._warm[patient.id] = flat
+    outlet, fld, _ = ctx.forward_detailed(patient, beta, c0_flat=ctx._warm.get(patient.id))
+    ctx._warm[patient.id] = fld.flat()
     return float(np.sum(np.abs(outlet - y) ** 2 / np.abs(y) ** 2))
 
 
@@ -357,12 +336,10 @@ def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,
     beta_trace = [(np.exp(z), v) for z, v in raw.trace]
     best = np.exp(raw.best_point)
     stalls = raw.best_value >= 0.999 * cfg.failure_value * len(patients)
-    result = OptimResult(best_point=best, best_value=raw.best_value,
-                         trace=beta_trace, n_evals=raw.n_evals,
-                         converged=raw.converged and not stalls,
-                         stop_reason="stalled" if stalls else raw.stop_reason)
-    result.line_evals = getattr(raw, "line_evals", None)
-    return result
+    return OptimResult(best_point=best, best_value=raw.best_value,
+                       trace=beta_trace, n_evals=raw.n_evals,
+                       converged=raw.converged and not stalls,
+                       stop_reason="stalled" if stalls else raw.stop_reason)
 
 
 def landscape_scan(patients, box, n1: int, n2: int, cfg: MultiCostConfig,

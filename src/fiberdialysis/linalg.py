@@ -1,4 +1,4 @@
-"""Sparse assembly and direct solution of the FEM/Newton linear systems.
+"""Direct solution of the FEM/Newton linear systems.
 
 Backed by scipy.sparse compressed storage and SuperLU with a fill-reducing
 ordering; problem sizes here (a few 1e4 unknowns) make a direct factorization
@@ -19,10 +19,10 @@ _ORDERING = "MMD_AT_PLUS_A"  # near-structurally-symmetric systems: ~2x less fil
 
 
 class SparseMatrix:
-    """Square sparse matrix in compressed form (finalized: sorted, deduplicated).
+    """Square scipy sparse matrix (CSR or CSC; finalized: sorted, deduplicated),
+    the input of ``solve_linear``, with its dimension ``n`` and ``nnz``.
 
-    Rows are compressed (CSR) unless it wraps a CSC matrix, the form the
-    factorization takes without conversion.
+    A CSC matrix is the form the factorization takes without conversion.
     """
 
     def __init__(self, mat):
@@ -34,59 +34,11 @@ class SparseMatrix:
         self.n = mat.shape[0]
 
     @property
-    def row_offsets(self):
-        return self.to_csr().indptr
-
-    @property
-    def col_indices(self):
-        return self.to_csr().indices
-
-    @property
-    def values(self):
-        return self.to_csr().data
-
-    @property
     def nnz(self):
         return self._mat.nnz
 
-    def matvec(self, x):
-        return self._mat @ x
-
-    def to_csr(self):
-        return self._mat.tocsr()
-
     def to_csc(self):
         return self._mat.tocsc()
-
-    def toarray(self):
-        return self._mat.toarray()
-
-
-def assemble_from_triplets(n, entries=None, rows=None, cols=None, values=None) -> SparseMatrix:
-    """Assemble an n x n SparseMatrix from (row, col, value) triplets.
-
-    Accepts either ``entries`` as a sequence of triples or three parallel
-    arrays; duplicate (row, col) entries are summed.
-    """
-    if entries is not None:
-        arr = np.asarray(entries, dtype=float)
-        if arr.size == 0:
-            rows = np.empty(0, dtype=np.int64)
-            cols = np.empty(0, dtype=np.int64)
-            values = np.empty(0, dtype=float)
-        else:
-            if arr.ndim != 2 or arr.shape[1] != 3:
-                raise AssemblyError("entries must be a sequence of (row, col, value) triples")
-            rows = arr[:, 0]
-            cols = arr[:, 1]
-            values = arr[:, 2]
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    values = np.asarray(values, dtype=float)
-    if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-        raise AssemblyError(f"triplet index out of range for dimension {n}")
-    coo = sp.coo_matrix((values, (rows.astype(np.int64), cols.astype(np.int64))), shape=(n, n))
-    return SparseMatrix(coo.tocsr())
 
 
 def fill_reducing_order(A) -> np.ndarray:
@@ -116,7 +68,7 @@ def solve_linear(A: SparseMatrix, b, preordered=False) -> np.ndarray:
     factorization breakdown or when the residual check fails.
     """
     b = np.asarray(b, dtype=float)
-    csc = A.to_csc() if isinstance(A, SparseMatrix) else sp.csc_matrix(A)
+    csc = A.to_csc()
     if csc.shape[0] != b.shape[0]:
         raise SolverError(f"dimension mismatch: matrix {csc.shape[0]}, rhs {b.shape[0]}")
     try:

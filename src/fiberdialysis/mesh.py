@@ -181,27 +181,6 @@ class Mesh:
         mask = self.edge_tags == tag.value
         return self.boundary_edges[mask]
 
-    def triangle_areas(self):
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def dump_text(self, path):
-        """Debug dump: vertex table, triangle table with subdomain, edge tags."""
-        with open(path, "w") as fh:
-            fh.write(f"# mesh nx={self.nx} nr_b={self.nr_b} nr_m={self.nr_m} nr_d={self.nr_d}\n")
-            fh.write(f"vertices {self.n_vertices}\n")
-            for k, (x, r) in enumerate(self.vertices):
-                fh.write(f"{k} {x!r} {r!r}\n")
-            fh.write(f"triangles {self.n_triangles}\n")
-            for k in range(self.n_triangles):
-                a, b, c = self.triangles[k]
-                fh.write(f"{k} {a} {b} {c} {Subdomain(self.subdomain_of_triangle[k]).name}\n")
-            fh.write(f"edges {len(self.boundary_edges)}\n")
-            for (a, b), t in zip(self.boundary_edges, self.edge_tags):
-                fh.write(f"{a} {b} {t}\n")
-
 
 class FemData:
     """Per-mesh P1 quantities: element areas and r-weights, basis gradients,

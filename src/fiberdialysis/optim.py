@@ -31,10 +31,6 @@ class OptimResult:
     converged: bool
     stop_reason: str       # "tolerance" | "max_iter" | "stalled"
 
-    @property
-    def iterate_trace(self):
-        return self.trace
-
 
 class _CountedObjective:
     def __init__(self, f):

@@ -7,8 +7,6 @@ import pytest
 from fiberdialysis.cli import main
 from fiberdialysis.config import packaged_data_path
 
-pytestmark = pytest.mark.slow
-
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -86,8 +84,13 @@ def test_missing_profile_field_exits_2(workdir):
              "--patient", str(packaged_data_path("patient1.csv")),
              "--beta", "0.2,0.2", "--out", "fwd_broken")
     assert rc == 2
+    rc = run(workdir, "forward", "--config", "cfg.json",
+             "--patient", str(packaged_data_path("patient1.csv")),
+             "--beta", "x,0.2", "--out", "fwd_nan")
+    assert rc == 2
 
 
+@pytest.mark.slow
 def test_invert_multi_on_bundle(workdir, synth_bundle):
     rc = run(workdir, "invert-multi", "--config", "cfg.json", "--targets", "synth",
              "--patients", "s1,s2", "--init", "0.5,0.5", "--out", "inv")
@@ -121,6 +124,9 @@ def test_version_mismatch_exits_3(workdir, synth_bundle):
 def test_unknown_patient_id_exits_2(workdir, synth_bundle):
     rc = run(workdir, "invert-multi", "--config", "cfg.json", "--targets", "synth",
              "--patients", "sX", "--out", "inv_unknown")
+    assert rc == 2
+    rc = run(workdir, "grid", "--config", "cfg.json", "--targets", "synth",
+             "--box", "a,b,c,d", "--out", "grid_bad_box")
     assert rc == 2
 
 
@@ -175,9 +181,14 @@ def test_report_incomplete_dir_exits_4(workdir):
 
 
 def test_report_is_pure(workdir, synth_bundle):
-    assert run(workdir, "report", "inv") == 0
-    first = read_bytes(workdir, "inv/summary.txt")
-    objective = read_bytes(workdir, "inv/report_objective.csv")
-    assert run(workdir, "report", "inv") == 0
-    assert read_bytes(workdir, "inv/summary.txt") == first
-    assert read_bytes(workdir, "inv/report_objective.csv") == objective
+    # a short inversion: the report reads its trace, not its accuracy
+    (workdir / "cfg_short.json").write_text(json.dumps(
+        {"mesh": [20, 4, 3, 4], "jobs": 1, "powell_max_iter": 1}))
+    assert run(workdir, "invert-multi", "--config", "cfg_short.json", "--targets", "synth",
+               "--patients", "s1", "--init", "0.5,0.5", "--out", "inv_short") == 0
+    assert run(workdir, "report", "inv_short") == 0
+    first = read_bytes(workdir, "inv_short/summary.txt")
+    objective = read_bytes(workdir, "inv_short/report_objective.csv")
+    assert run(workdir, "report", "inv_short") == 0
+    assert read_bytes(workdir, "inv_short/summary.txt") == first
+    assert read_bytes(workdir, "inv_short/report_objective.csv") == objective

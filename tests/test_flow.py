@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from scipy.special import i0
 
 from fiberdialysis.exceptions import CalibrationError, ConfigurationError
 from fiberdialysis.flow import (HydraulicState, VelocityField, calibrate_hydraulics,
-                                compute_velocity_field, solve_membrane_pressure,
-                                transmembrane_flux)
-from fiberdialysis.mesh import (AxiGeometry, Boundary, Subdomain, boundary_vertices,
-                                build_structured_mesh)
+                                compute_velocity_field, transmembrane_flux)
+from fiberdialysis.mesh import AxiGeometry, Subdomain, build_structured_mesh
 
 GEOM = AxiGeometry(L=1.0, R1=0.4, R2=0.6, R=1.0)
 HYD = HydraulicState(p_in_b=2.0, p_out_b=1.6, p_in_d=0.6, p_out_d=0.4,
@@ -16,78 +13,6 @@ HYD = HydraulicState(p_in_b=2.0, p_out_b=1.6, p_in_d=0.6, p_out_d=0.4,
 
 def mesh(nx=8, nr=(3, 4, 3)):
     return build_structured_mesh(GEOM, nx, *nr)
-
-
-# -- membrane pressure -----------------------------------------------------------
-
-def membrane_values(m, p):
-    nodes = np.isfinite(p)
-    return p[nodes], m.vertices[nodes]
-
-
-def test_constant_interface_data_gives_constant_pressure():
-    m = mesh()
-    p = solve_membrane_pressure(m, 1.0, 1.0)
-    vals, _ = membrane_values(m, p)
-    assert np.max(np.abs(vals - 1.0)) < 1e-12
-
-
-def test_log_radius_harmonic_converges_at_second_order():
-    # ln r solves the axisymmetric Laplace equation exactly and satisfies the
-    # zero-Neumann lateral condition, so it is a legitimate exact solution
-    errs = []
-    for nx, nrm in [(4, 4), (8, 8), (16, 16)]:
-        m = build_structured_mesh(GEOM, nx, 2, nrm, 2)
-        p = solve_membrane_pressure(m, np.log(GEOM.R1), np.log(GEOM.R2))
-        vals, pts = membrane_values(m, p)
-        errs.append(np.max(np.abs(vals - np.log(pts[:, 1]))))
-    orders = [np.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
-    assert orders[-1] > 1.6
-    assert errs[-1] < 5e-5
-
-
-def test_bessel_mode_harmonic_converges_at_second_order():
-    # cos(pi x / L) I0(pi r / L) is an exact axisymmetric harmonic with zero
-    # axial derivative at both lateral membrane ends
-    k = np.pi / GEOM.L
-
-    def exact(x, r):
-        return np.cos(k * x) * i0(k * r)
-
-    errs = []
-    for n in (4, 8, 16):
-        m = build_structured_mesh(GEOM, n, 2, n, 2)
-        bm = boundary_vertices(m, Boundary.BLOOD_MEMBRANE)
-        dm = boundary_vertices(m, Boundary.DIALYSATE_MEMBRANE)
-        p = solve_membrane_pressure(m, exact(m.vertices[bm, 0], GEOM.R1),
-                                    exact(m.vertices[dm, 0], GEOM.R2))
-        vals, pts = membrane_values(m, p)
-        errs.append(np.max(np.abs(vals - exact(pts[:, 0], pts[:, 1]))))
-    order = np.log2(errs[-2] / errs[-1])
-    assert order > 1.6
-
-
-def test_discrete_maximum_principle():
-    rng = np.random.default_rng(3)
-    m = mesh(nx=6, nr=(2, 5, 2))
-    bm = boundary_vertices(m, Boundary.BLOOD_MEMBRANE)
-    dm = boundary_vertices(m, Boundary.DIALYSATE_MEMBRANE)
-    pb = rng.uniform(0.5, 2.0, bm.size)
-    pd = rng.uniform(0.0, 0.4, dm.size)
-    p = solve_membrane_pressure(m, pb, pd)
-    vals, _ = membrane_values(m, p)
-    lo, hi = min(pb.min(), pd.min()), max(pb.max(), pd.max())
-    assert vals.min() >= lo - 1e-10
-    assert vals.max() <= hi + 1e-10
-
-
-def test_mesh_without_membrane_rejected():
-    m = mesh(nx=2, nr=(1, 1, 1))
-    labels = np.array(m.subdomain_of_triangle)
-    labels[labels == Subdomain.MEMBRANE] = Subdomain.BLOOD
-    m.subdomain_of_triangle = labels  # simulate a mis-tagged mesh
-    with pytest.raises(ConfigurationError):
-        solve_membrane_pressure(m, 1.0, 1.0)
 
 
 # -- velocity field ---------------------------------------------------------------

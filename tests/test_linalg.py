@@ -1,44 +1,37 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fiberdialysis.exceptions import AssemblyError, SolverError
-from fiberdialysis.linalg import (SparseMatrix, assemble_from_triplets, fill_reducing_order,
-                                 solve_linear)
+from fiberdialysis.linalg import SparseMatrix, fill_reducing_order, solve_linear
+
+
+def matrix(dense):
+    return SparseMatrix(sp.csr_matrix(np.asarray(dense, dtype=float)))
 
 
 def test_duplicate_entries_are_summed():
-    A = assemble_from_triplets(2, [(0, 0, 1.0), (0, 0, 1.0)])
-    assert A.nnz == 1
-    assert A.toarray()[0, 0] == 2.0
-
-
-def test_empty_entries_give_zero_matrix():
-    A = assemble_from_triplets(3, [])
-    assert A.nnz == 0
-    assert np.all(A.toarray() == 0.0)
-
-
-def test_out_of_range_index_rejected():
-    with pytest.raises(AssemblyError):
-        assemble_from_triplets(2, [(0, 2, 1.0)])
-    with pytest.raises(AssemblyError):
-        assemble_from_triplets(2, [(-1, 0, 1.0)])
+    # CSR with two stored entries at (0, 0)
+    A = SparseMatrix(sp.csr_matrix(([1.0, 1.0, 1.0], [0, 0, 1], [0, 2, 3]), shape=(2, 2)))
+    assert A.nnz == 2
+    assert np.allclose(solve_linear(A, np.array([2.0, 1.0])), [1.0, 1.0])
 
 
 def test_rows_sorted_after_finalization():
-    A = assemble_from_triplets(3, [(1, 2, 5.0), (1, 0, 3.0), (0, 1, 1.0)])
-    start, stop = A.row_offsets[1], A.row_offsets[2]
-    assert list(A.col_indices[start:stop]) == [0, 2]
+    # CSC stays CSC, so to_csc shows the wrapped matrix's own index order
+    A = SparseMatrix(sp.csc_matrix(([5.0, 3.0, 1.0], [2, 0, 1], [0, 2, 3, 3]), shape=(3, 3)))
+    csc = A.to_csc()
+    assert list(csc.indices[csc.indptr[0]:csc.indptr[1]]) == [0, 2]
 
 
 def test_identity_solve():
-    A = assemble_from_triplets(4, [(i, i, 1.0) for i in range(4)])
+    A = matrix(np.eye(4))
     b = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.allclose(solve_linear(A, b), b)
 
 
 def test_diagonal_solve():
-    A = assemble_from_triplets(2, [(0, 0, 2.0), (1, 1, 4.0)])
+    A = matrix(np.diag([2.0, 4.0]))
     x = solve_linear(A, np.array([2.0, 8.0]))
     assert np.allclose(x, [1.0, 2.0])
 
@@ -50,10 +43,8 @@ def test_laplacian_matches_dense_lu_oracle():
     b = np.ones(n)
     expected = np.linalg.solve(dense, b)
 
-    entries = [(i, i, 2.0) for i in range(n)]
-    entries += [(i, i + 1, -1.0) for i in range(n - 1)]
-    entries += [(i + 1, i, -1.0) for i in range(n - 1)]
-    x = solve_linear(assemble_from_triplets(n, entries), b)
+    A = SparseMatrix(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="csr"))
+    x = solve_linear(A, b)
     assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
@@ -62,35 +53,32 @@ def test_recovers_known_solution_on_random_systems():
     for _ in range(5):
         n = 30
         dense = rng.standard_normal((n, n)) + n * np.eye(n)  # well conditioned
-        rows, cols = np.nonzero(dense)
-        A = assemble_from_triplets(n, rows=rows, cols=cols, values=dense[rows, cols])
         x0 = rng.standard_normal(n)
-        x = solve_linear(A, A.matvec(x0))
+        x = solve_linear(matrix(dense), dense @ x0)
         assert np.linalg.norm(x - x0) <= 1e-9 * np.linalg.norm(x0)
 
 
 def test_residual_contract():
-    A = assemble_from_triplets(3, [(i, i, 1.0 + i) for i in range(3)])
+    dense = np.diag([1.0, 2.0, 3.0])
     b = np.array([1.0, 1.0, 1.0])
-    x = solve_linear(A, b)
-    assert np.linalg.norm(A.matvec(x) - b) <= 1e-10 * (np.linalg.norm(b) + 1.0)
+    x = solve_linear(matrix(dense), b)
+    assert np.linalg.norm(dense @ x - b) <= 1e-10 * (np.linalg.norm(b) + 1.0)
 
 
 def test_singular_matrix_raises_solver_error():
-    A = assemble_from_triplets(2, [(0, 0, 1.0)])  # second row empty
+    A = matrix([[1.0, 0.0], [0.0, 0.0]])  # second row empty
     with pytest.raises(SolverError):
         solve_linear(A, np.array([1.0, 1.0]))
 
 
 def test_dimension_mismatch():
-    A = assemble_from_triplets(2, [(0, 0, 1.0), (1, 1, 1.0)])
+    A = matrix(np.eye(2))
     with pytest.raises(SolverError):
         solve_linear(A, np.ones(3))
 
 
 def _convection_diffusion(m, rng):
     """Nonsymmetric five-point operator on an m x m grid, random coefficients."""
-    import scipy.sparse as sp
     lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
     adv = sp.diags([-1.0, 1.0], [-1, 1], shape=(m, m))
     eye = sp.identity(m)
@@ -123,6 +111,5 @@ def test_preordered_solve_matches_ordered_solve():
 
 
 def test_non_square_rejected():
-    import scipy.sparse as sp
     with pytest.raises(AssemblyError):
         SparseMatrix(sp.csr_matrix((2, 3)))

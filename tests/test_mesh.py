@@ -25,12 +25,12 @@ def test_vertex_and_triangle_count_formula():
 
 def test_all_triangles_positively_oriented():
     mesh = build_structured_mesh(GEOM, 4, 2, 2, 3)
-    assert np.all(mesh.triangle_areas() > 0)
+    assert np.all(mesh.fem.area > 0)
 
 
 def test_areas_sum_to_rectangle():
     mesh = build_structured_mesh(GEOM, 7, 3, 2, 5)
-    total = mesh.triangle_areas().sum()
+    total = mesh.fem.area.sum()
     assert total == pytest.approx(GEOM.L * GEOM.R, rel=1e-12)
 
 
@@ -62,7 +62,7 @@ def test_counting_invariants_hold(nx, nr_b, nr_m, nr_d):
     nr = nr_b + nr_m + nr_d
     assert mesh.n_vertices == (nx + 1) * (nr + 1)
     assert mesh.n_triangles == 2 * nx * nr
-    assert mesh.triangle_areas().sum() == pytest.approx(GEOM.L * GEOM.R, rel=1e-12)
+    assert mesh.fem.area.sum() == pytest.approx(GEOM.L * GEOM.R, rel=1e-12)
 
 
 def test_interface_vertices_touch_two_subdomains():
@@ -136,12 +136,3 @@ def test_mesh_is_immutable():
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 99.0
 
-
-def test_dump_text(tmp_path):
-    mesh = build_structured_mesh(GEOM, 1, 1, 1, 1)
-    path = tmp_path / "mesh.txt"
-    mesh.dump_text(path)
-    text = path.read_text()
-    assert "vertices 8" in text
-    assert "triangles 6" in text
-    assert "BLOOD" in text
