@@ -14,7 +14,7 @@ from .optim import (GridResult, OptimResult, fd_gradient, grid_search,
 from .cohort import (CohortTable, NoiseSpec, PatientRecord, add_measurement_noise,
                      derive_seed, generate_cohort, make_reference_targets,
                      perturb_coefficients)
-from .inverse import (DiffusionVector, ForwardContext, MultiCostConfig,
+from .inverse import (ForwardContext, MultiCostConfig,
                       context_from_profile, default_weights, identify_multi,
                       identify_single, landscape_scan, multi_patient_cost,
                       sensitivity_study, single_patient_cost)

@@ -72,28 +72,13 @@ def _parse_box(text, name):
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = RunConfig.load(args.config)
     else:
         cfg = RunConfig.defaults()
-    if getattr(args, "jobs", None):
+    if args.jobs is not None:
         cfg.options["jobs"] = int(args.jobs)
     return cfg
-
-
-_OPEN_CONTEXTS = []
-
-
-def _context(cfg: RunConfig, mesh_res=None) -> ForwardContext:
-    ctx = context_from_profile(cfg.profile, jobs=int(cfg.options["jobs"]),
-                               mesh_res=mesh_res or cfg.mesh_resolution())
-    _OPEN_CONTEXTS.append(ctx)
-    return ctx
-
-
-def _close_contexts():
-    while _OPEN_CONTEXTS:
-        _OPEN_CONTEXTS.pop().close()
 
 
 def _outdir(args):
@@ -134,10 +119,8 @@ class _BundleMismatch(FiberDialysisError):
 
 # -- commands ---------------------------------------------------------------------
 
-def cmd_forward(args) -> int:
-    cfg = _load_config(args)
+def cmd_forward(args, cfg: RunConfig, ctx: ForwardContext) -> int:
     beta = _parse_pair(args.beta, "--beta")
-    ctx = _context(cfg)
     rec = _prepare_patient(ctx, cfg, args.patient)
     out = _outdir(args)
     try:
@@ -162,8 +145,7 @@ def cmd_forward(args) -> int:
     return EXIT_OK
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_config(args)
+def cmd_synth(args, cfg: RunConfig, ctx: ForwardContext) -> int:
     ns = int(args.ns) if args.ns else int(cfg.options["ns"])
     seed = int(args.seed) if args.seed is not None else int(cfg.options["seed"])
     beta_star = _parse_pair(args.beta_star, "--beta-star") if args.beta_star \
@@ -171,7 +153,6 @@ def cmd_synth(args) -> int:
     real_path = args.real or str(packaged_data_path("sample_cohort.csv"))
     real = CohortTable.from_csv(real_path)
     table = generate_cohort(real, ns=ns, seed=seed)
-    ctx = _context(cfg)
     records = make_reference_targets(table, ctx, np.asarray(beta_star))
     out = _outdir(args)
     table.to_csv(os.path.join(out, "cohort.csv"))
@@ -223,9 +204,16 @@ def _cost_config(cfg: RunConfig, records, bounds_text=None):
                            failure_value=float(cfg.options["failure_value"]))
 
 
-def cmd_invert_single(args) -> int:
-    cfg = _load_config(args)
-    ctx = _context(cfg)
+def _invert(cfg: RunConfig, ctx: ForwardContext, patients, init, bounds_text):
+    """Powell identification over ``patients`` from ``init`` with the run's
+    cost options and stopping rule; returns (cost config, OptimResult)."""
+    mcfg = _cost_config(cfg, patients, bounds_text)
+    return mcfg, identify_multi(patients, np.asarray(init), mcfg, ctx,
+                                tol=float(cfg.options["powell_tol"]),
+                                max_iter=int(cfg.options["powell_max_iter"]))
+
+
+def cmd_invert_single(args, cfg: RunConfig, ctx: ForwardContext) -> int:
     rec = _prepare_patient(ctx, cfg, args.patient)
     if rec.observed_outlet is None:
         raise ConfigurationError(f"{args.patient}: needs an observed_outlet_blood row")
@@ -255,8 +243,7 @@ def cmd_invert_single(args) -> int:
     return EXIT_OK
 
 
-def cmd_invert_multi(args) -> int:
-    cfg = _load_config(args)
+def cmd_invert_multi(args, cfg: RunConfig, ctx: ForwardContext) -> int:
     manifest, records = _load_targets(args)
     patients = _select_patients(records, args.patients)
     if args.noise_sigma:
@@ -264,12 +251,8 @@ def cmd_invert_multi(args) -> int:
                          clip_factor=float(cfg.options["clip_factor"]),
                          seed=derive_seed(int(cfg.options["seed"]), "noise", args.noise_sigma))
         patients = add_measurement_noise(patients, spec)
-    mcfg = _cost_config(cfg, patients, args.bounds)
     init = _parse_pair(args.init, "--init") if args.init else (0.3, 0.8)
-    ctx = _context(cfg)
-    result = identify_multi(patients, np.asarray(init), mcfg, ctx,
-                            tol=float(cfg.options["powell_tol"]),
-                            max_iter=int(cfg.options["powell_max_iter"]))
+    mcfg, result = _invert(cfg, ctx, patients, init, args.bounds)
     out = _outdir(args)
     beta_star = manifest.get("args", {}).get("beta_star")
     rows = []
@@ -303,8 +286,7 @@ def cmd_invert_multi(args) -> int:
     return EXIT_OK
 
 
-def cmd_grid(args) -> int:
-    cfg = _load_config(args)
+def cmd_grid(args, cfg: RunConfig, ctx: ForwardContext) -> int:
     manifest, records = _load_targets(args)
     patients = _select_patients(records, args.patients)
     mcfg = _cost_config(cfg, patients, args.bounds)
@@ -317,7 +299,6 @@ def cmd_grid(args) -> int:
         n1, n2 = ns[0], ns[-1]
     else:
         n1 = n2 = 31
-    ctx = _context(cfg)
     grid = landscape_scan(patients, box, n1, n2, mcfg, ctx)
     out = _outdir(args)
     _write_csv(os.path.join(out, "landscape.csv"),
@@ -345,8 +326,7 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def cmd_noise_study(args) -> int:
-    cfg = _load_config(args)
+def cmd_noise_study(args, cfg: RunConfig, ctx: ForwardContext) -> int:
     manifest, records = _load_targets(args)
     sigmas = _sigmas(args, cfg)
     size = int(args.subcohort_size)
@@ -355,7 +335,6 @@ def cmd_noise_study(args) -> int:
         raise ConfigurationError(
             f"need at least {size * n_sub} patients for {n_sub} disjoint "
             f"sub-cohorts of {size}, bundle has {len(records)}")
-    ctx = _context(cfg)
     init = _parse_pair(args.init, "--init") if args.init else (0.3, 0.8)
     seed = int(cfg.options["seed"])
     beta_star = manifest.get("args", {}).get("beta_star")
@@ -364,25 +343,13 @@ def cmd_noise_study(args) -> int:
         spec = NoiseSpec(sigma=sigma, clip_factor=float(cfg.options["clip_factor"]),
                          seed=derive_seed(seed, "noise", k_sig))
         noisy = add_measurement_noise(records, spec)
-        for k_sub in range(n_sub):
-            sub = noisy[k_sub * size:(k_sub + 1) * size]
-            mcfg = _cost_config(cfg, sub, args.bounds)
-            res = identify_multi(sub, np.asarray(init), mcfg, ctx,
-                                 tol=float(cfg.options["powell_tol"]),
-                                 max_iter=int(cfg.options["powell_max_iter"]))
-            estimates.append({"sigma": sigma, "subcohort": f"P{k_sub + 1}",
-                              "patients": [p.id for p in sub],
-                              "beta": [float(v) for v in res.best_point],
-                              "J": float(res.best_value),
-                              "n_evals": res.n_evals})
+        groups = [(f"P{k + 1}", noisy[k * size:(k + 1) * size]) for k in range(n_sub)]
         if abs(sigma - float(args.full_at)) < 1e-12:
-            full = noisy[: size * n_sub]
-            mcfg = _cost_config(cfg, full, args.bounds)
-            res = identify_multi(full, np.asarray(init), mcfg, ctx,
-                                 tol=float(cfg.options["powell_tol"]),
-                                 max_iter=int(cfg.options["powell_max_iter"]))
-            estimates.append({"sigma": sigma, "subcohort": "full",
-                              "patients": [p.id for p in full],
+            groups.append(("full", noisy[: size * n_sub]))
+        for label, group in groups:
+            _, res = _invert(cfg, ctx, group, init, args.bounds)
+            estimates.append({"sigma": sigma, "subcohort": label,
+                              "patients": [p.id for p in group],
                               "beta": [float(v) for v in res.best_point],
                               "J": float(res.best_value),
                               "n_evals": res.n_evals})
@@ -406,13 +373,11 @@ def cmd_noise_study(args) -> int:
     return EXIT_OK
 
 
-def cmd_sensitivity(args) -> int:
-    cfg = _load_config(args)
+def cmd_sensitivity(args, cfg: RunConfig, ctx: ForwardContext) -> int:
     manifest, records = _load_targets(args)
     sigmas = _sigmas(args, cfg)
     beta_star = _parse_pair(args.beta_star, "--beta-star") if args.beta_star else \
         tuple(manifest.get("args", {}).get("beta_star", cfg.options["beta_star"]))
-    ctx = _context(cfg)
     seed = int(args.seed) if args.seed is not None else int(cfg.options["seed"])
     study = sensitivity_study(records, ctx, np.asarray(beta_star), sigmas, seed)
     out = _outdir(args)
@@ -598,10 +563,16 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.func is cmd_report:
+            return cmd_report(args)
+        cfg = _load_config(args)
+        # leaving the block joins the pool workers, so their CPU time is in
+        # RUSAGE_CHILDREN when main returns
+        with context_from_profile(cfg.profile, jobs=int(cfg.options["jobs"]),
+                                  mesh_res=cfg.mesh_resolution()) as ctx:
+            return args.func(args, cfg, ctx)
     except _BundleMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUNDLE_MISMATCH
@@ -614,8 +585,6 @@ def main(argv=None) -> int:
     except (ConfigurationError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    finally:
-        _close_contexts()
 
 
 if __name__ == "__main__":

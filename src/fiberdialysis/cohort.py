@@ -246,7 +246,8 @@ def make_reference_targets(cohort: CohortTable, ctx, beta_star) -> list:
     kept = []
     for rec, (outlet, err) in zip(calibrated, outcome):
         if err is not None:
-            log.warning("patient %s excluded at forward solve: %s", rec.id, err)
+            log.warning("patient %s excluded at forward solve: %s: %s",
+                        rec.id, type(err).__name__, err)
             continue
         rec.observed_outlet = np.asarray(outlet, dtype=float)
         kept.append(rec)

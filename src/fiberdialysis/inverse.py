@@ -35,33 +35,6 @@ from .transport import (BoundaryData, ConcentrationField, TransportConfig,
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class DiffusionVector:
-    """The identifiable membrane fractions beta = (d_Ca, d_Ci)."""
-
-    d_ca: float
-    d_ci: float
-
-    def __post_init__(self):
-        if not (self.d_ca > 0 and self.d_ci > 0):
-            raise ConfigurationError(
-                f"diffusion fractions must be positive, got ({self.d_ca}, {self.d_ci})")
-
-    def as_beta(self) -> np.ndarray:
-        return np.array([self.d_ca, self.d_ci])
-
-    def embed(self) -> np.ndarray:
-        """Five-species membrane fractions (d_Ca, 0, 0, d_Ci, d_Ci)."""
-        return np.array([self.d_ca, 0.0, 0.0, self.d_ci, self.d_ci])
-
-    def require_admissible_single(self):
-        """The single-patient admissible set additionally caps fractions at 1."""
-        if self.d_ca > 1.0 or self.d_ci > 1.0:
-            raise ConfigurationError(
-                f"single-patient admissible set requires fractions <= 1, "
-                f"got ({self.d_ca}, {self.d_ci})")
-
-
 @dataclass
 class MultiCostConfig:
     weights: np.ndarray
@@ -127,11 +100,12 @@ class ForwardSolver:
 
     def task(self, rec: PatientRecord, beta, c0_flat):
         """``solve`` as one pool task: (outlet list, converged flat field, None),
-        or (None, None, "Type: message") when the solve raises."""
+        or (None, None, exception) when the solve raises.  Exceptions pickle
+        with their attributes (``NewtonError.trace``, ``SolverError.residual``)."""
         try:
             outlet, fld, _ = self.solve(rec, beta, c0_flat)
         except Exception as exc:
-            return None, None, f"{type(exc).__name__}: {exc}"
+            return None, None, exc
         return outlet.tolist(), fld.flat(), None
 
 
@@ -159,7 +133,9 @@ class ForwardContext:
         self.mesh_res = tuple(int(n) for n in mesh_res)
         self.cfg_template = cfg_template
         self.base_hydraulics = base_hydraulics
-        self.jobs = max(1, int(jobs))
+        self.jobs = int(jobs)
+        if self.jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self._solver = ForwardSolver(geom, self.mesh_res, cfg_template)
         self.mesh = self._solver.mesh
         # in-process forward solve: (record, beta, c0_flat=None) -> (outlet, field, NewtonResult)
@@ -205,7 +181,8 @@ class ForwardContext:
 
     def forward_pairs(self, pairs, use_warm=None):
         """Forward solves for [(record, beta), ...]; returns a list aligned
-        with ``pairs`` of (outlet array | None, error string | None).
+        with ``pairs`` of (outlet array, None) or (None, the exception the
+        solve raised).
 
         Each solve starts from the patient's last converged field unless
         ``use_warm`` is False.  Results are gathered by submission index and
@@ -255,8 +232,9 @@ def single_patient_cost(beta, patient: PatientRecord, ctx: ForwardContext) -> fl
         raise UsageError(
             "relative normalization undefined: a target component is zero; "
             "use the weighted multi-patient cost with absolute weights instead")
-    outlet, fld, _ = ctx.forward_detailed(patient, beta, c0_flat=ctx._warm.get(patient.id))
-    ctx._warm[patient.id] = fld.flat()
+    [(outlet, err)] = ctx.forward_pairs([(patient, beta)])
+    if err is not None:
+        raise err
     return float(np.sum(np.abs(outlet - y) ** 2 / np.abs(y) ** 2))
 
 
@@ -316,7 +294,7 @@ def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,
     enforces positivity; the returned trace lives in beta space."""
     if not patients:
         raise UsageError("identify_multi needs a nonempty patient list")
-    init = init.as_beta() if isinstance(init, DiffusionVector) else np.asarray(init, dtype=float)
+    init = np.asarray(init, dtype=float)
     if np.any(init <= 0):
         raise UsageError("initial diffusion pair must be positive for the log map")
     for b, (lo, hi) in zip(init, cfg.bounds):
@@ -396,7 +374,8 @@ def sensitivity_study(patients, ctx: ForwardContext, beta_star, sigmas,
     kept = []
     for rec, (outlet, err) in zip(patients, ref_out):
         if err is not None:
-            log.warning("patient %s excluded from sensitivity reference: %s", rec.id, err)
+            log.warning("patient %s excluded from sensitivity reference: %s: %s",
+                        rec.id, type(err).__name__, err)
             continue
         refs[rec.id] = outlet
         kept.append(rec)
@@ -412,7 +391,8 @@ def sensitivity_study(patients, ctx: ForwardContext, beta_star, sigmas,
         for rec, (outlet, err) in zip(kept, outs):
             if err is not None:
                 excluded.append(rec.id)
-                log.warning("patient %s excluded at sigma=%s: %s", rec.id, sigma, err)
+                log.warning("patient %s excluded at sigma=%s: %s: %s",
+                            rec.id, sigma, type(err).__name__, err)
                 continue
             rel = np.abs(outlet - refs[rec.id]) / np.abs(refs[rec.id])
             per_patient[rec.id] = float(np.mean(rel))

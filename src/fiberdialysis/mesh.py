@@ -225,41 +225,8 @@ def build_structured_mesh(geom: AxiGeometry, nx: int, nr_b: int, nr_m: int, nr_d
 
 def boundary_vertices(mesh: Mesh, tag: Boundary) -> np.ndarray:
     """Vertex indices on a tagged segment, ordered by increasing r (vertical
-    segments) or increasing x (horizontal ones).  Segment endpoints are
-    included."""
+    segments) or increasing x (horizontal ones), which is increasing index
+    in the row-major numbering.  Segment endpoints are included."""
     if not isinstance(tag, Boundary):
         raise UsageError(f"unknown boundary tag: {tag!r}")
-    geom = mesh.geom
-    x = mesh.vertices[:, 0]
-    r = mesh.vertices[:, 1]
-    tol = 1e-12 * max(geom.L, geom.R)
-
-    def on_vertical(x0, r_lo, r_hi):
-        return (np.abs(x - x0) <= tol) & (r >= r_lo - tol) & (r <= r_hi + tol)
-
-    if tag is Boundary.INLET_BLOOD:
-        mask = on_vertical(0.0, 0.0, geom.R1)
-    elif tag is Boundary.OUTLET_BLOOD:
-        mask = on_vertical(geom.L, 0.0, geom.R1)
-    elif tag is Boundary.INLET_DIALYSATE:
-        mask = on_vertical(geom.L, geom.R2, geom.R)
-    elif tag is Boundary.OUTLET_DIALYSATE:
-        mask = on_vertical(0.0, geom.R2, geom.R)
-    elif tag is Boundary.MEMBRANE_LEFT:
-        mask = on_vertical(0.0, geom.R1, geom.R2)
-    elif tag is Boundary.MEMBRANE_RIGHT:
-        mask = on_vertical(geom.L, geom.R1, geom.R2)
-    elif tag is Boundary.AXIS:
-        mask = np.abs(r) <= tol
-    elif tag is Boundary.OUTER:
-        mask = np.abs(r - geom.R) <= tol
-    elif tag is Boundary.BLOOD_MEMBRANE:
-        mask = np.abs(r - geom.R1) <= tol
-    elif tag is Boundary.DIALYSATE_MEMBRANE:
-        mask = np.abs(r - geom.R2) <= tol
-    else:  # pragma: no cover - enum is exhaustive
-        raise UsageError(f"unknown boundary tag: {tag!r}")
-
-    idx = np.flatnonzero(mask)
-    key = r[idx] if tag.value.startswith(("inlet", "outlet", "membrane")) else x[idx]
-    return idx[np.argsort(key, kind="stable")]
+    return np.unique(mesh.edges_with_tag(tag))

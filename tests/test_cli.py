@@ -90,6 +90,16 @@ def test_missing_profile_field_exits_2(workdir):
     assert rc == 2
 
 
+def test_jobs_below_one_exits_2(workdir):
+    patient = str(packaged_data_path("patient1.csv"))
+    for jobs in ("0", "-3"):
+        assert run(workdir, "forward", "--config", "cfg.json", "--jobs", jobs,
+                   "--patient", patient, "--beta", "0.2,0.2", "--out", "fwd_jobs") == 2
+    (workdir / "cfg_jobs0.json").write_text(json.dumps({"mesh": [20, 4, 3, 4], "jobs": 0}))
+    assert run(workdir, "forward", "--config", "cfg_jobs0.json",
+               "--patient", patient, "--beta", "0.2,0.2", "--out", "fwd_jobs") == 2
+
+
 @pytest.mark.slow
 def test_invert_multi_on_bundle(workdir, synth_bundle):
     rc = run(workdir, "invert-multi", "--config", "cfg.json", "--targets", "synth",

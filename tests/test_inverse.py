@@ -3,8 +3,8 @@ import pytest
 
 from fiberdialysis.cohort import (CohortTable, generate_cohort, make_reference_targets)
 from fiberdialysis.config import load_profile, packaged_data_path
-from fiberdialysis.exceptions import ConfigurationError, UsageError
-from fiberdialysis.inverse import (DiffusionVector, MultiCostConfig,
+from fiberdialysis.exceptions import ConfigurationError, NewtonError, UsageError
+from fiberdialysis.inverse import (ForwardContext, MultiCostConfig,
                                    context_from_profile, default_weights, identify_multi,
                                    identify_single, landscape_scan, multi_patient_cost,
                                    sensitivity_study, single_patient_cost)
@@ -25,16 +25,6 @@ def exact_patients(ctx):
     real = CohortTable.from_csv(packaged_data_path("sample_cohort.csv"))
     cohort = generate_cohort(real, ns=3, seed=11)
     return make_reference_targets(cohort, ctx, (0.8, 0.4))
-
-
-def test_diffusion_vector_embedding():
-    dv = DiffusionVector(0.8, 0.4)
-    assert np.array_equal(dv.embed(), [0.8, 0.0, 0.0, 0.4, 0.4])
-    with pytest.raises(ConfigurationError):
-        DiffusionVector(0.0, 0.4)
-    DiffusionVector(2.5, 0.6)  # multi-patient range allows > 1
-    with pytest.raises(ConfigurationError):
-        DiffusionVector(2.5, 0.6).require_admissible_single()
 
 
 def test_reference_targets_match_direct_forward(ctx, exact_patients):
@@ -108,6 +98,33 @@ def test_failures_fold_into_failure_value(ctx, exact_patients):
     cfg = MultiCostConfig(weights=np.ones(5), failure_value=1e10)
     val = multi_patient_cost(np.array([0.5, 0.5]), [nan_patient], cfg, ctx)
     assert val == pytest.approx(1e10)
+
+
+def test_single_cost_raises_the_forward_failure(ctx, exact_patients):
+    from dataclasses import replace
+    nan_patient = replace(exact_patients[0], id="broken",
+                          inlet_blood=np.full(5, np.nan), extras={})
+    with pytest.raises(ConfigurationError):
+        single_patient_cost(np.array([0.5, 0.5]), nan_patient, ctx)
+
+
+def test_forward_failures_are_typed_and_keep_the_newton_trace(exact_patients):
+    # no Newton iteration allowed, so every solve fails with a NewtonError;
+    # pool workers hand back the same exception, trace included
+    from dataclasses import replace
+    profile = load_profile()
+    cfg = replace(profile.transport_config(), newton_max_iter=0)
+    errors = []
+    for jobs in (1, 2):
+        with ForwardContext(profile.geometry, MESH, cfg, profile.base_hydraulics(),
+                            jobs=jobs) as context:
+            out = context.forward_many(exact_patients, np.array([0.8, 0.4]),
+                                       use_warm=False)
+        assert all(outlet is None and isinstance(err, NewtonError) for outlet, err in out)
+        errors.append([err for _, err in out])
+    for serial, pooled in zip(*errors):
+        assert str(serial) == str(pooled)
+        assert serial.trace and serial.trace == pooled.trace
 
 
 def test_landscape_on_constant_failure_objective(ctx, exact_patients):

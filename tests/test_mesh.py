@@ -113,6 +113,39 @@ def test_blood_membrane_vertex_count():
     assert np.allclose(mesh.vertices[idx, 1], GEOM.R1)
 
 
+def _vertices_by_coordinates(mesh, tag):
+    """The vertices of a tagged segment selected by their coordinates, sorted
+    by r (vertical segments) or x (horizontal ones)."""
+    g = mesh.geom
+    x, r = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    tol = 1e-12 * max(g.L, g.R)
+    horizontal = {Boundary.AXIS: 0.0, Boundary.OUTER: g.R,
+                  Boundary.BLOOD_MEMBRANE: g.R1, Boundary.DIALYSATE_MEMBRANE: g.R2}
+    vertical = {Boundary.INLET_BLOOD: (0.0, 0.0, g.R1),
+                Boundary.OUTLET_BLOOD: (g.L, 0.0, g.R1),
+                Boundary.INLET_DIALYSATE: (g.L, g.R2, g.R),
+                Boundary.OUTLET_DIALYSATE: (0.0, g.R2, g.R),
+                Boundary.MEMBRANE_LEFT: (0.0, g.R1, g.R2),
+                Boundary.MEMBRANE_RIGHT: (g.L, g.R1, g.R2)}
+    if tag in horizontal:
+        mask, key = np.abs(r - horizontal[tag]) <= tol, x
+    else:
+        x0, lo, hi = vertical[tag]
+        mask, key = (np.abs(x - x0) <= tol) & (r >= lo - tol) & (r <= hi + tol), r
+    idx = np.flatnonzero(mask)
+    return idx[np.argsort(key[idx], kind="stable")]
+
+
+@pytest.mark.parametrize("geom", [GEOM, AxiGeometry(L=3.0, R1=0.35, R2=0.5, R=1.2)])
+@pytest.mark.parametrize("res", [(1, 1, 1, 1), (24, 4, 3, 4), (40, 6, 4, 5),
+                                 (80, 12, 8, 10), (7, 3, 2, 5)])
+def test_boundary_vertices_match_coordinate_selection(geom, res):
+    mesh = build_structured_mesh(geom, *res)
+    for tag in Boundary:
+        assert np.array_equal(boundary_vertices(mesh, tag),
+                              _vertices_by_coordinates(mesh, tag))
+
+
 def test_invalid_geometry_rejected():
     with pytest.raises(ConfigurationError):
         AxiGeometry(L=1.0, R1=0.7, R2=0.6, R=1.0)
