@@ -22,8 +22,8 @@ hyd = profile.base_hydraulics()
 velocity = compute_velocity_field(mesh, geom, hyd)
 print(f"velocity: max |U_x| = {velocity.max_abs_ux:.3f}, "
       f"divergence residual = {velocity.div_residual:.2e}")
-print(f"net transmembrane flux = {transmembrane_flux(velocity):.4f} "
-      f"({100 * transmembrane_flux(velocity) / hyd.Q_b:.1f}% of blood flow)")
+print(f"net transmembrane flux = {transmembrane_flux(velocity.model):.4f} "
+      f"({100 * transmembrane_flux(velocity.model) / hyd.Q_b:.1f}% of blood flow)")
 
 # stationary transport for the example patient at beta = (d_Ca, d_Ci) = (0.5, 0.5)
 patient = load_patient_csv(packaged_data_path("patient1.csv"), hyd)

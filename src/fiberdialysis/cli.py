@@ -19,7 +19,8 @@ import numpy as np
 from .cohort import (CohortTable, NoiseSpec, add_measurement_noise, derive_seed,
                      generate_cohort, load_records, make_reference_targets, save_records)
 from .config import RunConfig, load_patient_csv, packaged_data_path
-from .exceptions import ConfigurationError, FiberDialysisError, NewtonError, UsageError
+from .exceptions import (CalibrationError, ConfigurationError, FiberDialysisError, NewtonError,
+                         UsageError)
 from .inverse import (ForwardContext, MultiCostConfig, context_from_profile,
                       default_weights, identify_multi, identify_single,
                       landscape_scan, sensitivity_study)
@@ -582,7 +583,7 @@ def main(argv=None) -> int:
     except NewtonError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (ConfigurationError, UsageError) as exc:
+    except (CalibrationError, ConfigurationError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

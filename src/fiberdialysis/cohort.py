@@ -242,7 +242,7 @@ def make_reference_targets(cohort: CohortTable, ctx, beta_star) -> list:
         except Exception as exc:
             log.warning("patient %s excluded at calibration: %s", rec.id, exc)
     beta = np.asarray(beta_star, dtype=float)
-    outcome = ctx.forward_many(calibrated, beta)
+    outcome = ctx.forward_pairs([(rec, beta) for rec in calibrated])
     kept = []
     for rec, (outlet, err) in zip(calibrated, outcome):
         if err is not None:

@@ -140,6 +140,27 @@ _RUN_DEFAULTS = {
 }
 
 
+def _is_number(value, kind=(int, float)):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_numbers(value, n, kind=(int, float)):
+    """A list of numbers of ``kind``: n of them, or any non-zero count if n is None."""
+    return (isinstance(value, list) and (len(value) == n if n else len(value) > 0)
+            and all(_is_number(v, kind) for v in value))
+
+
+# (form, test) of each run option whose default does not show its form; any
+# other option takes an integer when its default is one, else any number
+_RUN_FORMS = {
+    "mesh": ("null or 4 integers", lambda v: v is None or _is_numbers(v, 4, int)),
+    "beta_star": ("2 numbers", lambda v: _is_numbers(v, 2)),
+    "bounds": ("2 pairs of numbers", lambda v: isinstance(v, list) and len(v) == 2
+               and all(_is_numbers(pair, 2) for pair in v)),
+    "noise_sigmas": ("a non-empty list of numbers", lambda v: _is_numbers(v, None)),
+}
+
+
 @dataclass
 class RunConfig:
     profile: ConstantsProfile
@@ -165,6 +186,12 @@ class RunConfig:
                 continue
             if key not in _RUN_DEFAULTS:
                 raise ConfigurationError(f"{path}: unknown run option {key!r}")
+            kind = int if _is_number(_RUN_DEFAULTS[key], int) else (int, float)
+            form, ok = _RUN_FORMS.get(key, ("an integer" if kind is int else "a number",
+                                            lambda v: _is_number(v, kind)))
+            if not ok(value):
+                raise ConfigurationError(
+                    f"{path}: run option {key!r} must be {form}, got {value!r}")
             options[key] = value
         return cls(profile=profile, options=options, origin=str(path))
 

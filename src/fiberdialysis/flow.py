@@ -21,7 +21,10 @@ from .exceptions import CalibrationError, ConfigurationError
 from .linalg import solve_linear  # noqa: F401  (bench/tracing.py wraps flow.solve_linear)
 from .mesh import AxiGeometry, Mesh, Subdomain
 
-_GAUSS4_T, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
+_GAUSS4_T, _GAUSS4_W = np.polynomial.legendre.leggauss(4)   # divergence edge integrals
+_GAUSS8_T, _GAUSS8_W = np.polynomial.legendre.leggauss(8)   # transmembrane flux
+_DIV_TOL = 1e-8   # divergence residual allowed, relative to max|U_x|
+_REL_TOL = 1e-6   # calibrated flux error allowed, relative to the flux scale
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,8 @@ class HydraulicState:
 
 
 class VelocityField:
-    """Nodal velocity (u_x, u_r) plus the analytic region-wise evaluators.
+    """Nodal velocity (u_x, u_r) plus, in ``model``, the closed-form model the
+    nodes sample (``None`` for nodal-only fields).
 
     The divergence residual reported by the constructor is the largest
     per-triangle axisymmetric divergence integral
@@ -53,33 +57,25 @@ class VelocityField:
         | oint_{dT} r U . n ds | / (area_T * rbar_T)
 
     i.e. a local mean of  d_x U_x + (1/r) d_r (r U_r),  evaluated with
-    4-point Gauss quadrature on each edge of every triangle.  When analytic
-    evaluators are available they are used (the nodal values are samples of
-    the same field); otherwise the P1 interpolant is integrated, which is
-    exact for it.
+    4-point Gauss quadrature on each edge of every triangle.  When the
+    closed-form model is available it is used; otherwise the P1 interpolant
+    is integrated, which is exact for it.
     """
 
-    def __init__(self, mesh: Mesh, u_x, u_r, evaluator=None, div_tol=1e-8):
+    def __init__(self, mesh: Mesh, u_x, u_r, model=None):
         self.mesh = mesh
         self.u_x = np.asarray(u_x, dtype=float)
         self.u_r = np.asarray(u_r, dtype=float)
         if self.u_x.shape != (mesh.n_vertices,) or self.u_r.shape != (mesh.n_vertices,):
             raise ConfigurationError("velocity arrays must be nodal on the given mesh")
-        self._evaluator = evaluator
-        self.div_tol = float(div_tol)
+        self.model = model
         self.max_abs_ux = float(np.max(np.abs(self.u_x))) if self.u_x.size else 0.0
         self.div_residual = self._divergence_residual()
         scale = self.max_abs_ux if self.max_abs_ux > 0 else 1.0
-        if self.div_residual > self.div_tol * scale:
+        if self.div_residual > _DIV_TOL * scale:
             raise ConfigurationError(
                 f"velocity field violates the divergence invariant: "
-                f"residual {self.div_residual:.3e} > {self.div_tol:.1e} * max|U_x|={scale:.3e}")
-
-    def evaluate(self, x, r, region):
-        """Analytic (u_x, u_r) at points of a given subdomain, if available."""
-        if self._evaluator is None:
-            raise ConfigurationError("this velocity field carries no analytic evaluator")
-        return self._evaluator(np.asarray(x, float), np.asarray(r, float), region)
+                f"residual {self.div_residual:.3e} > {_DIV_TOL:.1e} * max|U_x|={scale:.3e}")
 
     def _edge_flux(self, pa, pb, region):
         # int_edge r U.n ds with 4-point Gauss; n is the -90deg rotation of (pb-pa)
@@ -90,7 +86,7 @@ class VelocityField:
         for reg in (Subdomain.BLOOD, Subdomain.MEMBRANE, Subdomain.DIALYSATE):
             m = region == reg
             if np.any(m):
-                ux[m], ur[m] = self._evaluator(xs[m], rs[m], reg)
+                ux[m], ur[m] = self.model(xs[m], rs[m], reg)
         ex = pb[:, 0] - pa[:, 0]
         er = pb[:, 1] - pa[:, 1]
         nx, nr = er, -ex  # length-scaled outward normal for CCW triangles
@@ -106,7 +102,7 @@ class VelocityField:
         areas = fem.area
         rbar = np.maximum(fem.rbar, 1e-30)
         total = np.zeros(mesh.n_triangles)
-        if self._evaluator is not None:
+        if self.model is not None:
             for a, b in ((0, 1), (1, 2), (2, 0)):
                 pa = verts[tri[:, a]]
                 pb = verts[tri[:, b]]
@@ -125,14 +121,6 @@ class VelocityField:
 
 # -- reduced consistent velocity model -----------------------------------------
 
-def _pressure_profiles(geom: AxiGeometry, hyd: HydraulicState):
-    """Interface pressures linear in x (Poiseuille drop along each channel)."""
-    L = geom.L
-    pb0, pb1 = hyd.p_in_b, (hyd.p_out_b - hyd.p_in_b) / L
-    pd0, pd1 = hyd.p_out_d, (hyd.p_in_d - hyd.p_out_d) / L
-    return (pb0, pb1), (pd0, pd1)
-
-
 class _ReducedFlow:
     """Closed forms for the reduced model; every region is divergence-free."""
 
@@ -140,14 +128,14 @@ class _ReducedFlow:
         self.geom = geom
         self.hyd = hyd
         R1, R2, R, L = geom.R1, geom.R2, geom.R, geom.L
-        (pb0, pb1), (pd0, pd1) = _pressure_profiles(geom, hyd)
+        # interface pressures p = p0 + p1*x (Poiseuille drop along each channel)
+        pb0, self.pb1 = hyd.p_in_b, (hyd.p_out_b - hyd.p_in_b) / L
+        pd0, self.pd1 = hyd.p_out_d, (hyd.p_in_d - hyd.p_out_d) / L
         self.lnrho = np.log(R2 / R1)
         k = hyd.K_over_mu / self.lnrho
         # membrane radial volume-flux density: r*u_r = w(x) = w0 + w1*x
         self.w0 = k * (pb0 - pd0)
-        self.w1 = k * (pb1 - pd1)
-        self.pb = (pb0, pb1)
-        self.pd = (pd0, pd1)
+        self.w1 = k * (self.pb1 - self.pd1)
         # annular Poiseuille shape in the dialysate channel, unit 2*pi*r flux
         self.A = (R**2 - R2**2) / np.log(R / R2)
         half_flux = ((R**2 - R2**2) ** 2 / 4.0
@@ -191,8 +179,7 @@ class _ReducedFlow:
             ur = self.w(x) * r * (2.0 * R1**2 - r**2) / R1**4
             return ux, ur
         if region == Subdomain.MEMBRANE:
-            _, pb1 = self.pb
-            _, pd1 = self.pd
+            pb1, pd1 = self.pb1, self.pd1
             ux = -hyd.K_over_mu * (pb1 + (pd1 - pb1) * np.log(r / R1) / self.lnrho)
             ux = ux + 0.0 * x  # broadcast to the common shape
             ur = self.w(x) / r
@@ -220,47 +207,37 @@ def compute_velocity_field(mesh: Mesh, geom: AxiGeometry, hyd: HydraulicState) -
     u_x = np.zeros(mesh.n_vertices)
     u_r = np.zeros(mesh.n_vertices)
 
-    blood = r <= R1 + 1e-14
-    mem = (r > R1 + 1e-14) & (r < R2 - 1e-14)
-    dial = r >= R2 - 1e-14
-    ux_b, ur_b = flow(x[blood], r[blood], Subdomain.BLOOD)
-    u_x[blood], u_r[blood] = ux_b, ur_b
-    if np.any(mem):
-        ux_m, ur_m = flow(x[mem], r[mem], Subdomain.MEMBRANE)
-        u_x[mem], u_r[mem] = ux_m, ur_m
-    ux_d, ur_d = flow(x[dial], r[dial], Subdomain.DIALYSATE)
-    u_x[dial], u_r[dial] = ux_d, ur_d
+    for region, at in ((Subdomain.BLOOD, r <= R1 + 1e-14),
+                       (Subdomain.MEMBRANE, (r > R1 + 1e-14) & (r < R2 - 1e-14)),
+                       (Subdomain.DIALYSATE, r >= R2 - 1e-14)):
+        u_x[at], u_r[at] = flow(x[at], r[at], region)
     # interface nodes keep the no-slip channel value u_x = 0; u_r is continuous
     u_x[np.abs(r - R1) <= 1e-14] = 0.0
     u_x[np.abs(r - R2) <= 1e-14] = 0.0
     u_r[np.abs(r) <= 1e-14] = 0.0
     u_r[np.abs(r - geom.R) <= 1e-14] = 0.0
 
-    field = VelocityField(mesh, u_x, u_r, evaluator=flow, div_tol=1e-8)
-    field.reduced_model = flow
-    return field
+    return VelocityField(mesh, u_x, u_r, model=flow)
 
 
-def transmembrane_flux(field: VelocityField, n_gauss: int = 8) -> float:
-    """2*pi int_0^L R1 u_r(x, R1) dx from the field's analytic evaluator."""
-    geom = field.reduced_model.geom
-    t, wq = np.polynomial.legendre.leggauss(n_gauss)
-    xs = 0.5 * geom.L * (t + 1.0)
-    _, ur = field.evaluate(xs, np.full_like(xs, geom.R1), Subdomain.MEMBRANE)
-    return float(2.0 * np.pi * geom.R1 * 0.5 * geom.L * np.dot(wq, ur))
+def transmembrane_flux(model: _ReducedFlow) -> float:
+    """2*pi int_0^L R1 u_r(x, R1) dx of the closed-form model, by 8-point Gauss."""
+    geom = model.geom
+    xs = 0.5 * geom.L * (_GAUSS8_T + 1.0)
+    _, ur = model(xs, np.full_like(xs, geom.R1), Subdomain.MEMBRANE)
+    return float(2.0 * np.pi * geom.R1 * 0.5 * geom.L * np.dot(_GAUSS8_W, ur))
 
 
-def calibrate_hydraulics(mesh: Mesh, geom: AxiGeometry, hyd0: HydraulicState,
-                         target_flux: float, rel_tol: float = 1e-6,
-                         max_iter: int = 50) -> HydraulicState:
-    """Shift the blood/dialysate pressure levels so the simulated net
-    transmembrane flux matches ``target_flux``.
+def calibrate_hydraulics(geom: AxiGeometry, hyd0: HydraulicState,
+                         target_flux: float) -> HydraulicState:
+    """Shift the blood/dialysate pressure levels so the net transmembrane
+    flux of the closed-form model matches ``target_flux``.
 
-    The flux is affine in the mean blood-dialysate pressure difference under
-    the reduced model, so the secant iteration lands in at most two steps;
-    the iteration still runs on the simulated flux rather than the closed
-    form.  Raises CalibrationError when the target is unreachable (zero
-    membrane mobility), reporting the achievable range.
+    The flux is affine in the mean blood-dialysate pressure difference, so
+    two probes and one secant step land the answer; the step's flux is then
+    checked against the target.  Raises CalibrationError when the target is
+    unreachable (zero membrane mobility), reporting the achievable range, or
+    when the checked flux misses it.
     """
     if not np.isfinite(target_flux):
         raise CalibrationError("target transmembrane flux must be finite")
@@ -273,12 +250,12 @@ def calibrate_hydraulics(mesh: Mesh, geom: AxiGeometry, hyd0: HydraulicState,
                        p_out_d=hyd0.p_out_d - delta / 2.0)
 
     def flux_at(delta):
-        return transmembrane_flux(compute_velocity_field(mesh, geom, shifted(delta)))
+        return transmembrane_flux(_ReducedFlow(geom, shifted(delta)))
 
     d0, d1 = 0.0, 1.0
     f0 = flux_at(d0)
     scale = max(abs(target_flux), abs(f0), 1e-30)
-    if abs(f0 - target_flux) <= rel_tol * scale:
+    if abs(f0 - target_flux) <= _REL_TOL * scale:
         return shifted(d0)
     f1 = flux_at(d1)
     if abs(f1 - f0) < 1e-300:
@@ -287,14 +264,10 @@ def calibrate_hydraulics(mesh: Mesh, geom: AxiGeometry, hyd0: HydraulicState,
             f"[{f0!r}, {f0!r}] (zero membrane mobility?)",
             achievable_range=(f0, f0))
     scale = max(scale, abs(f1))
-    for _ in range(max_iter):
-        if f1 == f0:
-            break
-        d2 = d1 + (target_flux - f1) * (d1 - d0) / (f1 - f0)
-        f2 = flux_at(d2)
-        if abs(f2 - target_flux) <= rel_tol * scale:
-            return shifted(d2)
-        d0, f0, d1, f1 = d1, f1, d2, f2
-    raise CalibrationError(
-        f"hydraulic calibration did not converge to {target_flux!r} "
-        f"within {max_iter} secant iterations (last flux {f1!r})")
+    d2 = d1 + (target_flux - f1) * (d1 - d0) / (f1 - f0)
+    f2 = flux_at(d2)
+    if not abs(f2 - target_flux) <= _REL_TOL * scale:
+        raise CalibrationError(
+            f"hydraulic calibration missed {target_flux!r}: the secant step "
+            f"gives flux {f2!r}")
+    return shifted(d2)

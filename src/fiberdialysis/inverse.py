@@ -174,7 +174,7 @@ class ForwardContext:
         target = rec.extras.get("Q_uf")
         if target is None:
             raise ConfigurationError(f"patient {rec.id} carries no Q_uf calibration target")
-        hyd = calibrate_hydraulics(self.mesh, self.geom, rec.hydraulics, float(target))
+        hyd = calibrate_hydraulics(self.geom, rec.hydraulics, float(target))
         return replace(rec, hydraulics=hyd, calibrated=True, extras=dict(rec.extras))
 
     # .. forward evaluation ..
@@ -205,11 +205,6 @@ class ForwardContext:
             else:
                 out.append((None, err))
         return out
-
-    def forward_many(self, records, beta, use_warm=None):
-        """Per-patient forward solves at one shared beta."""
-        beta = np.asarray(beta, dtype=float)
-        return self.forward_pairs([(rec, beta) for rec in records], use_warm=use_warm)
 
 
 def context_from_profile(profile, jobs: int = 1, mesh_res=None) -> ForwardContext:
@@ -255,7 +250,7 @@ def multi_patient_cost(beta, patients, cfg: MultiCostConfig, ctx: ForwardContext
     if not patients:
         raise UsageError("multi-patient cost needs a nonempty patient list")
     beta = np.asarray(beta, dtype=float)
-    results = ctx.forward_many(patients, beta)
+    results = ctx.forward_pairs([(rec, beta) for rec in patients])
     terms = []
     for rec, (outlet, err) in zip(patients, results):
         if err is not None:
@@ -370,7 +365,7 @@ def sensitivity_study(patients, ctx: ForwardContext, beta_star, sigmas,
 
     beta_star = np.asarray(beta_star, dtype=float)
     refs = {}
-    ref_out = ctx.forward_many(patients, beta_star, use_warm=False)
+    ref_out = ctx.forward_pairs([(rec, beta_star) for rec in patients], use_warm=False)
     kept = []
     for rec, (outlet, err) in zip(patients, ref_out):
         if err is not None:

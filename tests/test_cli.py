@@ -100,6 +100,31 @@ def test_jobs_below_one_exits_2(workdir):
                "--patient", patient, "--beta", "0.2,0.2", "--out", "fwd_jobs") == 2
 
 
+def test_malformed_run_option_exits_2(workdir):
+    patient = str(packaged_data_path("patient1.csv"))
+    for bad in ({"jobs": "two"}, {"mesh": [20, 4, "x", 4]}, {"powell_tol": "tiny"},
+                {"bounds": [[0.02, 1.0]]}):
+        (workdir / "cfg_bad.json").write_text(json.dumps(bad))
+        assert run(workdir, "forward", "--config", "cfg_bad.json", "--patient", patient,
+                   "--beta", "0.2,0.2", "--out", "fwd_bad_option") == 2
+
+
+def test_calibration_failure_exits_2(workdir):
+    fixture = packaged_data_path("patient1.csv").read_text()
+    (workdir / "patient_nan_quf.csv").write_text(fixture + "Q_uf,nan\n")
+    assert run(workdir, "forward", "--config", "cfg.json", "--patient", "patient_nan_quf.csv",
+               "--beta", "0.2,0.2", "--out", "fwd_nan_quf") == 2
+    # a sealed membrane cannot carry any ultrafiltration
+    raw = json.loads(packaged_data_path("default_profile.json").read_text())
+    raw["hydraulics"]["K_over_mu"] = 0.0
+    (workdir / "sealed_profile.json").write_text(json.dumps(raw))
+    (workdir / "sealed_cfg.json").write_text(json.dumps(
+        {"profile": "sealed_profile.json", "mesh": [20, 4, 3, 4]}))
+    (workdir / "patient_quf.csv").write_text(fixture + "Q_uf,0.012\n")
+    assert run(workdir, "invert-single", "--config", "sealed_cfg.json",
+               "--patient", "patient_quf.csv", "--beta0", "0.6,0.6", "--out", "single_sealed") == 2
+
+
 @pytest.mark.slow
 def test_invert_multi_on_bundle(workdir, synth_bundle):
     rc = run(workdir, "invert-multi", "--config", "cfg.json", "--targets", "synth",

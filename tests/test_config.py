@@ -47,6 +47,31 @@ def test_run_config_rejects_unknown_option(tmp_path):
         RunConfig.load(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("jobs", "two"), ("jobs", 2.0), ("jobs", True), ("seed", None),
+    ("powell_tol", "tiny"), ("lambda", False), ("fd_step", [1e-3]),
+    ("mesh", [20, 4, "x", 4]), ("mesh", [20, 4, 3]), ("mesh", [20, 4, 3.0, 4]), ("mesh", 20),
+    ("beta_star", [0.8]), ("beta_star", [0.8, "0.4"]),
+    ("bounds", [[0.02, 1.0]]), ("bounds", [0.02, 1.0]), ("bounds", [[0.02, 1.0], [0.02]]),
+    ("noise_sigmas", []), ("noise_sigmas", 0.01), ("noise_sigmas", [0.01, None]),
+])
+def test_run_config_rejects_malformed_value(tmp_path, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigurationError, match=f"run option '{key}' must be"):
+        RunConfig.load(path)
+
+
+def test_run_config_keeps_valid_values_as_given(tmp_path):
+    raw = {"mesh": None, "jobs": 2, "seed": 0, "powell_tol": 1, "lambda": 0.5,
+           "beta_star": [1, 0.4], "bounds": [[0, 1], [0.02, 1.0]], "noise_sigmas": [0.02]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    options = RunConfig.load(path).options
+    for key, value in raw.items():
+        assert options[key] == value and type(options[key]) is type(value)
+
+
 def test_run_config_mesh_override(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"mesh": [10, 2, 2, 2]}))

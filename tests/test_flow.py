@@ -1,9 +1,15 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
+from fiberdialysis import flow
+from fiberdialysis.cohort import CohortTable, generate_cohort, records_from_cohort
+from fiberdialysis.config import load_profile, packaged_data_path
 from fiberdialysis.exceptions import CalibrationError, ConfigurationError
-from fiberdialysis.flow import (HydraulicState, VelocityField, calibrate_hydraulics,
-                                compute_velocity_field, transmembrane_flux)
+from fiberdialysis.flow import (HydraulicState, VelocityField, _ReducedFlow,
+                                calibrate_hydraulics, compute_velocity_field,
+                                transmembrane_flux)
 from fiberdialysis.mesh import AxiGeometry, Subdomain, build_structured_mesh
 
 GEOM = AxiGeometry(L=1.0, R1=0.4, R2=0.6, R=1.0)
@@ -35,7 +41,7 @@ def test_blood_flux_matches_prescription_at_every_station():
     t, w = np.polynomial.legendre.leggauss(12)
     r = 0.5 * GEOM.R1 * (t + 1.0)
     for x in (0.0, 0.31, 0.77, GEOM.L):
-        ux, _ = U.evaluate(np.full_like(r, x), r, Subdomain.BLOOD)
+        ux, _ = U.model(np.full_like(r, x), r, Subdomain.BLOOD)
         flux = 2 * np.pi * 0.5 * GEOM.R1 * np.dot(w, r * ux)
         assert flux == pytest.approx(1.0, abs=1e-8)
 
@@ -47,7 +53,7 @@ def test_dialysate_flux_counter_current():
     U = compute_velocity_field(m, GEOM, hyd)
     t, w = np.polynomial.legendre.leggauss(12)
     r = GEOM.R2 + 0.5 * (GEOM.R - GEOM.R2) * (t + 1.0)
-    ux, _ = U.evaluate(np.full_like(r, 0.4), r, Subdomain.DIALYSATE)
+    ux, _ = U.model(np.full_like(r, 0.4), r, Subdomain.DIALYSATE)
     flux = 2 * np.pi * 0.5 * (GEOM.R - GEOM.R2) * np.dot(w, r * ux)
     assert flux == pytest.approx(-0.5, abs=1e-8)  # flowing toward x = 0
 
@@ -79,10 +85,10 @@ def test_radial_velocity_vanishes_on_axis_and_outer():
 def test_global_fluid_mass_conservation():
     m = mesh()
     U = compute_velocity_field(m, GEOM, HYD)
-    flow = U.reduced_model
-    flux_in = flow.flux_blood(0.0)
-    flux_out = flow.flux_blood(GEOM.L)
-    net = transmembrane_flux(U)
+    model = U.model
+    flux_in = model.flux_blood(0.0)
+    flux_out = model.flux_blood(GEOM.L)
+    net = transmembrane_flux(model)
     assert flux_in == pytest.approx(flux_out + net, rel=1e-6)
 
 
@@ -97,7 +103,7 @@ def test_velocity_bit_reproducible():
 def test_nodal_only_field_accepts_divergence_free_data():
     m = mesh()
     ux = np.where(m.vertices[:, 1] < GEOM.R1, 1.0, 0.0)  # constant in x
-    U = VelocityField(m, ux, np.zeros(m.n_vertices), div_tol=1e-8)
+    U = VelocityField(m, ux, np.zeros(m.n_vertices))
     assert U.div_residual < 1e-12
 
 
@@ -112,39 +118,66 @@ def test_invalid_hydraulics_rejected():
 
 # -- hydraulic calibration ----------------------------------------------------------
 
+def model_flux(hyd, geom=GEOM):
+    return transmembrane_flux(_ReducedFlow(geom, hyd))
+
+
+def secant_oracle(geom, hyd0, target_flux, rel_tol=1e-6, max_iter=50):
+    """The iterated secant on the model flux, stepping until the flux is
+    within rel_tol of the target (at most max_iter steps)."""
+    def shifted(delta):
+        return replace(hyd0,
+                       p_in_b=hyd0.p_in_b + delta / 2.0,
+                       p_out_b=hyd0.p_out_b + delta / 2.0,
+                       p_in_d=hyd0.p_in_d - delta / 2.0,
+                       p_out_d=hyd0.p_out_d - delta / 2.0)
+
+    d0, d1 = 0.0, 1.0
+    f0 = model_flux(shifted(d0), geom)
+    scale = max(abs(target_flux), abs(f0), 1e-30)
+    if abs(f0 - target_flux) <= rel_tol * scale:
+        return shifted(d0)
+    f1 = model_flux(shifted(d1), geom)
+    scale = max(scale, abs(f1))
+    for _ in range(max_iter):
+        d2 = d1 + (target_flux - f1) * (d1 - d0) / (f1 - f0)
+        f2 = model_flux(shifted(d2), geom)
+        if abs(f2 - target_flux) <= rel_tol * scale:
+            return shifted(d2)
+        d0, f0, d1, f1 = d1, f1, d2, f2
+    raise AssertionError("oracle secant did not converge")
+
+
 def test_zero_target_gives_zero_mean_pressure_difference():
-    m = mesh()
-    hyd = calibrate_hydraulics(m, GEOM, HYD, 0.0)
+    hyd = calibrate_hydraulics(GEOM, HYD, 0.0)
     mean_b = 0.5 * (hyd.p_in_b + hyd.p_out_b)
     mean_d = 0.5 * (hyd.p_in_d + hyd.p_out_d)
     assert mean_b - mean_d == pytest.approx(0.0, abs=1e-9)
-    assert transmembrane_flux(compute_velocity_field(m, GEOM, hyd)) == pytest.approx(0.0, abs=1e-12)
+    assert model_flux(hyd) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_secant_matches_two_probe_closed_form():
     # the flux is affine in the pressure shift: two probes determine the answer
-    m = mesh()
-    f0 = transmembrane_flux(compute_velocity_field(m, GEOM, HYD))
-
-    from dataclasses import replace
+    f0 = model_flux(HYD)
     shifted = replace(HYD, p_in_b=HYD.p_in_b + 0.5, p_out_b=HYD.p_out_b + 0.5,
                       p_in_d=HYD.p_in_d - 0.5, p_out_d=HYD.p_out_d - 0.5)
-    f1 = transmembrane_flux(compute_velocity_field(m, GEOM, shifted))
+    f1 = model_flux(shifted)
     slope = (f1 - f0) / 1.0
 
     target = 0.037
     expected_delta = (target - f0) / slope
-    hyd = calibrate_hydraulics(m, GEOM, HYD, target)
+    hyd = calibrate_hydraulics(GEOM, HYD, target)
     assert hyd.p_in_b - HYD.p_in_b == pytest.approx(expected_delta / 2, rel=1e-9)
-    assert transmembrane_flux(compute_velocity_field(m, GEOM, hyd)) == \
-        pytest.approx(target, rel=1e-6)
+    assert model_flux(hyd) == pytest.approx(target, rel=1e-6)
+    # the field's model is the one calibration worked on
+    m = mesh()
+    assert transmembrane_flux(compute_velocity_field(m, GEOM, hyd).model) == model_flux(hyd)
 
 
 def test_calibration_monotonicity():
-    m = mesh()
     deltas = []
     for target in (0.005, 0.01, 0.02):
-        hyd = calibrate_hydraulics(m, GEOM, HYD, target)
+        hyd = calibrate_hydraulics(GEOM, HYD, target)
         mean_b = 0.5 * (hyd.p_in_b + hyd.p_out_b)
         mean_d = 0.5 * (hyd.p_in_d + hyd.p_out_d)
         deltas.append(mean_b - mean_d)
@@ -152,9 +185,40 @@ def test_calibration_monotonicity():
 
 
 def test_unreachable_target_reports_range():
-    m = mesh()
-    from dataclasses import replace
     sealed = replace(HYD, K_over_mu=0.0)
     with pytest.raises(CalibrationError) as exc:
-        calibrate_hydraulics(m, GEOM, sealed, 0.05)
+        calibrate_hydraulics(GEOM, sealed, 0.05)
     assert exc.value.achievable_range == (0.0, 0.0)
+
+
+def test_calibration_matches_iterated_secant_bit_for_bit():
+    profile = load_profile()
+    geom = profile.geometry
+    real = CohortTable.from_csv(packaged_data_path("sample_cohort.csv"))
+    records = records_from_cohort(generate_cohort(real, ns=40, seed=7),
+                                  profile.base_hydraulics())
+    assert len(records) == 40
+    for rec in records:
+        for target in (rec.extras["Q_uf"], 0.0, 1e-9, -0.3, 10.0, 1e6):
+            got = calibrate_hydraulics(geom, rec.hydraulics, target)
+            want = secant_oracle(geom, rec.hydraulics, target)
+            for f in fields(HydraulicState):
+                assert getattr(got, f.name) == getattr(want, f.name), (rec.id, target, f.name)
+
+
+def test_calibration_builds_no_velocity_field(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("calibration built a velocity field")
+
+    monkeypatch.setattr(flow, "compute_velocity_field", refuse)
+    monkeypatch.setattr(flow, "VelocityField", refuse)
+    hyd = calibrate_hydraulics(GEOM, HYD, 0.037)
+    assert model_flux(hyd) == pytest.approx(0.037, rel=1e-6)
+
+
+def test_calibration_rejects_a_missed_secant_step(monkeypatch):
+    # a flux that is not affine in the shift: one secant step cannot land it
+    monkeypatch.setattr(flow, "transmembrane_flux",
+                        lambda model: (model.hyd.p_in_b - HYD.p_in_b) ** 3)
+    with pytest.raises(CalibrationError, match="missed"):
+        calibrate_hydraulics(GEOM, HYD, 0.5)

@@ -118,8 +118,8 @@ def test_forward_failures_are_typed_and_keep_the_newton_trace(exact_patients):
     for jobs in (1, 2):
         with ForwardContext(profile.geometry, MESH, cfg, profile.base_hydraulics(),
                             jobs=jobs) as context:
-            out = context.forward_many(exact_patients, np.array([0.8, 0.4]),
-                                       use_warm=False)
+            out = context.forward_pairs([(rec, np.array([0.8, 0.4])) for rec in exact_patients],
+                                        use_warm=False)
         assert all(outlet is None and isinstance(err, NewtonError) for outlet, err in out)
         errors.append([err for _, err in out])
     for serial, pooled in zip(*errors):
@@ -282,8 +282,9 @@ def test_forward_many_parallel_matches_serial(exact_patients):
         with context_from_profile(profile, jobs=1, mesh_res=MESH) as serial, \
                 context_from_profile(profile, jobs=2, mesh_res=MESH) as parallel:
             for beta in betas:
-                ref = serial.forward_many(exact_patients, beta, use_warm=use_warm)
-                par = parallel.forward_many(exact_patients, beta, use_warm=use_warm)
+                pairs = [(rec, beta) for rec in exact_patients]
+                ref = serial.forward_pairs(pairs, use_warm=use_warm)
+                par = parallel.forward_pairs(pairs, use_warm=use_warm)
                 for (a, ea), (b, eb) in zip(ref, par):
                     assert ea is None and eb is None
                     assert np.array_equal(a, b)
