@@ -7,9 +7,9 @@ the shipped example patient, and prints the outlet observables.
 
 from dataclasses import replace
 
-from fiberdialysis import (BoundaryData, build_structured_mesh,
-                           compute_velocity_field, newton_solve,
-                           outlet_concentration, transmembrane_flux)
+from fiberdialysis import (BoundaryData, TransportSolver, build_structured_mesh,
+                           compute_velocity_field, outlet_concentration,
+                           transmembrane_flux)
 from fiberdialysis.config import load_patient_csv, load_profile, packaged_data_path
 
 profile = load_profile()
@@ -31,7 +31,7 @@ cfg = profile.transport_config()
 cfg = replace(cfg, species=cfg.species.with_beta(0.5, 0.5))
 bd = BoundaryData(inlet_blood=tuple(patient.inlet_blood),
                   inlet_dialysate=tuple(patient.inlet_dialysate))
-field, result = newton_solve(mesh, velocity, cfg, bd)
+field, result = TransportSolver(mesh, velocity, cfg, bd).solve()
 print(f"Newton: {result.n_solves} solves, update norms "
       f"{['%.2e' % v for v in result.trace]}")
 

@@ -7,8 +7,7 @@ from .flow import (HydraulicState, VelocityField, calibrate_hydraulics,
                    compute_velocity_field, transmembrane_flux)
 from .transport import (BoundaryData, ConcentrationField, NewtonResult, ReactionParams,
                         SpeciesConfig, TransportConfig, TransportSolver, export_field_csv,
-                        newton_solve, outlet_concentration, reaction_jacobian,
-                        reaction_source)
+                        outlet_concentration, reaction_jacobian, reaction_source)
 from .optim import (GridResult, OptimResult, fd_gradient, grid_search,
                     powell_minimize, projected_gradient)
 from .cohort import (CohortTable, NoiseSpec, PatientRecord, add_measurement_noise,

@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import config
 from .cohort import (CohortTable, NoiseSpec, add_measurement_noise, derive_seed,
                      generate_cohort, load_records, make_reference_targets, save_records)
 from .config import RunConfig, load_patient_csv, packaged_data_path
@@ -31,8 +32,6 @@ EXIT_SOLVER = 1
 EXIT_CONFIG = 2
 EXIT_BUNDLE_MISMATCH = 3
 EXIT_INCOMPLETE = 4
-
-BUNDLE_VERSION = 1
 
 
 def _write_json(path, obj):
@@ -104,10 +103,10 @@ def _check_bundle(path, needed):
         raise FileNotFoundError(f"bundle {path} has no manifest.json")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    if manifest.get("bundle_version") != BUNDLE_VERSION:
+    if manifest.get("bundle_version") != config.BUNDLE_VERSION:
         raise _BundleMismatch(
             f"bundle {path} has version {manifest.get('bundle_version')}, "
-            f"expected {BUNDLE_VERSION}")
+            f"expected {config.BUNDLE_VERSION}")
     missing = [n for n in needed if not os.path.exists(os.path.join(path, n))]
     if missing:
         raise FileNotFoundError(f"bundle {path} is missing {', '.join(missing)}")
@@ -147,7 +146,7 @@ def cmd_forward(args, cfg: RunConfig, ctx: ForwardContext) -> int:
 
 
 def cmd_synth(args, cfg: RunConfig, ctx: ForwardContext) -> int:
-    ns = int(args.ns) if args.ns else int(cfg.options["ns"])
+    ns = int(args.ns) if args.ns is not None else int(cfg.options["ns"])
     seed = int(args.seed) if args.seed is not None else int(cfg.options["seed"])
     beta_star = _parse_pair(args.beta_star, "--beta-star") if args.beta_star \
         else tuple(cfg.options["beta_star"])
@@ -332,6 +331,9 @@ def cmd_noise_study(args, cfg: RunConfig, ctx: ForwardContext) -> int:
     sigmas = _sigmas(args, cfg)
     size = int(args.subcohort_size)
     n_sub = int(args.n_subcohorts)
+    for option, count in (("--subcohort-size", size), ("--n-subcohorts", n_sub)):
+        if count < 1:
+            raise ConfigurationError(f"{option} must be >= 1, got {count}")
     if len(records) < size * n_sub:
         raise ConfigurationError(
             f"need at least {size * n_sub} patients for {n_sub} disjoint "

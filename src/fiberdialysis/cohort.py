@@ -33,8 +33,6 @@ REQUIRED_FIELDS = CONCENTRATION_FIELDS + HYDRAULIC_FIELDS
 class CohortTable:
     field_names: list
     values: np.ndarray            # (M, N), NaN = missing
-    provenance: str = "real"      # "real" | "synthetic"
-    seed: int | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -42,8 +40,6 @@ class CohortTable:
             raise ConfigurationError(
                 f"values must be (n_fields, n_patients), got {self.values.shape} "
                 f"for {len(self.field_names)} fields")
-        if self.provenance not in ("real", "synthetic"):
-            raise ConfigurationError(f"unknown provenance {self.provenance!r}")
 
     @property
     def n_patients(self):
@@ -65,7 +61,7 @@ class CohortTable:
                 writer.writerow([name] + ["" if np.isnan(v) else repr(float(v)) for v in row])
 
     @classmethod
-    def from_csv(cls, path, provenance="real", seed=None):
+    def from_csv(cls, path):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         if not rows or rows[0][:1] != ["field"]:
@@ -79,8 +75,7 @@ class CohortTable:
                 data.append([float(v) if v.strip() != "" else np.nan for v in row[1:]])
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{line_no}: {exc}") from None
-        return cls(field_names=names, values=np.array(data, dtype=float),
-                   provenance=provenance, seed=seed)
+        return cls(field_names=names, values=np.array(data, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -200,8 +195,7 @@ def generate_cohort(real: CohortTable, ns: int, seed: int) -> CohortTable:
         else:
             samples = _field_stream(seed, name).normal(mu, sigma, size=ns)
         out[k] = np.maximum(samples, floor)
-    return CohortTable(field_names=list(real.field_names), values=out,
-                       provenance="synthetic", seed=seed)
+    return CohortTable(field_names=list(real.field_names), values=out)
 
 
 def records_from_cohort(cohort: CohortTable, base_hydraulics: HydraulicState):

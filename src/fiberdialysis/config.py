@@ -24,6 +24,7 @@ from .mesh import AxiGeometry
 from .transport import ReactionParams, SpeciesConfig, TransportConfig
 
 PROFILE_ENV_VAR = "FIBERDIALYSIS_PROFILE"
+BUNDLE_VERSION = 1  # written into every manifest; the CLI reads bundles of this version only
 
 _GEOMETRY_KEYS = ("L", "R1", "R2", "R")
 _MESH_KEYS = ("nx", "nr_b", "nr_m", "nr_d")
@@ -176,7 +177,12 @@ class RunConfig:
             raise ConfigurationError(f"run config not found: {path}") from None
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{path}: run config must be a JSON object")
         profile_path = raw.get("profile")
+        if profile_path is not None and not isinstance(profile_path, str):
+            raise ConfigurationError(
+                f"{path}: run option 'profile' must be a path, got {profile_path!r}")
         if profile_path is not None and not os.path.isabs(profile_path):
             profile_path = os.path.join(os.path.dirname(os.path.abspath(path)), profile_path)
         profile = load_profile(profile_path)
@@ -208,7 +214,7 @@ class RunConfig:
     def manifest_dict(self, command: str, args: dict) -> dict:
         """Everything needed to reproduce a command byte-for-byte."""
         return {
-            "bundle_version": 1,
+            "bundle_version": BUNDLE_VERSION,
             "command": command,
             "args": {k: args[k] for k in sorted(args)},
             "options": {k: self.options[k] for k in sorted(self.options)},

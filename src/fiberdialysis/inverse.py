@@ -42,7 +42,6 @@ class MultiCostConfig:
     bounds: tuple = ((0.02, 1.0), (0.02, 1.0))
     penalty_scale: float = 1e4
     failure_value: float = 1e10
-    prior: np.ndarray | None = None   # defaults to the box center when lam > 0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
@@ -53,13 +52,6 @@ class MultiCostConfig:
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ConfigurationError(f"bound interval [{lo}, {hi}] is degenerate")
-        if self.prior is not None:
-            self.prior = np.asarray(self.prior, dtype=float)
-
-    def prior_point(self):
-        if self.prior is not None:
-            return self.prior
-        return np.array([(lo + hi) / 2.0 for lo, hi in self.bounds])
 
 
 def default_weights(patients) -> np.ndarray:
@@ -163,9 +155,6 @@ class ForwardContext:
     def __exit__(self, *exc):
         self.close()
 
-    def clear_warm_cache(self):
-        self._warm.clear()
-
     # .. calibration ..
 
     def calibrate_record(self, rec: PatientRecord) -> PatientRecord:
@@ -241,7 +230,8 @@ def bound_penalty(beta, cfg: MultiCostConfig) -> float:
 
 
 def multi_patient_cost(beta, patients, cfg: MultiCostConfig, ctx: ForwardContext) -> float:
-    """sum_p ||W (F_p(beta) - y_p)||^2 + lam R(beta) + soft bound penalty.
+    """sum_p ||W (F_p(beta) - y_p)||^2 + lam |beta - c|^2 + soft bound penalty,
+    with c the center of the bound box.
 
     Per-patient forward failures contribute ``failure_value`` each; terms are
     summed in patient-id order so the cost is invariant under permutations of
@@ -261,7 +251,7 @@ def multi_patient_cost(beta, patients, cfg: MultiCostConfig, ctx: ForwardContext
     # id-sorted summation: permutation invariant, duplicates contribute k times
     total = math.fsum(v for _, v in sorted(terms, key=lambda t: t[0]))
     if cfg.lam > 0:
-        d = beta - cfg.prior_point()
+        d = beta - np.array([(lo + hi) / 2.0 for lo, hi in cfg.bounds])
         total += cfg.lam * float(np.dot(d, d))
     total += bound_penalty(beta, cfg)
     return total

@@ -1,10 +1,10 @@
 """Direct solution of the FEM/Newton linear systems.
 
-Backed by scipy.sparse compressed storage and SuperLU with a fill-reducing
-ordering; problem sizes here (a few 1e4 unknowns) make a direct factorization
-the robust choice for the nonsymmetric convection-dominated operators.  A
-caller that factorizes many systems of one pattern computes the ordering
-once (``fill_reducing_order``) and passes the systems pre-ordered.
+Backed by scipy.sparse compressed storage and SuperLU; problem sizes here (a
+few 1e4 unknowns) make a direct factorization the robust choice for the
+nonsymmetric convection-dominated operators.  Every system of one pattern
+shares a fill-reducing ordering computed once (``fill_reducing_order``), and
+``solve_linear`` factorizes systems already permuted into that order.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class SparseMatrix:
 def fill_reducing_order(A) -> np.ndarray:
     """Symmetric permutation ``q`` that SuperLU's MMD_AT_PLUS_A ordering picks
     for the pattern of the square matrix A (its values are ignored); factorize
-    ``A[q][:, q]`` with ``solve_linear(..., preordered=True)``.
+    ``A[q][:, q]`` with ``solve_linear``.
 
     SuperLU orders from the pattern alone before it factorizes, so a cheap
     incomplete factorization that drops all fill, of a diagonally dominant
@@ -59,20 +59,20 @@ def fill_reducing_order(A) -> np.ndarray:
     return np.argsort(lu.perm_c).astype(np.int32)
 
 
-def solve_linear(A: SparseMatrix, b, preordered=False) -> np.ndarray:
+def solve_linear(A: SparseMatrix, b) -> np.ndarray:
     """Solve A x = b by sparse direct LU; deterministic for fixed inputs.
 
-    With ``preordered`` A is factorized in its given order, which the caller
-    has taken from ``fill_reducing_order``; otherwise SuperLU orders it.
-    Raises SolverError (carrying the residual norm when available) on
-    factorization breakdown or when the residual check fails.
+    A is factorized in its given order, which the caller has taken from
+    ``fill_reducing_order``.  Raises SolverError (carrying the residual norm
+    when available) on factorization breakdown or when the residual check
+    fails.
     """
     b = np.asarray(b, dtype=float)
     csc = A.to_csc()
     if csc.shape[0] != b.shape[0]:
         raise SolverError(f"dimension mismatch: matrix {csc.shape[0]}, rhs {b.shape[0]}")
     try:
-        lu = spla.splu(csc, permc_spec="NATURAL" if preordered else _ORDERING)
+        lu = spla.splu(csc, permc_spec="NATURAL")
         x = lu.solve(b)
     except RuntimeError as exc:  # SuperLU signals singularity this way
         raise SolverError(f"sparse LU failed: {exc}") from exc

@@ -256,7 +256,6 @@ def powell_minimize(f, x0, tol: float = 1e-8, max_iter: int = 100,
         raise UsageError(f"objective not finite at the starting point {x0}")
     directions = [np.eye(n)[k].copy() for k in range(n)]
     trace = [(x.copy(), fx)]
-    line_evals = [0] * n
     stop_reason = "max_iter"
     converged = False
 
@@ -267,8 +266,7 @@ def powell_minimize(f, x0, tol: float = 1e-8, max_iter: int = 100,
         k_biggest = 0
         for k, d in enumerate(directions):
             f_before = fx
-            x, fx, used = _line_minimize(obj, x, d, fx, rel_tol=line_tol)
-            line_evals[k] += used
+            x, fx, _ = _line_minimize(obj, x, d, fx, rel_tol=line_tol)
             if f_before - fx > biggest_drop:
                 biggest_drop = f_before - fx
                 k_biggest = k
@@ -290,17 +288,15 @@ def powell_minimize(f, x0, tol: float = 1e-8, max_iter: int = 100,
                 t2 = f_start - f_ext
                 crit = 2.0 * (f_start - 2.0 * fx + f_ext) * t1**2 - biggest_drop * t2**2
                 if crit < 0.0:
-                    x, fx, used = _line_minimize(obj, x, net, fx, rel_tol=line_tol)
+                    x, fx, _ = _line_minimize(obj, x, net, fx, rel_tol=line_tol)
                     directions[k_biggest] = net / np.linalg.norm(net)
                     trace[-1] = (x.copy(), fx)
 
     values = [v for _, v in trace]
     k_best = int(np.argmin(values))
-    result = OptimResult(best_point=trace[k_best][0].copy(), best_value=values[k_best],
-                         trace=trace, n_evals=obj.n_evals,
-                         converged=converged, stop_reason=stop_reason)
-    result.line_evals = line_evals
-    return result
+    return OptimResult(best_point=trace[k_best][0].copy(), best_value=values[k_best],
+                       trace=trace, n_evals=obj.n_evals,
+                       converged=converged, stop_reason=stop_reason)
 
 
 @dataclass

@@ -24,7 +24,7 @@ pattern, so every solve on a mesh takes the same path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -154,9 +154,6 @@ class ConcentrationField:
     @classmethod
     def from_flat(cls, mesh: Mesh, flat: np.ndarray) -> "ConcentrationField":
         return cls(mesh, np.asarray(flat, float).reshape(mesh.n_vertices, N_SPECIES).T)
-
-    def copy(self) -> "ConcentrationField":
-        return ConcentrationField(self.mesh, self.values.copy())
 
 
 @dataclass
@@ -502,28 +499,25 @@ class TransportSolver:
         J = self.jacobian(c_flat)
         rhs = J @ (c_flat - self.g_vec) - self.residual(c_flat, source_nodal)
         x = self.g_vec.copy()
-        x[p.free] = solve_linear(p.free_block(J), rhs[p.free], preordered=True)
+        x[p.free] = solve_linear(p.free_block(J), rhs[p.free])
         return x
 
     def solve(self, c0: ConcentrationField | None = None, source_nodal=None) -> tuple:
+        """Newton solve from ``c0`` (default ``initial_field``) in at most
+        ``newton_max_iter + 2`` steps.  Returns (field, NewtonResult) with the
+        trace of r-weighted L2 update norms; raises NewtonError (carrying the
+        partial trace) on linear-solver failure or non-convergence."""
         cfg = self.cfg
-        c_prev = (c0.flat() if c0 is not None else self.initial_field().flat())
-        c_prev = self.project_dirichlet(c_prev)
+        c_next = self.project_dirichlet((self.initial_field() if c0 is None else c0).flat())
         trace = []
-        try:
-            c_next = self.step(c_prev, source_nodal)
-        except SolverError as exc:
-            raise NewtonError(f"linear solve failed at Newton start: {exc}",
-                              trace=trace) from exc
-        trace.append(self.newton_norm(c_next - c_prev))
-        n = 0
-        while n <= cfg.newton_max_iter and trace[-1] > cfg.newton_tol:
-            n += 1
-            c_prev = c_next
+        while not trace or (len(trace) <= cfg.newton_max_iter + 1
+                            and trace[-1] > cfg.newton_tol):
+            n, c_prev = len(trace), c_next
             try:
                 c_next = self.step(c_prev, source_nodal)
             except SolverError as exc:
-                raise NewtonError(f"linear solve failed at Newton iteration {n}: {exc}",
+                where = f"iteration {n}" if n else "start"
+                raise NewtonError(f"linear solve failed at Newton {where}: {exc}",
                                   trace=trace) from exc
             if not np.all(np.isfinite(c_next)):
                 raise NewtonError(f"Newton iterate diverged at iteration {n}", trace=trace)
@@ -535,19 +529,6 @@ class TransportSolver:
                 trace=trace)
         return ConcentrationField.from_flat(self.mesh, c_next), \
             NewtonResult(converged=True, n_solves=len(trace), trace=trace)
-
-
-def newton_solve(mesh: Mesh, velocity: VelocityField, cfg: TransportConfig,
-                 bd: BoundaryData, c0: ConcentrationField | None = None,
-                 source_nodal=None, dirichlet_override=None):
-    """Solve the stationary coupled system by the variational Newton method.
-
-    Returns (field, NewtonResult) with the trace of r-weighted L2 update
-    norms; raises NewtonError (carrying the partial trace) on linear-solver
-    failure or non-convergence.
-    """
-    solver = TransportSolver(mesh, velocity, cfg, bd, dirichlet_override=dirichlet_override)
-    return solver.solve(c0=c0, source_nodal=source_nodal)
 
 
 # -- observable ---------------------------------------------------------------------

@@ -23,7 +23,7 @@ from fiberdialysis.inverse import (MultiCostConfig, context_from_profile,
 from fiberdialysis.mesh import build_structured_mesh
 from fiberdialysis.optim import grid_search, powell_minimize, projected_gradient
 from fiberdialysis.transport import (BoundaryData, ReactionParams, TransportConfig,
-                                     newton_solve, reaction_jacobian, reaction_source)
+                                     TransportSolver, reaction_jacobian, reaction_source)
 
 pytestmark = pytest.mark.slow
 
@@ -172,7 +172,7 @@ def test_criterion_5_newton_solver(profile):
     cfg_lin = tt.transport_cfg(deltas=(0.0, 0.0, 0.0))
     bd = BoundaryData(inlet_blood=(0.3, 2.0, 0.0, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
-    _, res_lin = newton_solve(mesh, tt.flow_field(mesh), cfg_lin, bd)
+    _, res_lin = TransportSolver(mesh, tt.flow_field(mesh), cfg_lin, bd).solve()
     a_ok = res_lin.converged and len(res_lin.trace) == 2 and \
         res_lin.trace[1] <= 1e-10 * max(1.0, res_lin.trace[0])
 
@@ -187,7 +187,7 @@ def test_criterion_5_newton_solver(profile):
     bd_t = BoundaryData(inlet_blood=(0.11, 3.71602, 0.0577928, 5.03048, 1.37152),
                         inlet_dialysate=(1.25, 0, 0, 0, 0))
     t0 = time.time()
-    _, res_t = newton_solve(mesh_d, velocity, cfg_b, bd_t)
+    _, res_t = TransportSolver(mesh_d, velocity, cfg_b, bd_t).solve()
     solve_time = time.time() - t0
     monotone = all(res_t.trace[i + 1] < res_t.trace[i]
                    for i in range(len(res_t.trace) - 1))
@@ -208,7 +208,6 @@ def test_criterion_5_newton_solver(profile):
                              K_over_mu=0.0, Q_b=0.3, Q_d=0.4)
         vel = compute_velocity_field(m, tt.GEOM, hyd)
         override = man.exact_all(m.vertices[:, 0], m.vertices[:, 1])
-        from fiberdialysis.transport import TransportSolver
         solver = TransportSolver(m, vel, man_cfg, bd_m, dirichlet_override=override)
         fld, _ = solver.solve(source_nodal=man.forcing(m, vel))
         errs.append(solver.newton_norm((fld.values - override).T.reshape(-1)))

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from fiberdialysis.cli import main
+from fiberdialysis import config
+from fiberdialysis.cli import _check_bundle, main
 from fiberdialysis.config import packaged_data_path
 
 
@@ -103,10 +104,32 @@ def test_jobs_below_one_exits_2(workdir):
 def test_malformed_run_option_exits_2(workdir):
     patient = str(packaged_data_path("patient1.csv"))
     for bad in ({"jobs": "two"}, {"mesh": [20, 4, "x", 4]}, {"powell_tol": "tiny"},
-                {"bounds": [[0.02, 1.0]]}):
+                {"bounds": [[0.02, 1.0]]}, [1, 2], {"profile": 5}):
         (workdir / "cfg_bad.json").write_text(json.dumps(bad))
         assert run(workdir, "forward", "--config", "cfg_bad.json", "--patient", patient,
                    "--beta", "0.2,0.2", "--out", "fwd_bad_option") == 2
+
+
+def test_counts_below_one_exit_2(workdir, synth_bundle, capsys):
+    assert run(workdir, "synth", "--config", "cfg.json", "--ns", "0",
+               "--out", "synth_ns0") == 2
+    assert not (workdir / "synth_ns0").exists()
+    for option, count in (("--n-subcohorts", "0"), ("--subcohort-size", "0"),
+                          ("--n-subcohorts", "-2")):
+        capsys.readouterr()
+        assert run(workdir, "noise-study", "--config", "cfg.json", "--targets", "synth",
+                   option, count, "--out", "noise_bad_count") == 2
+        assert f"{option} must be >= 1" in capsys.readouterr().err
+    assert not (workdir / "noise_bad_count").exists()
+
+
+def test_bundle_version_has_one_source(workdir, monkeypatch):
+    # a bumped version is written by every new bundle and accepted on reading
+    monkeypatch.setattr(config, "BUNDLE_VERSION", 2)
+    assert run(workdir, "synth", "--config", "cfg.json", "--ns", "1", "--seed", "7",
+               "--out", "synth_v2") == 0
+    manifest = _check_bundle(str(workdir / "synth_v2"), ("targets.json",))
+    assert manifest["bundle_version"] == 2
 
 
 def test_calibration_failure_exits_2(workdir):

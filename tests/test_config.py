@@ -54,11 +54,20 @@ def test_run_config_rejects_unknown_option(tmp_path):
     ("beta_star", [0.8]), ("beta_star", [0.8, "0.4"]),
     ("bounds", [[0.02, 1.0]]), ("bounds", [0.02, 1.0]), ("bounds", [[0.02, 1.0], [0.02]]),
     ("noise_sigmas", []), ("noise_sigmas", 0.01), ("noise_sigmas", [0.01, None]),
+    ("profile", 5), ("profile", ["p.json"]),
 ])
 def test_run_config_rejects_malformed_value(tmp_path, key, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: value}))
     with pytest.raises(ConfigurationError, match=f"run option '{key}' must be"):
+        RunConfig.load(path)
+
+
+@pytest.mark.parametrize("raw", [[1, 2], 5, "cfg", None])
+def test_run_config_rejects_non_object(tmp_path, raw):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigurationError, match="must be a JSON object"):
         RunConfig.load(path)
 
 

@@ -35,13 +35,13 @@ def test_reference_targets_match_direct_forward(ctx, exact_patients):
 
 def test_multi_cost_zero_at_truth(ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
-    ctx.clear_warm_cache()
+    ctx._warm.clear()
     val = multi_patient_cost(np.array([0.8, 0.4]), exact_patients, cfg, ctx)
     assert val <= 1e-12
 
 
 def test_single_cost_zero_on_self_consistent_targets(ctx, exact_patients):
-    ctx.clear_warm_cache()
+    ctx._warm.clear()
     val = single_patient_cost(np.array([0.8, 0.4]), exact_patients[0], ctx)
     assert val <= 1e-12
 
@@ -58,9 +58,9 @@ def test_single_cost_rejects_zero_targets(ctx, exact_patients):
 def test_duplicated_patient_scales_cost_linearly(ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients[:1]))
     beta = np.array([0.6, 0.5])
-    ctx.clear_warm_cache()
+    ctx._warm.clear()
     single = multi_patient_cost(beta, exact_patients[:1], cfg, ctx)
-    ctx.clear_warm_cache()
+    ctx._warm.clear()
     tripled = multi_patient_cost(beta, exact_patients[:1] * 3, cfg, ctx)
     assert tripled == pytest.approx(3.0 * single, rel=1e-12)
 
@@ -68,9 +68,9 @@ def test_duplicated_patient_scales_cost_linearly(ctx, exact_patients):
 def test_cost_invariant_under_patient_permutation(ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
     beta = np.array([0.55, 0.45])
-    ctx.clear_warm_cache()
+    ctx._warm.clear()
     a = multi_patient_cost(beta, exact_patients, cfg, ctx)
-    ctx.clear_warm_cache()
+    ctx._warm.clear()
     b = multi_patient_cost(beta, exact_patients[::-1], cfg, ctx)
     assert a == b
 
@@ -78,9 +78,9 @@ def test_cost_invariant_under_patient_permutation(ctx, exact_patients):
 def test_weight_scaling_scales_cost_quadratically(ctx, exact_patients):
     w = default_weights(exact_patients)
     beta = np.array([0.5, 0.5])
-    ctx.clear_warm_cache()
+    ctx._warm.clear()
     base = multi_patient_cost(beta, exact_patients, MultiCostConfig(weights=w), ctx)
-    ctx.clear_warm_cache()
+    ctx._warm.clear()
     scaled = multi_patient_cost(beta, exact_patients, MultiCostConfig(weights=3.0 * w), ctx)
     assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
@@ -145,14 +145,15 @@ def test_bound_penalty_active_outside_box(ctx, exact_patients):
 
 
 def test_regularization_term(ctx, exact_patients):
+    # R(beta) = |beta - box center|^2; both boxes contain the truth, so no penalty
     cfg = MultiCostConfig(weights=default_weights(exact_patients), lam=2.0,
-                          prior=np.array([0.8, 0.4]))
-    at_prior = multi_patient_cost(np.array([0.8, 0.4]), exact_patients, cfg, ctx)
-    assert at_prior <= 1e-12  # R vanishes at the prior
+                          bounds=((0.6, 1.0), (0.2, 0.6)))
+    at_center = multi_patient_cost(np.array([0.8, 0.4]), exact_patients, cfg, ctx)
+    assert at_center <= 1e-12  # R vanishes at the box center
     cfg2 = MultiCostConfig(weights=default_weights(exact_patients), lam=2.0,
-                           prior=np.array([0.7, 0.4]))
+                           bounds=((0.5, 0.9), (0.2, 0.6)))
     shifted = multi_patient_cost(np.array([0.8, 0.4]), exact_patients, cfg2, ctx)
-    assert shifted == pytest.approx(at_prior + 2.0 * 0.1 ** 2, abs=1e-10)
+    assert shifted == pytest.approx(at_center + 2.0 * 0.1 ** 2, abs=1e-10)
 
 
 # Frozen 61x61 grid oracle for the projected-gradient recovery test below,
@@ -175,7 +176,7 @@ def test_identify_single_reaches_grid_oracle_floor(ctx):
     patient = make_reference_targets(cohort, ctx, (0.5, 0.5))[0]
     assert np.allclose(patient.observed_outlet, ORACLE_TARGETS, atol=1e-12), \
         "pinned setup changed; regenerate the 61x61 grid oracle"
-    ctx.clear_warm_cache()
+    ctx._warm.clear()
     res = identify_single(patient, np.array([0.2, 0.2]), ctx,
                           initial_step=0.25, tol=1e-5, n_max=80)
     assert np.linalg.norm(res.best_point - ORACLE_ARGMIN) <= 0.05
@@ -196,7 +197,7 @@ def test_identify_single_trace_monotone(ctx, exact_patients):
 
 def test_identify_multi_recovers_truth_and_stays_positive(ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
-    ctx.clear_warm_cache()
+    ctx._warm.clear()
     res = identify_multi(exact_patients, np.array([0.3, 0.8]), cfg, ctx,
                          tol=1e-10, max_iter=40)
     assert np.max(np.abs(res.best_point - [0.8, 0.4])) < 1e-3
@@ -245,7 +246,7 @@ def test_identify_multi_invariant_to_initial_point(ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
     results = []
     for init in ([0.3, 0.8], [1.0, 1.0], [0.5, 0.2]):
-        ctx.clear_warm_cache()
+        ctx._warm.clear()
         res = identify_multi(exact_patients, np.array(init), cfg, ctx,
                              tol=1e-10, max_iter=40)
         results.append(res.best_point)
@@ -266,7 +267,7 @@ def test_noise_degradation_trend_over_seeds(ctx, exact_patients):
             noisy = add_measurement_noise(
                 exact_patients, NoiseSpec(sigma=sigma, seed=seed))
             cfg = MultiCostConfig(weights=default_weights(noisy))
-            ctx.clear_warm_cache()
+            ctx._warm.clear()
             res = identify_multi(noisy, np.array([0.3, 0.8]), cfg, ctx,
                                  tol=1e-6, max_iter=40, line_tol=1e-3)
             errors[sigma].append(np.linalg.norm(res.best_point - truth))

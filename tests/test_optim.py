@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fiberdialysis import optim
 from fiberdialysis.exceptions import UsageError
 from fiberdialysis.optim import (fd_gradient, grid_search, powell_minimize,
                                  projected_gradient)
@@ -115,13 +116,27 @@ def test_rosenbrock_minimum():
     assert np.max(np.abs(res.best_point - 1.0)) < 1e-4
 
 
-def test_flat_valley_costs_more_evaluations_along_flat_axis():
+def test_flat_valley_costs_more_evaluations_along_flat_axis(monkeypatch):
+    calls = [0]
+
     def valley(x):
+        calls[0] += 1
         return float((x[1] - 0.4) ** 2 + 1e-4 * (x[0] - 0.8) ** 2)
 
+    used = [0, 0]  # line-search evaluations along e0 and e1
+    line_minimize = optim._line_minimize
+
+    def counted(obj, x, direction, f_x, rel_tol=1e-6):
+        before = calls[0]
+        out = line_minimize(obj, x, direction, f_x, rel_tol=rel_tol)
+        assert out[2] == calls[0] - before
+        used[int(np.argmax(np.abs(direction)))] += out[2]
+        return out
+
+    monkeypatch.setattr(optim, "_line_minimize", counted)
     res = powell_minimize(valley, np.array([0.0, 0.4]), tol=1e-12, max_iter=100)
     assert np.allclose(res.best_point, [0.8, 0.4], atol=1e-4)
-    assert res.line_evals[0] > res.line_evals[1]
+    assert used[0] > used[1]
 
 
 def test_never_worse_than_start():

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from fiberdialysis.exceptions import ConfigurationError, NewtonError
+from fiberdialysis.exceptions import ConfigurationError, NewtonError, SolverError
 from fiberdialysis.flow import HydraulicState, VelocityField, compute_velocity_field
 from fiberdialysis.mesh import AxiGeometry, build_structured_mesh
 from fiberdialysis.transport import (BoundaryData, ConcentrationField, ReactionParams,
                                      SpeciesConfig, TransportConfig, TransportSolver,
-                                     export_field_csv, newton_solve, outlet_concentration,
+                                     export_field_csv, outlet_concentration,
                                      reaction_jacobian, reaction_source)
 
 GEOM = AxiGeometry(L=1.0, R1=0.4, R2=0.6, R=1.0)
@@ -149,7 +149,7 @@ def test_cold_solve_independent_of_earlier_solves_on_the_mesh():
 
     def outlet(mesh, velocity, beta, data):
         cfg = transport_cfg(species=species_cfg(alpha=(beta[0], 0, 0, beta[1], beta[1])))
-        field, _ = newton_solve(mesh, velocity, cfg, data)
+        field, _ = TransportSolver(mesh, velocity, cfg, data).solve()
         return outlet_concentration(field, mesh, GEOM)
 
     first_mesh = build_structured_mesh(GEOM, 10, 4, 2, 4)
@@ -224,7 +224,7 @@ def test_linear_problem_converges_in_one_productive_iteration():
     cfg = transport_cfg(deltas=(0.0, 0.0, 0.0))
     bd = BoundaryData(inlet_blood=(0.3, 2.0, 0.0, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
-    _, res = newton_solve(mesh, flow_field(mesh), cfg, bd)
+    _, res = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
     assert res.converged
     assert len(res.trace) == 2
     assert res.trace[1] <= 1e-10 * max(1.0, res.trace[0])
@@ -237,7 +237,7 @@ def test_constant_solution_for_pure_diffusion():
     cfg = transport_cfg(deltas=(0.0, 0.0, 0.0))
     bd = BoundaryData(inlet_blood=(2.0, 1.5, 0.0, 2.0, 2.0),
                       inlet_dialysate=(2.0, 0, 0, 2.0, 2.0))
-    field, res = newton_solve(mesh, still_field(mesh), cfg, bd)
+    field, res = TransportSolver(mesh, still_field(mesh), cfg, bd).solve()
     assert res.converged
     blood = mesh.vertices[:, 1] <= GEOM.R1 + 1e-12
     for s, expected in ((0, 2.0), (3, 2.0), (4, 2.0)):
@@ -251,7 +251,7 @@ def test_newton_converges_monotonically_on_physical_data():
     cfg = transport_cfg()
     bd = BoundaryData(inlet_blood=(0.11, 3.71602, 0.0577928, 5.03048, 1.37152),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
-    field, res = newton_solve(mesh, flow_field(mesh), cfg, bd)
+    field, res = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
     assert res.converged
     assert len(res.trace) <= 10
     assert all(res.trace[i + 1] < res.trace[i] for i in range(len(res.trace) - 1))
@@ -263,8 +263,46 @@ def test_newton_error_carries_trace():
     bd = BoundaryData(inlet_blood=(0.11, 3.7, 0.06, 5.0, 1.4),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
     with pytest.raises(NewtonError) as exc:
-        newton_solve(mesh, flow_field(mesh), cfg, bd)
+        TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
     assert len(exc.value.trace) >= 1
+
+
+def _tight_tol_solver(newton_max_iter):
+    # reaches 1e-14 only at the sixth step, so newton_max_iter <= 3 fails
+    mesh = build_structured_mesh(GEOM, 6, 3, 2, 3)
+    cfg = transport_cfg(newton_max_iter=newton_max_iter, newton_tol=1e-14)
+    bd = BoundaryData(inlet_blood=(0.11, 3.7, 0.06, 5.0, 1.4),
+                      inlet_dialysate=(1.25, 0, 0, 0, 0))
+    return TransportSolver(mesh, flow_field(mesh), cfg, bd)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_newton_takes_max_iter_plus_two_steps(max_iter):
+    with pytest.raises(NewtonError, match=f"did not reach tol 1e-14 in {max_iter} iterations"
+                       ) as exc:
+        _tight_tol_solver(max_iter).solve()
+    assert len(exc.value.trace) == max_iter + 2
+
+
+@pytest.mark.parametrize("failing_call, where", [(1, "start"), (2, "iteration 1"),
+                                                 (4, "iteration 3")])
+def test_linear_failure_names_the_newton_step(monkeypatch, failing_call, where):
+    with pytest.raises(NewtonError) as full:
+        _tight_tol_solver(3).solve()
+    calls = [0]
+    step = TransportSolver.step
+
+    def failing_step(self, c_flat, source_nodal=None):
+        calls[0] += 1
+        if calls[0] == failing_call:
+            raise SolverError("injected LU breakdown")
+        return step(self, c_flat, source_nodal)
+
+    monkeypatch.setattr(TransportSolver, "step", failing_step)
+    with pytest.raises(NewtonError, match=f"linear solve failed at Newton {where}: "
+                                          "injected LU breakdown") as exc:
+        _tight_tol_solver(3).solve()
+    assert exc.value.trace == full.value.trace[:failing_call - 1]
 
 
 def test_solver_is_deterministic():
@@ -272,8 +310,8 @@ def test_solver_is_deterministic():
     cfg = transport_cfg()
     bd = BoundaryData(inlet_blood=(0.11, 3.7, 0.06, 5.0, 1.4),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
-    f1, _ = newton_solve(mesh, flow_field(mesh), cfg, bd)
-    f2, _ = newton_solve(mesh, flow_field(mesh), cfg, bd)
+    f1, _ = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
+    f2, _ = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
     assert np.array_equal(f1.values, f2.values)
 
 
@@ -354,7 +392,7 @@ def test_total_calcium_flux_balances_at_discretization_tolerance():
         cfg = TransportConfig(Pe=10.0, eps2=0.01, species=sc,
                               reactions=ReactionParams(0.14, 0.3, 0.6, 0.5),
                               newton_tol=1e-8, newton_max_iter=30)
-        field, _ = newton_solve(mesh, U, cfg, bd)
+        field, _ = TransportSolver(mesh, U, cfg, bd).solve()
         influx = (_total_calcium_boundary_flux(mesh, U, field, Boundary.INLET_BLOOD, +1)
                   + _total_calcium_boundary_flux(mesh, U, field, Boundary.INLET_DIALYSATE, -1))
         outflux = (_total_calcium_boundary_flux(mesh, U, field, Boundary.OUTLET_BLOOD, +1)
