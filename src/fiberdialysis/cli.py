@@ -101,8 +101,13 @@ def _check_bundle(path, needed):
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.isdir(path) or not os.path.exists(manifest_path):
         raise FileNotFoundError(f"bundle {path} has no manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise _BundleMismatch(f"bundle {path}: manifest.json is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise _BundleMismatch(f"bundle {path}: manifest.json must be a JSON object")
     if manifest.get("bundle_version") != config.BUNDLE_VERSION:
         raise _BundleMismatch(
             f"bundle {path} has version {manifest.get('bundle_version')}, "
@@ -176,7 +181,12 @@ def _load_targets(args, needed=("targets.json",)):
     import hashlib
     manifest = _check_bundle(args.targets, needed)
     targets_path = os.path.join(args.targets, "targets.json")
-    records = load_records(targets_path)
+    try:
+        records = load_records(targets_path)
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        # ValueError covers invalid JSON and non-numeric entries
+        raise _BundleMismatch(f"bundle {args.targets}: targets.json does not hold "
+                              f"patient records: {exc}") from None
     with open(targets_path, "rb") as fh:
         manifest["targets_sha256"] = hashlib.sha256(fh.read()).hexdigest()
     return manifest, records

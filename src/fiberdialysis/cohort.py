@@ -129,6 +129,12 @@ class PatientRecord:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigurationError(f"a patient record must be a JSON object, got {d!r}")
+        missing = [k for k in ("id", "inlet_blood", "inlet_dialysate") if k not in d]
+        if missing:
+            raise ConfigurationError(f"patient record {d.get('id', '')!r} is missing "
+                                     f"{', '.join(missing)}")
         hyd = None
         if d.get("hydraulics") is not None:
             hyd = HydraulicState(**d["hydraulics"])
@@ -147,7 +153,10 @@ def save_records(records, path):
 
 def load_records(path):
     with open(path) as fh:
-        return [PatientRecord.from_dict(d) for d in json.load(fh)]
+        raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ConfigurationError(f"{path}: patient records must be a JSON list")
+    return [PatientRecord.from_dict(d) for d in raw]
 
 
 # -- generation -------------------------------------------------------------------

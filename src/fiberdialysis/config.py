@@ -31,14 +31,18 @@ _MESH_KEYS = ("nx", "nr_b", "nr_m", "nr_d")
 _TRANSPORT_KEYS = ("Pe", "eps2", "newton_tol", "newton_max_iter",
                    "D_blood", "D_dialysate", "sieving",
                    "delta1", "delta2", "delta3", "Fd")
+_SPECIES_KEYS = ("D_blood", "D_dialysate", "sieving")
 _HYDRAULIC_KEYS = ("K_over_mu", "Q_b", "Q_d", "p_in_b", "p_out_b", "p_in_d", "p_out_d")
 
 
-def _require(section: dict, keys, where: str):
-    for key in keys:
-        if key not in section:
-            raise ConfigurationError(f"constants profile is missing field {where}.{key}")
-    return section
+def _is_number(value, kind=(int, float)):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_numbers(value, n, kind=(int, float)):
+    """A list of numbers of ``kind``: n of them, or any non-zero count if n is None."""
+    return (isinstance(value, list) and (len(value) == n if n else len(value) > 0)
+            and all(_is_number(v, kind) for v in value))
 
 
 @dataclass(frozen=True)
@@ -79,15 +83,34 @@ class ConstantsProfile:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _field_form(section: str, key: str):
+    """(form, test) of one profile field's value."""
+    if key in _SPECIES_KEYS:
+        return "a list of 5 numbers", lambda v: _is_numbers(v, 5)
+    if section == "mesh" or key == "newton_max_iter":
+        return "an integer", lambda v: _is_number(v, int)
+    return "a number", _is_number
+
+
 def _validate_profile(raw: dict, origin: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{origin}: constants profile must be a JSON object")
     for section, keys in (("geometry", _GEOMETRY_KEYS), ("mesh", _MESH_KEYS),
                           ("transport", _TRANSPORT_KEYS), ("hydraulics", _HYDRAULIC_KEYS)):
         if section not in raw:
             raise ConfigurationError(f"{origin}: constants profile is missing section {section!r}")
-        _require(raw[section], keys, section)
-    for arr_key in ("D_blood", "D_dialysate", "sieving"):
-        if len(raw["transport"][arr_key]) != 5:
-            raise ConfigurationError(f"{origin}: transport.{arr_key} must have 5 entries")
+        if not isinstance(raw[section], dict):
+            raise ConfigurationError(
+                f"{origin}: constants profile section {section!r} must be a JSON object, "
+                f"got {raw[section]!r}")
+        for key in keys:
+            if key not in raw[section]:
+                raise ConfigurationError(
+                    f"{origin}: constants profile is missing field {section}.{key}")
+            form, ok = _field_form(section, key)
+            if not ok(raw[section][key]):
+                raise ConfigurationError(f"{origin}: {section}.{key} must be {form}, "
+                                         f"got {raw[section][key]!r}")
     return raw
 
 
@@ -139,16 +162,6 @@ _RUN_DEFAULTS = {
     "penalty_scale": 1e4,
     "failure_value": 1e10,
 }
-
-
-def _is_number(value, kind=(int, float)):
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _is_numbers(value, n, kind=(int, float)):
-    """A list of numbers of ``kind``: n of them, or any non-zero count if n is None."""
-    return (isinstance(value, list) and (len(value) == n if n else len(value) > 0)
-            and all(_is_number(v, kind) for v in value))
 
 
 # (form, test) of each run option whose default does not show its form; any

@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cohort import PatientRecord
-from .exceptions import ConfigurationError, UsageError
+from .exceptions import ConfigurationError, NewtonError, SolverError, UsageError
 from .flow import HydraulicState, calibrate_hydraulics, compute_velocity_field
-from .mesh import AxiGeometry, build_structured_mesh
+from .mesh import AxiGeometry, build_structured_mesh, prolongation
 from .optim import (GridResult, OptimResult, grid_search, powell_minimize,
                     projected_gradient)
 from .transport import (BoundaryData, ConcentrationField, TransportConfig,
@@ -67,17 +67,29 @@ def default_weights(patients) -> np.ndarray:
 class ForwardSolver:
     """The per-patient forward solve of one process: geometry, mesh and
     config template, plus the velocity fields of the patients it has seen,
-    keyed by (patient id, hydraulics)."""
+    keyed by (patient id, hydraulics).
+
+    A cold solve on a mesh whose four resolution counts are all even starts
+    Newton from the same solve on the mesh with half of each count (nested
+    iteration), prolonged to this mesh.  That coarse level is a
+    ``ForwardSolver`` of its own, built on the first cold solve, and nests
+    again while its counts stay even."""
 
     def __init__(self, geom: AxiGeometry, mesh_res, cfg_template: TransportConfig):
         self.geom = geom
         self.mesh = build_structured_mesh(geom, *mesh_res)
         self.cfg_template = cfg_template
         self._velocity: dict = {}
+        self._coarse = None       # (coarse ForwardSolver, prolongation), built lazily
 
     def solve(self, rec: PatientRecord, beta, c0_flat=None):
         """Forward solve at beta = (d_Ca, d_Ci), warm-started from the flat
         field ``c0_flat`` if given; returns (outlet, field, NewtonResult)."""
+        fld, result = self._newton(rec, beta, c0_flat)
+        return outlet_concentration(fld, self.mesh, self.geom), fld, result
+
+    def _newton(self, rec: PatientRecord, beta, c0_flat):
+        """``solve`` without the outlet: (field, NewtonResult)."""
         key = (rec.id, rec.hydraulics)
         if key not in self._velocity:
             self._velocity[key] = compute_velocity_field(self.mesh, self.geom, rec.hydraulics)
@@ -85,10 +97,33 @@ class ForwardSolver:
                       species=self.cfg_template.species.with_beta(beta[0], beta[1]))
         bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
                           inlet_dialysate=tuple(rec.inlet_dialysate))
-        solver = TransportSolver(self.mesh, self._velocity[key], cfg, bd)
-        c0 = None if c0_flat is None else ConcentrationField.from_flat(self.mesh, c0_flat)
-        fld, result = solver.solve(c0=c0)
-        return outlet_concentration(fld, self.mesh, self.geom), fld, result
+        if c0_flat is None:
+            c0 = self._nested_start(rec, beta)
+        else:
+            c0 = ConcentrationField.from_flat(self.mesh, c0_flat)
+        return TransportSolver(self.mesh, self._velocity[key], cfg, bd).solve(c0=c0)
+
+    def _nested_start(self, rec: PatientRecord, beta):
+        """The cold solve on the half-resolution mesh, prolonged to this
+        mesh; None (start from ``initial_field``) when a resolution count is
+        odd or that solve fails."""
+        m = self.mesh
+        res = (m.nx, m.nr_b, m.nr_m, m.nr_d)
+        if any(n % 2 for n in res):
+            return None
+        half = tuple(n // 2 for n in res)
+        if self._coarse is None:
+            coarse = ForwardSolver(self.geom, half, self.cfg_template)
+            self._coarse = coarse, prolongation(coarse.mesh, m)
+        coarse, prolong = self._coarse
+        try:
+            fld, _ = coarse._newton(rec, beta, None)
+        except (NewtonError, SolverError) as exc:
+            log.debug("patient %s at beta %s: the solve on mesh %s failed (%s: %s); "
+                      "starting from the inlet values", rec.id, tuple(beta),
+                      half, type(exc).__name__, exc)
+            return None
+        return ConcentrationField(m, (prolong @ fld.values.T).T)
 
     def task(self, rec: PatientRecord, beta, c0_flat):
         """``solve`` as one pool task: (outlet list, converged flat field, None),

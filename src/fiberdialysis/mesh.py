@@ -16,6 +16,7 @@ from enum import Enum, IntEnum
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .exceptions import ConfigurationError, UsageError
 
@@ -221,6 +222,32 @@ class FemData:
 def build_structured_mesh(geom: AxiGeometry, nx: int, nr_b: int, nr_m: int, nr_d: int) -> Mesh:
     """Build the tagged structured triangulation of (0,L) x (0,R)."""
     return Mesh(geom, nx, nr_b, nr_m, nr_d)
+
+
+def prolongation(coarse: Mesh, fine: Mesh) -> sp.csr_matrix:
+    """P1 interpolation from ``coarse`` to ``fine``, the mesh with twice each
+    of its resolution counts: the (fine.n_vertices, coarse.n_vertices) matrix
+    P with ``fine_values = P @ coarse_values``.
+
+    Fine node (i, j) copies coarse node (i/2, j/2) when both indices are even,
+    takes the mean of the two ends of the coarse edge it halves when one is
+    odd, and, at a coarse cell's center, the mean of the ends of the cell's
+    bottom-left to top-right diagonal (the split ``Mesh`` uses).  Built from
+    grid indices alone: the two meshes' levels may differ in the last bit.
+    """
+    counts = ("nx", "nr_b", "nr_m", "nr_d")
+    if fine.geom != coarse.geom or any(getattr(fine, n) != 2 * getattr(coarse, n)
+                                       for n in counts):
+        raise UsageError("prolongation needs a fine mesh with twice each resolution "
+                         "count of the coarse mesh on the same geometry")
+    jj, ii = np.divmod(np.arange(fine.n_vertices), fine.nx + 1)
+    # ends of the coarse segment through each fine node; the same node twice
+    # on a coarse node, whose two halves add up to an exact 1.0
+    ends = [coarse.node_index(ii // 2, jj // 2),
+            coarse.node_index((ii + 1) // 2, (jj + 1) // 2)]
+    rows = np.tile(np.arange(fine.n_vertices), 2)
+    return sp.csr_matrix((np.full(rows.size, 0.5), (rows, np.concatenate(ends))),
+                         shape=(fine.n_vertices, coarse.n_vertices))
 
 
 def boundary_vertices(mesh: Mesh, tag: Boundary) -> np.ndarray:

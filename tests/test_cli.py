@@ -91,6 +91,19 @@ def test_missing_profile_field_exits_2(workdir):
     assert rc == 2
 
 
+def test_malformed_profile_section_exits_2(workdir, capsys):
+    raw = json.loads(packaged_data_path("default_profile.json").read_text())
+    raw["geometry"] = 5
+    (workdir / "geometry5_profile.json").write_text(json.dumps(raw))
+    (workdir / "geometry5_cfg.json").write_text(
+        json.dumps({"profile": "geometry5_profile.json"}))
+    capsys.readouterr()
+    assert run(workdir, "forward", "--config", "geometry5_cfg.json",
+               "--patient", str(packaged_data_path("patient1.csv")),
+               "--beta", "0.2,0.2", "--out", "fwd_geometry5") == 2
+    assert "'geometry' must be a JSON object" in capsys.readouterr().err
+
+
 def test_jobs_below_one_exits_2(workdir):
     patient = str(packaged_data_path("patient1.csv"))
     for jobs in ("0", "-3"):
@@ -177,6 +190,36 @@ def test_version_mismatch_exits_3(workdir, synth_bundle):
     rc = run(workdir, "invert-multi", "--config", "cfg.json", "--targets", "bad_bundle",
              "--out", "inv_bad")
     assert rc == 3
+
+
+def _corrupt_bundle(workdir, name, manifest=None, targets=None):
+    """A copy of the synth bundle with manifest.json or targets.json replaced."""
+    bad = workdir / name
+    bad.mkdir(exist_ok=True)
+    for fname, text in (("manifest.json", manifest), ("targets.json", targets)):
+        (bad / fname).write_text(text if text is not None
+                                 else (workdir / "synth" / fname).read_text())
+    return name
+
+
+def test_truncated_manifest_exits_3(workdir, synth_bundle, capsys):
+    manifest = (workdir / "synth" / "manifest.json").read_text()
+    bundle = _corrupt_bundle(workdir, "truncated_manifest",
+                             manifest=manifest[:len(manifest) // 2])
+    capsys.readouterr()
+    assert run(workdir, "invert-multi", "--config", "cfg.json", "--targets", bundle,
+               "--out", "inv_truncated") == 3
+    assert "manifest.json is not valid JSON" in capsys.readouterr().err
+
+
+def test_incomplete_patient_record_exits_3(workdir, synth_bundle, capsys):
+    bundle = _corrupt_bundle(workdir, "incomplete_record",
+                             targets=json.dumps([{"id": "s1"}]))
+    capsys.readouterr()
+    assert run(workdir, "invert-multi", "--config", "cfg.json", "--targets", bundle,
+               "--out", "inv_incomplete") == 3
+    err = capsys.readouterr().err
+    assert "targets.json" in err and "missing inlet_blood, inlet_dialysate" in err
 
 
 def test_unknown_patient_id_exits_2(workdir, synth_bundle):

@@ -31,6 +31,32 @@ def test_missing_profile_field_is_named(tmp_path):
         load_profile(path)
 
 
+@pytest.mark.parametrize("edit, field", [
+    (lambda raw: raw.update(geometry=5), "'geometry'"),
+    (lambda raw: raw.update(hydraulics=[1.0, 2.0]), "'hydraulics'"),
+    (lambda raw: raw["transport"].update(D_blood=5), "transport.D_blood"),
+    (lambda raw: raw["transport"].update(sieving=[1.0, 1.0, "x", 1.0, 1.0]),
+     "transport.sieving"),
+    (lambda raw: raw["transport"].update(D_dialysate=[1.0] * 4), "transport.D_dialysate"),
+    (lambda raw: raw["transport"].update(Pe="10"), "transport.Pe"),
+    (lambda raw: raw["mesh"].update(nx=80.5), "mesh.nx"),
+])
+def test_malformed_profile_field_is_named(tmp_path, edit, field):
+    raw = json.loads(packaged_data_path("default_profile.json").read_text())
+    edit(raw)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigurationError, match=field):
+        load_profile(path)
+
+
+def test_profile_must_be_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigurationError, match="JSON object"):
+        load_profile(path)
+
+
 def test_profile_env_var(tmp_path, monkeypatch):
     raw = json.loads(packaged_data_path("default_profile.json").read_text())
     raw["name"] = "env-profile"

@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fiberdialysis.cohort import (CohortTable, generate_cohort, make_reference_targets)
 from fiberdialysis.config import load_profile, packaged_data_path
-from fiberdialysis.exceptions import ConfigurationError, NewtonError, UsageError
-from fiberdialysis.inverse import (ForwardContext, MultiCostConfig,
+from fiberdialysis.exceptions import (ConfigurationError, NewtonError, SolverError,
+                                     UsageError)
+from fiberdialysis.flow import compute_velocity_field
+from fiberdialysis.inverse import (ForwardContext, ForwardSolver, MultiCostConfig,
                                    context_from_profile, default_weights, identify_multi,
                                    identify_single, landscape_scan, multi_patient_cost,
                                    sensitivity_study, single_patient_cost)
+from fiberdialysis.transport import BoundaryData, TransportSolver, outlet_concentration
 
 MESH = (24, 4, 3, 4)  # coarse but interface-aligned; tests are resolution-agnostic
 
@@ -47,7 +52,6 @@ def test_single_cost_zero_on_self_consistent_targets(ctx, exact_patients):
 
 
 def test_single_cost_rejects_zero_targets(ctx, exact_patients):
-    from dataclasses import replace
     bad = replace(exact_patients[0],
                   observed_outlet=np.array([0.5, 0.0, 0.2, 1.0, 0.3]),
                   extras={})
@@ -92,7 +96,6 @@ def test_default_weights_inverse_scales(exact_patients):
 
 
 def test_failures_fold_into_failure_value(ctx, exact_patients):
-    from dataclasses import replace
     nan_patient = replace(exact_patients[0], id="broken",
                           inlet_blood=np.full(5, np.nan), extras={})
     cfg = MultiCostConfig(weights=np.ones(5), failure_value=1e10)
@@ -101,7 +104,6 @@ def test_failures_fold_into_failure_value(ctx, exact_patients):
 
 
 def test_single_cost_raises_the_forward_failure(ctx, exact_patients):
-    from dataclasses import replace
     nan_patient = replace(exact_patients[0], id="broken",
                           inlet_blood=np.full(5, np.nan), extras={})
     with pytest.raises(ConfigurationError):
@@ -111,7 +113,6 @@ def test_single_cost_raises_the_forward_failure(ctx, exact_patients):
 def test_forward_failures_are_typed_and_keep_the_newton_trace(exact_patients):
     # no Newton iteration allowed, so every solve fails with a NewtonError;
     # pool workers hand back the same exception, trace included
-    from dataclasses import replace
     profile = load_profile()
     cfg = replace(profile.transport_config(), newton_max_iter=0)
     errors = []
@@ -128,7 +129,6 @@ def test_forward_failures_are_typed_and_keep_the_newton_trace(exact_patients):
 
 
 def test_landscape_on_constant_failure_objective(ctx, exact_patients):
-    from dataclasses import replace
     nan_patient = replace(exact_patients[0], id="broken",
                           inlet_blood=np.full(5, np.nan), extras={})
     cfg = MultiCostConfig(weights=np.ones(5))
@@ -217,7 +217,6 @@ def test_identify_multi_validates_init(ctx, exact_patients):
 
 
 def test_identify_multi_flags_all_failing_cohort(ctx, exact_patients):
-    from dataclasses import replace
     broken = [replace(p, id=f"broken{k}", inlet_blood=np.full(5, np.nan), extras={})
               for k, p in enumerate(exact_patients)]
     cfg = MultiCostConfig(weights=np.ones(5))
@@ -307,3 +306,71 @@ def test_warm_start_matches_cold_solve(ctx, exact_patients):
             for c0 in starts:
                 warm, _, _ = ctx.forward_detailed(rec, beta, c0_flat=c0)
                 assert np.max(np.abs(warm - cold) / np.abs(cold)) <= 1e-7
+
+
+# -- nested cold starts ---------------------------------------------------------------
+
+BETAS = ((0.8, 0.4), (0.3, 0.6), (0.6, 0.15))
+
+
+def _cold_oracle(solver, rec, beta):
+    """(outlet, NewtonResult) of the plain cold solve on ``solver``'s mesh:
+    Newton from ``initial_field``, with no coarse level."""
+    tmpl = solver.cfg_template
+    cfg = replace(tmpl, species=tmpl.species.with_beta(*beta))
+    bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
+                      inlet_dialysate=tuple(rec.inlet_dialysate))
+    velocity = compute_velocity_field(solver.mesh, solver.geom, rec.hydraulics)
+    fld, result = TransportSolver(solver.mesh, velocity, cfg, bd).solve()
+    return outlet_concentration(fld, solver.mesh, solver.geom), result
+
+
+def test_nested_cold_start_keeps_outlets_within_documented_precision(exact_patients):
+    # (32, 4, 4, 4) nests twice, down to (8, 1, 1, 1); the bound is the one
+    # of test_warm_start_matches_cold_solve.  Measured: 6.3e-11 relative, and
+    # 3 Newton steps on this mesh where the cold solve takes 4
+    profile = load_profile()
+    solver = ForwardSolver(profile.geometry, (32, 4, 4, 4), profile.transport_config())
+    steps, ref_steps = 0, 0
+    for rec in exact_patients:
+        for beta in BETAS:
+            outlet, _, result = solver.solve(rec, beta)
+            ref, ref_result = _cold_oracle(solver, rec, beta)
+            assert np.max(np.abs(outlet - ref) / np.abs(ref)) <= 1e-7
+            assert result.n_solves <= ref_result.n_solves
+            steps, ref_steps = steps + result.n_solves, ref_steps + ref_result.n_solves
+    assert steps < ref_steps
+
+
+def test_odd_resolution_count_solves_cold_bit_for_bit(exact_patients):
+    # nr_d = 5 does not halve, so the bench's coarse mesh takes no nested start
+    profile = load_profile()
+    solver = ForwardSolver(profile.geometry, (40, 6, 4, 5), profile.transport_config())
+    for rec in exact_patients:
+        for beta in BETAS:
+            outlet, _, result = solver.solve(rec, beta)
+            ref, ref_result = _cold_oracle(solver, rec, beta)
+            assert np.array_equal(outlet, ref)
+            assert result.trace == ref_result.trace
+
+
+@pytest.mark.parametrize("error", [NewtonError("forced failure", trace=[1.0]),
+                                   SolverError("forced failure")])
+def test_failed_coarse_solve_falls_back_to_the_cold_start(exact_patients, monkeypatch,
+                                                          caplog, error):
+    profile = load_profile()
+    solver = ForwardSolver(profile.geometry, (16, 4, 4, 4), profile.transport_config())
+    rec, beta = exact_patients[0], (0.8, 0.4)
+    ref, _ = _cold_oracle(solver, rec, beta)
+    plain_solve = TransportSolver.solve
+
+    def fail_off_the_working_mesh(self, *args, **kwargs):
+        if self.mesh is not solver.mesh:
+            raise error
+        return plain_solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransportSolver, "solve", fail_off_the_working_mesh)
+    with caplog.at_level("DEBUG", logger="fiberdialysis.inverse"):
+        outlet, _, _ = solver.solve(rec, beta)
+    assert np.array_equal(outlet, ref)
+    assert "forced failure" in caplog.text

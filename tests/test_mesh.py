@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fiberdialysis.exceptions import ConfigurationError, UsageError
 from fiberdialysis.mesh import (AxiGeometry, Boundary, Subdomain, boundary_vertices,
-                                build_structured_mesh)
+                                build_structured_mesh, prolongation)
 
 GEOM = AxiGeometry(L=1.0, R1=0.4, R2=0.6, R=1.0)
 
@@ -169,3 +169,69 @@ def test_mesh_is_immutable():
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 99.0
 
+
+
+# -- prolongation to the refined mesh ------------------------------------------------
+
+NESTED = [(2, 2, 2, 2), (16, 4, 4, 4), (80, 12, 8, 10)]
+
+
+def _mesh_pair(res):
+    """(coarse, fine): the mesh with half of each count in ``res``, and ``res``."""
+    return (build_structured_mesh(GEOM, *(n // 2 for n in res)),
+            build_structured_mesh(GEOM, *res))
+
+
+def _barycentric(coarse, values, points):
+    """Oracle: locate each point's coarse cell by its coordinates and
+    interpolate linearly on the cell's lower (s >= t) or upper triangle."""
+    x, r = points[:, 0], points[:, 1]
+    i = np.clip(np.searchsorted(coarse.x_levels, x, side="right") - 1, 0, coarse.nx - 1)
+    j = np.clip(np.searchsorted(coarse.r_levels, r, side="right") - 1, 0, coarse.nr - 1)
+    s = (x - coarse.x_levels[i]) / (coarse.x_levels[i + 1] - coarse.x_levels[i])
+    t = (r - coarse.r_levels[j]) / (coarse.r_levels[j + 1] - coarse.r_levels[j])
+    v00, v10 = values[coarse.node_index(i, j)], values[coarse.node_index(i + 1, j)]
+    v01, v11 = values[coarse.node_index(i, j + 1)], values[coarse.node_index(i + 1, j + 1)]
+    lower = (1 - s) * v00 + (s - t) * v10 + t * v11
+    upper = (1 - t) * v00 + (t - s) * v01 + s * v11
+    return np.where(s >= t, lower, upper)
+
+
+@pytest.mark.parametrize("res", NESTED)
+def test_prolongation_copies_coarse_nodes_and_sums_rows_to_one(res):
+    coarse, fine = _mesh_pair(res)
+    P = prolongation(coarse, fine)
+    assert P.shape == (fine.n_vertices, coarse.n_vertices)
+    assert np.all(np.asarray(P.sum(axis=1)).ravel() == 1.0)
+    v = np.random.default_rng(3).normal(size=coarse.n_vertices)
+    ii, jj = np.meshgrid(np.arange(coarse.nx + 1), np.arange(coarse.nr + 1))
+    on_coarse = fine.node_index(2 * ii, 2 * jj).ravel()
+    assert np.array_equal((P @ v)[on_coarse], v[coarse.node_index(ii, jj).ravel()])
+
+
+@pytest.mark.parametrize("res", NESTED)
+def test_prolongation_reproduces_linear_functions(res):
+    coarse, fine = _mesh_pair(res)
+    P = prolongation(coarse, fine)
+
+    def linear(pts):
+        return 0.7 - 1.3 * pts[:, 0] + 2.1 * pts[:, 1]
+
+    assert np.max(np.abs(P @ linear(coarse.vertices) - linear(fine.vertices))) <= 1e-14
+
+
+@pytest.mark.parametrize("res", NESTED)
+def test_prolongation_matches_barycentric_interpolation(res):
+    coarse, fine = _mesh_pair(res)
+    v = np.random.default_rng(11).uniform(-1.0, 1.0, size=coarse.n_vertices)
+    expected = _barycentric(coarse, v, fine.vertices)
+    assert np.max(np.abs(prolongation(coarse, fine) @ v - expected)) <= 1e-12
+
+
+def test_prolongation_rejects_meshes_that_do_not_nest():
+    coarse = build_structured_mesh(GEOM, 2, 2, 2, 2)
+    with pytest.raises(UsageError):
+        prolongation(coarse, build_structured_mesh(GEOM, 4, 4, 4, 3))
+    other = AxiGeometry(L=2.0, R1=0.4, R2=0.6, R=1.0)
+    with pytest.raises(UsageError):
+        prolongation(coarse, build_structured_mesh(other, 4, 4, 4, 4))
