@@ -38,8 +38,7 @@ noisy = add_measurement_noise(patients, NoiseSpec(sigma=0.05, seed=derive_seed(7
 for k in range(2):
     sub = noisy[5 * k:5 * (k + 1)]
     sub_cfg = MultiCostConfig(weights=default_weights(sub))
-    res = identify_multi(sub, np.array([0.3, 0.8]), sub_cfg, ctx,
-                         tol=1e-6, line_tol=1e-3)
+    res = identify_multi(sub, np.array([0.3, 0.8]), sub_cfg, ctx, tol=1e-6)
     rel = 100 * (res.best_point - BETA_STAR) / BETA_STAR
     print(f"  sub-cohort {k + 1}: beta = {np.round(res.best_point, 4)} "
           f"(rel. err {rel[0]:+.1f}%, {rel[1]:+.1f}%)")

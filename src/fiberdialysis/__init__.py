@@ -9,7 +9,7 @@ from .transport import (BoundaryData, ConcentrationField, NewtonResult, Reaction
                         SpeciesConfig, TransportConfig, TransportSolver, export_field_csv,
                         outlet_concentration, reaction_jacobian, reaction_source)
 from .optim import (GridResult, OptimResult, fd_gradient, grid_search,
-                    powell_minimize, projected_gradient)
+                    levenberg_marquardt, powell_minimize, projected_gradient)
 from .cohort import (CohortTable, NoiseSpec, PatientRecord, add_measurement_noise,
                      derive_seed, generate_cohort, make_reference_targets,
                      perturb_coefficients)

@@ -97,15 +97,21 @@ def _prepare_patient(ctx, cfg, path):
     return rec
 
 
+def _read_bundle_json(path, name):
+    """The JSON content of file ``name`` of bundle ``path``; _BundleMismatch
+    (exit 3) naming the file when it is not valid JSON."""
+    try:
+        with open(os.path.join(path, name)) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise _BundleMismatch(f"bundle {path}: {name} is not valid JSON: {exc}") from None
+
+
 def _check_bundle(path, needed):
     manifest_path = os.path.join(path, "manifest.json")
     if not os.path.isdir(path) or not os.path.exists(manifest_path):
         raise FileNotFoundError(f"bundle {path} has no manifest.json")
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise _BundleMismatch(f"bundle {path}: manifest.json is not valid JSON: {exc}") from None
+    manifest = _read_bundle_json(path, "manifest.json")
     if not isinstance(manifest, dict):
         raise _BundleMismatch(f"bundle {path}: manifest.json must be a JSON object")
     if manifest.get("bundle_version") != config.BUNDLE_VERSION:
@@ -215,8 +221,9 @@ def _cost_config(cfg: RunConfig, records, bounds_text=None):
 
 
 def _invert(cfg: RunConfig, ctx: ForwardContext, patients, init, bounds_text):
-    """Powell identification over ``patients`` from ``init`` with the run's
-    cost options and stopping rule; returns (cost config, OptimResult)."""
+    """Levenberg-Marquardt identification over ``patients`` from ``init`` with
+    the run's cost options and stopping rule; returns (cost config,
+    OptimResult)."""
     mcfg = _cost_config(cfg, patients, bounds_text)
     return mcfg, identify_multi(patients, np.asarray(init), mcfg, ctx,
                                 tol=float(cfg.options["powell_tol"]),
@@ -275,6 +282,7 @@ def cmd_invert_multi(args, cfg: RunConfig, ctx: ForwardContext) -> int:
     payload = {"best_point": [float(v) for v in result.best_point],
                "best_value": float(result.best_value),
                "n_evals": result.n_evals,
+               "n_jacobians": result.n_jacobians,
                "converged": result.converged,
                "stop_reason": result.stop_reason,
                "patients": [p.id for p in patients]}
@@ -365,7 +373,8 @@ def cmd_noise_study(args, cfg: RunConfig, ctx: ForwardContext) -> int:
                               "patients": [p.id for p in group],
                               "beta": [float(v) for v in res.best_point],
                               "J": float(res.best_value),
-                              "n_evals": res.n_evals})
+                              "n_evals": res.n_evals,
+                              "n_jacobians": res.n_jacobians})
     out = _outdir(args)
     _write_csv(os.path.join(out, "subcohort_estimates.csv"),
                ["sigma", "subcohort", "d_ca", "d_ci", "J"],
@@ -428,7 +437,7 @@ def cmd_report(args) -> int:
         return EXIT_INCOMPLETE
     known = {
         "result.json": "inversion result",
-        "powell_trace.csv": "Powell iterates (phase plane / error / objective)",
+        "powell_trace.csv": "optimizer iterates (phase plane / error / objective)",
         "descent_trace.csv": "projected-gradient iterates",
         "landscape.csv": "objective landscape",
         "landscape_refined.csv": "localized objective landscape",
@@ -445,8 +454,7 @@ def cmd_report(args) -> int:
         return EXIT_INCOMPLETE
     lines = [f"bundle: {os.path.basename(os.path.normpath(bundle))}"]
     if os.path.exists(os.path.join(bundle, "manifest.json")):
-        with open(os.path.join(bundle, "manifest.json")) as fh:
-            manifest = json.load(fh)
+        manifest = _read_bundle_json(bundle, "manifest.json")
         lines.append(f"command: {manifest.get('command')}")
         lines.append(f"profile: {manifest.get('profile_name')} "
                      f"({manifest.get('profile_sha256', '')[:12]})")
@@ -464,18 +472,15 @@ def cmd_report(args) -> int:
                        [(r[0], r[4]) for r in rows])
             lines.append(f"final beta error: {float(rows[-1][4]):.3e}")
     if "result.json" in present:
-        with open(os.path.join(bundle, "result.json")) as fh:
-            res = json.load(fh)
+        res = _read_bundle_json(bundle, "result.json")
         lines.append(f"best point: {res['best_point']} (J = {res['best_value']:.6g})")
     if "noise_study.json" in present:
-        with open(os.path.join(bundle, "noise_study.json")) as fh:
-            study = json.load(fh)
+        study = _read_bundle_json(bundle, "noise_study.json")
         for e in study["estimates"]:
             lines.append(f"sigma {e['sigma']:g} {e['subcohort']}: "
                          f"beta = {[round(v, 5) for v in e['beta']]}")
     if "sensitivity.json" in present:
-        with open(os.path.join(bundle, "sensitivity.json")) as fh:
-            sens = json.load(fh)
+        sens = _read_bundle_json(bundle, "sensitivity.json")
         for lvl in sens["levels"]:
             lines.append(f"sigma {lvl['sigma']:g}: mean output error "
                          f"{lvl['cohort_mean']:.4%} (max {lvl['cohort_max']:.4%})")
@@ -529,7 +534,7 @@ def build_parser():
     p.add_argument("--beta0", help="initial d_Ca,d_Ci (default 0.2,0.2)")
     p.set_defaults(func=cmd_invert_single)
 
-    p = sub.add_parser("invert-multi", help="Powell multi-patient identification")
+    p = sub.add_parser("invert-multi", help="Levenberg-Marquardt multi-patient identification")
     common(p, targets=True)
     p.add_argument("--patients", help="comma-separated patient ids (default: all)")
     p.add_argument("--init", help="initial d_Ca,d_Ci (default 0.3,0.8)")

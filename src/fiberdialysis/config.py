@@ -152,6 +152,8 @@ _RUN_DEFAULTS = {
     "bounds": [[0.02, 1.0], [0.02, 1.0]],
     "noise_sigmas": [0.01, 0.03, 0.05],
     "clip_factor": 3.0,
+    # stopping tolerance and trial-step cap of the Levenberg-Marquardt
+    # identification of invert-multi and noise-study
     "powell_tol": 1e-10,
     "powell_max_iter": 60,
     "pg_initial_step": 0.25,

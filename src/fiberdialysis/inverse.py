@@ -4,8 +4,9 @@ The forward map per patient embeds the two identifiable membrane fractions
 as alpha = (d_Ca, 0, 0, d_Ci, d_Ci), runs the stationary transport solve with
 the patient's frozen calibrated hydraulics, and observes the blood outlet
 averages.  Identification minimizes the weighted multi-patient least squares
-(Powell in log-parameters) or the single-patient relative misfit (projected
-gradient), with forward failures folded into a large objective value.
+in log-parameters, by Levenberg-Marquardt on exact tangent outlet Jacobians,
+or the single-patient relative misfit (projected gradient), with forward
+failures folded into a large objective value.
 
 Per-patient forward solves are independent.  Each process runs them through
 one ``ForwardSolver``; ``ForwardContext`` holds the main process's and fans
@@ -27,8 +28,9 @@ from .cohort import PatientRecord
 from .exceptions import ConfigurationError, NewtonError, SolverError, UsageError
 from .flow import HydraulicState, calibrate_hydraulics, compute_velocity_field
 from .mesh import AxiGeometry, build_structured_mesh, prolongation
-from .optim import (GridResult, OptimResult, grid_search, powell_minimize,
+from .optim import (GridResult, OptimResult, grid_search, levenberg_marquardt,
                     projected_gradient)
+from .optim import powell_minimize  # noqa: F401  (bench/tracing.py wraps inverse.powell_minimize)
 from .transport import (BoundaryData, ConcentrationField, TransportConfig,
                         TransportSolver, outlet_concentration)
 
@@ -49,6 +51,8 @@ class MultiCostConfig:
             raise ConfigurationError("weights must be 5 positive scalars")
         if self.lam < 0:
             raise ConfigurationError("regularization weight must be >= 0")
+        if self.penalty_scale < 0:
+            raise ConfigurationError("bound penalty scale must be >= 0")
         for lo, hi in self.bounds:
             if not lo < hi:
                 raise ConfigurationError(f"bound interval [{lo}, {hi}] is degenerate")
@@ -88,8 +92,18 @@ class ForwardSolver:
         fld, result = self._newton(rec, beta, c0_flat)
         return outlet_concentration(fld, self.mesh, self.geom), fld, result
 
-    def _newton(self, rec: PatientRecord, beta, c0_flat):
-        """``solve`` without the outlet: (field, NewtonResult)."""
+    def outlet_jacobian(self, rec: PatientRecord, beta, c_flat) -> np.ndarray:
+        """Exact outlet Jacobian d outlet / d beta, shape (5, 2), of patient
+        ``rec`` at beta, from the converged flat field ``c_flat`` of that
+        solve: one LU and two back-solves (``TransportSolver.beta_tangents``),
+        mapped through the outlet functional, which is linear in c."""
+        dc = self._transport(rec, beta).beta_tangents(np.asarray(c_flat, dtype=float))
+        return np.column_stack([
+            outlet_concentration(ConcentrationField.from_flat(self.mesh, col),
+                                 self.mesh, self.geom) for col in dc.T])
+
+    def _transport(self, rec: PatientRecord, beta) -> TransportSolver:
+        """The assembled transport system of patient ``rec`` at beta."""
         key = (rec.id, rec.hydraulics)
         if key not in self._velocity:
             self._velocity[key] = compute_velocity_field(self.mesh, self.geom, rec.hydraulics)
@@ -97,11 +111,15 @@ class ForwardSolver:
                       species=self.cfg_template.species.with_beta(beta[0], beta[1]))
         bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
                           inlet_dialysate=tuple(rec.inlet_dialysate))
+        return TransportSolver(self.mesh, self._velocity[key], cfg, bd)
+
+    def _newton(self, rec: PatientRecord, beta, c0_flat):
+        """``solve`` without the outlet: (field, NewtonResult)."""
         if c0_flat is None:
             c0 = self._nested_start(rec, beta)
         else:
             c0 = ConcentrationField.from_flat(self.mesh, c0_flat)
-        return TransportSolver(self.mesh, self._velocity[key], cfg, bd).solve(c0=c0)
+        return self._transport(rec, beta).solve(c0=c0)
 
     def _nested_start(self, rec: PatientRecord, beta):
         """The cold solve on the half-resolution mesh, prolonged to this
@@ -135,6 +153,15 @@ class ForwardSolver:
             return None, None, exc
         return outlet.tolist(), fld.flat(), None
 
+    def jacobian_task(self, rec: PatientRecord, beta, c_flat):
+        """``outlet_jacobian`` as one pool task: (Jacobian rows, None), or
+        (None, exception) when it raises."""
+        try:
+            jac = self.outlet_jacobian(rec, beta, c_flat)
+        except Exception as exc:
+            return None, exc
+        return jac.tolist(), None
+
 
 _WORKER: dict = {}
 
@@ -147,6 +174,12 @@ def _worker_forward(task):
     """``ForwardSolver.task`` in a pool worker; ``task`` is (record, beta,
     warm flat field or None)."""
     return _WORKER["solver"].task(*task)
+
+
+def _worker_jacobian(task):
+    """``ForwardSolver.jacobian_task`` in a pool worker; ``task`` is (record,
+    beta, converged flat field)."""
+    return _WORKER["solver"].jacobian_task(*task)
 
 
 class ForwardContext:
@@ -168,6 +201,7 @@ class ForwardContext:
         # in-process forward solve: (record, beta, c0_flat=None) -> (outlet, field, NewtonResult)
         self.forward_detailed = self._solver.solve
         self._warm: dict = {}
+        self._warm_beta: dict = {}   # patient id -> beta of its cached field
         self._pool = None
 
     # .. plumbing ..
@@ -189,6 +223,14 @@ class ForwardContext:
 
     def __exit__(self, *exc):
         self.close()
+
+    def _run(self, local, remote, tasks):
+        """``local(*task)`` for each task in this process when jobs == 1 or
+        there is one task, else ``remote(task)`` in the pool; results in task
+        order."""
+        if self.jobs == 1 or len(tasks) == 1:
+            return [local(*task) for task in tasks]
+        return list(self._ensure_pool().map(remote, tasks))
 
     # .. calibration ..
 
@@ -216,19 +258,37 @@ class ForwardContext:
         warm = use_warm is None or bool(use_warm)
         tasks = [(rec, tuple(float(b) for b in np.asarray(beta)),
                   self._warm.get(rec.id) if warm else None) for rec, beta in pairs]
-        if self.jobs == 1 or len(pairs) == 1:
-            raw = [self._solver.task(*task) for task in tasks]
-        else:
-            raw = list(self._ensure_pool().map(_worker_forward, tasks))
+        raw = self._run(self._solver.task, _worker_forward, tasks)
         out = []
-        for (rec, _), (outlet, flat, err) in zip(pairs, raw):
+        for (rec, beta, _), (outlet, flat, err) in zip(tasks, raw):
             if err is None:
                 if warm:
                     self._warm[rec.id] = np.asarray(flat)
+                    self._warm_beta[rec.id] = beta
                 out.append((np.asarray(outlet), None))
             else:
                 out.append((None, err))
         return out
+
+    def outlet_jacobians(self, pairs):
+        """Exact outlet Jacobians d outlet / d beta, shape (5, 2), for
+        [(record, beta), ...], each taken at the patient's cached converged
+        field, which must be the field of that (patient, beta): call this
+        after a warm-started ``forward_pairs`` on the same pairs, else it
+        raises UsageError.  Returns a list aligned with ``pairs`` of
+        (Jacobian, None) or (None, exception).
+
+        Runs in the pool like ``forward_pairs``: LU factors do not pickle, so
+        each task factorizes where it solves."""
+        tasks = [(rec, tuple(float(b) for b in np.asarray(beta)), self._warm.get(rec.id))
+                 for rec, beta in pairs]
+        stale = sorted({rec.id for rec, beta, flat in tasks
+                        if flat is None or self._warm_beta[rec.id] != beta})
+        if stale:
+            raise UsageError(f"no converged field at the given beta for patients "
+                             f"{', '.join(stale)}: solve them with forward_pairs first")
+        raw = self._run(self._solver.jacobian_task, _worker_jacobian, tasks)
+        return [(np.asarray(jac) if err is None else None, err) for jac, err in raw]
 
 
 def context_from_profile(profile, jobs: int = 1, mesh_res=None) -> ForwardContext:
@@ -275,7 +335,13 @@ def multi_patient_cost(beta, patients, cfg: MultiCostConfig, ctx: ForwardContext
     if not patients:
         raise UsageError("multi-patient cost needs a nonempty patient list")
     beta = np.asarray(beta, dtype=float)
-    results = ctx.forward_pairs([(rec, beta) for rec in patients])
+    return _folded_cost(beta, patients, ctx.forward_pairs([(rec, beta) for rec in patients]),
+                        cfg)
+
+
+def _folded_cost(beta, patients, results, cfg: MultiCostConfig) -> float:
+    """``multi_patient_cost`` at beta from the ``forward_pairs`` results of
+    ``patients``."""
     terms = []
     for rec, (outlet, err) in zip(patients, results):
         if err is not None:
@@ -286,10 +352,40 @@ def multi_patient_cost(beta, patients, cfg: MultiCostConfig, ctx: ForwardContext
     # id-sorted summation: permutation invariant, duplicates contribute k times
     total = math.fsum(v for _, v in sorted(terms, key=lambda t: t[0]))
     if cfg.lam > 0:
-        d = beta - np.array([(lo + hi) / 2.0 for lo, hi in cfg.bounds])
+        d = beta - _box_center(cfg)
         total += cfg.lam * float(np.dot(d, d))
     total += bound_penalty(beta, cfg)
     return total
+
+
+def _box_center(cfg: MultiCostConfig) -> np.ndarray:
+    return np.array([(lo + hi) / 2.0 for lo, hi in cfg.bounds])
+
+
+def multi_patient_residuals(beta, patients, outlets, cfg: MultiCostConfig) -> np.ndarray:
+    """The residual rows r whose squared norm is ``multi_patient_cost``, from
+    the outlets F_p of ``patients``: W (F_p - y_p) per patient in the given
+    order, sqrt(lam) (beta - c), then sqrt(penalty_scale) times each
+    coordinate's distance below and above its bound interval."""
+    beta = np.asarray(beta, dtype=float)
+    lo, hi = np.array(cfg.bounds, dtype=float).T
+    root_scale = math.sqrt(cfg.penalty_scale)
+    return np.concatenate(
+        [cfg.weights * (F - rec.observed_outlet) for rec, F in zip(patients, outlets)]
+        + [math.sqrt(cfg.lam) * (beta - _box_center(cfg)),
+           root_scale * np.maximum(0.0, lo - beta), root_scale * np.maximum(0.0, beta - hi)])
+
+
+def multi_patient_residual_jacobian(beta, jacobians, cfg: MultiCostConfig) -> np.ndarray:
+    """d r / d beta of ``multi_patient_residuals``, from each patient's outlet
+    Jacobian d F_p / d beta (5, 2) in the same order."""
+    beta = np.asarray(beta, dtype=float)
+    lo, hi = np.array(cfg.bounds, dtype=float).T
+    root_scale = math.sqrt(cfg.penalty_scale)
+    return np.vstack([cfg.weights[:, None] * jac for jac in jacobians]
+                     + [math.sqrt(cfg.lam) * np.eye(2),
+                        -root_scale * np.diag((beta < lo).astype(float)),
+                        root_scale * np.diag((beta > hi).astype(float))])
 
 
 # -- identification drivers ------------------------------------------------------------
@@ -308,10 +404,14 @@ def identify_single(patient: PatientRecord, beta0, ctx: ForwardContext,
 
 
 def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,
-                   tol: float = 1e-10, max_iter: int = 60,
-                   line_tol: float = 1e-6) -> OptimResult:
-    """Powell minimization of the multi-patient cost in z = log(beta), which
-    enforces positivity; the returned trace lives in beta space."""
+                   tol: float = 1e-10, max_iter: int = 60) -> OptimResult:
+    """Minimize the multi-patient cost in z = log(beta), which enforces
+    positivity, by Levenberg-Marquardt on ``multi_patient_residuals``
+    (patients in id order) with exact outlet Jacobians; the z-Jacobian is the
+    beta-Jacobian times diag(beta).  ``tol`` and ``max_iter`` are the
+    stopping tolerance and trial-step cap.  A trial point where any patient's
+    solve fails cannot be evaluated.  The returned trace lives in beta space
+    and reports ``multi_patient_cost``'s values, failures folded in."""
     if not patients:
         raise UsageError("identify_multi needs a nonempty patient list")
     init = np.asarray(init, dtype=float)
@@ -320,24 +420,41 @@ def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,
     for b, (lo, hi) in zip(init, cfg.bounds):
         if not (lo <= b <= hi):
             raise UsageError(f"initial point {init} outside the configured bounds {cfg.bounds}")
+    patients = sorted(patients, key=lambda rec: rec.id)
+    costs: dict = {}   # z.tobytes() -> multi_patient_cost at that point
 
-    cache: dict = {}
+    def residuals(z):
+        beta = np.exp(z)
+        results = ctx.forward_pairs([(rec, beta) for rec in patients])
+        costs[z.tobytes()] = _folded_cost(beta, patients, results, cfg)
+        failed = [(rec.id, err) for rec, (_, err) in zip(patients, results) if err is not None]
+        for pid, err in failed:
+            log.info("beta %s: patient %s failed (%s: %s)", beta.tolist(), pid,
+                     type(err).__name__, err)
+        if failed:
+            return None
+        return multi_patient_residuals(beta, patients, [F for F, _ in results], cfg)
 
-    def objective(z):
-        key = (round(float(z[0]), 14), round(float(z[1]), 14))
-        if key not in cache:
-            cache[key] = multi_patient_cost(np.exp(z), patients, cfg, ctx)
-        return cache[key]
+    def jacobian(z):
+        beta = np.exp(z)
+        results = ctx.outlet_jacobians([(rec, beta) for rec in patients])
+        for rec, (_, err) in zip(patients, results):
+            if err is not None:
+                log.info("beta %s: outlet Jacobian of patient %s failed (%s: %s)",
+                         beta.tolist(), rec.id, type(err).__name__, err)
+                return None
+        return multi_patient_residual_jacobian(beta, [jac for jac, _ in results], cfg) * beta
 
-    raw = powell_minimize(objective, np.log(init), tol=tol, max_iter=max_iter,
-                          line_tol=line_tol)
-    beta_trace = [(np.exp(z), v) for z, v in raw.trace]
-    best = np.exp(raw.best_point)
-    stalls = raw.best_value >= 0.999 * cfg.failure_value * len(patients)
-    return OptimResult(best_point=best, best_value=raw.best_value,
-                       trace=beta_trace, n_evals=raw.n_evals,
-                       converged=raw.converged and not stalls,
-                       stop_reason="stalled" if stalls else raw.stop_reason)
+    def report(k, z, damping):
+        log.info("Levenberg-Marquardt iteration %d: beta %s, J %.6e, damping %.3e",
+                 k, np.exp(z).tolist(), costs[z.tobytes()], damping)
+
+    raw = levenberg_marquardt(residuals, jacobian, np.log(init), tol=tol,
+                              max_iter=max_iter, callback=report)
+    beta_trace = [(np.exp(z), costs[z.tobytes()]) for z, _ in raw.trace]
+    return OptimResult(best_point=np.exp(raw.best_point), best_value=beta_trace[-1][1],
+                       trace=beta_trace, n_evals=raw.n_evals, converged=raw.converged,
+                       stop_reason=raw.stop_reason, n_jacobians=raw.n_jacobians)
 
 
 def landscape_scan(patients, box, n1: int, n2: int, cfg: MultiCostConfig,

@@ -62,10 +62,11 @@ def fill_reducing_order(A) -> np.ndarray:
 def solve_linear(A: SparseMatrix, b) -> np.ndarray:
     """Solve A x = b by sparse direct LU; deterministic for fixed inputs.
 
-    A is factorized in its given order, which the caller has taken from
-    ``fill_reducing_order``.  Raises SolverError (carrying the residual norm
-    when available) on factorization breakdown or when the residual check
-    fails.
+    ``b`` is a vector or an (n, k) array of k right-hand sides, which share
+    one factorization.  A is factorized in its given order, which the
+    caller has taken from ``fill_reducing_order``.  Raises SolverError
+    (carrying the residual norm when available) on factorization breakdown
+    or when the residual check of any column fails.
     """
     b = np.asarray(b, dtype=float)
     csc = A.to_csc()
@@ -81,10 +82,12 @@ def solve_linear(A: SparseMatrix, b) -> np.ndarray:
     # plain sums, not np.linalg.norm: OpenBLAS threads long dot products, and
     # its second thread then spins against SuperLU
     r = csc @ x - b
-    bnorm = np.sqrt(np.sum(b * b))
-    residual = np.sqrt(np.sum(r * r))
-    if residual > 1e-10 * (bnorm + 1.0):
+    limit = 1e-10 * (np.sqrt(np.sum(b * b, axis=0)) + 1.0)
+    residual = np.sqrt(np.sum(r * r, axis=0))
+    if np.any(residual > limit):
+        k = np.argmax(residual / limit)
+        residual, limit = np.ravel(residual)[k], np.ravel(limit)[k]
         raise SolverError(
-            f"linear solve residual {residual:.3e} exceeds tolerance "
-            f"{1e-10 * (bnorm + 1.0):.3e}", residual=residual)
+            f"linear solve residual {residual:.3e} exceeds tolerance {limit:.3e}",
+            residual=residual)
     return x

@@ -3,10 +3,11 @@
 Derivative-free machinery for an expensive black-box objective: forward
 finite-difference pseudo-gradient, projected gradient descent with adaptive
 step halving, Powell direction-set minimization with bracketing + Brent line
-searches, and exhaustive grid scanning.  All methods are deterministic for a
-deterministic objective, and a failing objective evaluation is folded into
-the search (treated as non-decrease / +inf) rather than aborting, except at
-the starting point.
+searches, and exhaustive grid scanning; and Levenberg-Marquardt for a sum
+of squares whose residual Jacobian is available.  All methods are
+deterministic for a deterministic objective, and a failing objective
+evaluation is folded into the search (treated as non-decrease / +inf)
+rather than aborting, except at the starting point.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .exceptions import UsageError
 
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _STEP_FLOOR = 1e-12
+_LM_TAU = 1e-3  # initial damping relative to the largest diagonal entry of J^T J
 
 
 @dataclass
@@ -30,6 +32,7 @@ class OptimResult:
     n_evals: int
     converged: bool
     stop_reason: str       # "tolerance" | "max_iter" | "stalled"
+    n_jacobians: int = 0   # residual Jacobian evaluations (Levenberg-Marquardt)
 
 
 class _CountedObjective:
@@ -297,6 +300,83 @@ def powell_minimize(f, x0, tol: float = 1e-8, max_iter: int = 100,
     return OptimResult(best_point=trace[k_best][0].copy(), best_value=values[k_best],
                        trace=trace, n_evals=obj.n_evals,
                        converged=converged, stop_reason=stop_reason)
+
+
+# -- Levenberg-Marquardt ------------------------------------------------------------
+
+def levenberg_marquardt(residuals, jacobian, x0, tol: float = 1e-10, max_iter: int = 60,
+                        callback=None) -> OptimResult:
+    """Levenberg-Marquardt minimization of f(x) = |r(x)|^2 (Madsen, Nielsen &
+    Tingleff, *Methods for Non-Linear Least Squares Problems*, 2004, alg. 3.16).
+
+    ``residuals(x)`` returns the residual vector r(x), or None where it
+    cannot be evaluated; ``jacobian(x)`` returns dr/dx, or None, and is
+    called only at accepted points, right after their ``residuals`` call.
+
+    Each iteration tries the step h solving (J^T J + mu I) h = -J^T r and
+    accepts it if f decreases; the damping mu then shrinks by the gain ratio
+    of actual to predicted decrease, and grows (by 2, 4, 8, ...) after a
+    rejected or unevaluable trial.  The search converges ("tolerance") when
+    the undamped Gauss-Newton step is at most ``tol`` long, or when an
+    accepted step improves f by at most tol (|f_old| + |f_new|) (Powell's
+    test).  It stops "stalled" when r or J cannot be evaluated at the start
+    or at an accepted point, or when rejections shrink the step below
+    ``tol``, and "max_iter" after ``max_iter`` trial steps.
+    ``callback(k, x, mu)`` runs after trial k with the current point.
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    r = residuals(x)
+    n_evals, n_jac = 1, 0
+    if r is None:
+        return OptimResult(best_point=x, best_value=math.inf, trace=[(x.copy(), math.inf)],
+                           n_evals=n_evals, converged=False, stop_reason="stalled")
+    f = float(r @ r)
+    trace = [(x.copy(), f)]
+    mu, nu = None, 2.0
+    jac = None
+    stop_reason = "max_iter"
+    for k in range(1, max_iter + 1):
+        if jac is None:
+            jac = jacobian(x)
+            n_jac += 1
+            if jac is None:
+                stop_reason = "stalled"
+                break
+            A, g = jac.T @ jac, jac.T @ r
+            gn_step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+            if np.linalg.norm(gn_step) <= tol:
+                stop_reason = "tolerance"
+                break
+            if mu is None:
+                mu = _LM_TAU * float(np.max(np.diag(A)))
+        h = np.linalg.solve(A + mu * np.eye(x.size), -g)
+        if np.linalg.norm(h) <= tol:
+            stop_reason = "stalled"
+            break
+        x_new = x + h
+        r_new = residuals(x_new)
+        n_evals += 1
+        f_new = math.inf if r_new is None else float(r_new @ r_new)
+        accepted = f_new < f
+        if accepted:
+            predicted = float(h @ (mu * h - g))   # |r|^2 - |r + J h|^2
+            rho = (f - f_new) / predicted if predicted > 0 else 1.0
+            small_gain = f - f_new <= tol * (abs(f) + abs(f_new) + 1e-30)
+            x, r, f, jac = x_new, r_new, f_new, None
+            trace.append((x.copy(), f))
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+        if callback is not None:
+            callback(k, x, mu)
+        if accepted and small_gain:
+            stop_reason = "tolerance"
+            break
+    return OptimResult(best_point=x.copy(), best_value=f, trace=trace, n_evals=n_evals,
+                       converged=stop_reason == "tolerance", stop_reason=stop_reason,
+                       n_jacobians=n_jac)
 
 
 @dataclass

@@ -373,6 +373,15 @@ class TransportSolver:
             S_loc[s, fem.is_membrane] = sc.sieving[s]
         return D_loc, S_loc
 
+    def _stiffness(self, active):
+        """Unscaled r-weighted diffusion element matrices (T, 3, 3) of the
+        triangles ``active``, axial part weighted by eps2."""
+        cfg, fem = self.cfg, self.fem
+        a_bx = fem.bx[active]
+        a_br = fem.br[active]
+        return ((cfg.eps2 / cfg.Pe) * a_bx[:, :, None] * a_bx[:, None, :]
+                + (1.0 / cfg.Pe) * a_br[:, :, None] * a_br[:, None, :])
+
     def _build_linear_operator(self):
         mesh, fem, cfg = self.mesh, self.fem, self.cfg
         tri = mesh.triangles
@@ -396,8 +405,7 @@ class TransportSolver:
             if crosses not in shared:
                 a_bx = fem.bx[active]
                 a_br = fem.br[active]
-                stiff = ((cfg.eps2 / cfg.Pe) * a_bx[:, :, None] * a_bx[:, None, :]
-                         + (1.0 / cfg.Pe) * a_br[:, :, None] * a_br[:, None, :])
+                stiff = self._stiffness(active)
                 # convection: sum_q w_q phi_a(q) * S * (Ux(q) bx_b + Ur(q) br_b)
                 conv_b = (ux_q[active][:, :, None] * a_bx[:, None, :]
                           + ur_q[active][:, :, None] * a_br[:, None, :])  # (T, q, b)
@@ -463,6 +471,31 @@ class TransportSolver:
         data = self._op_data.copy()
         data[p.rx_pos] -= (p.mass_species[:, None, :] * jf).ravel()[p.rx_keep]
         return p.matrix(data)
+
+    def beta_tangents(self, c_flat) -> np.ndarray:
+        """dc/dbeta at the converged field ``c_flat``: the (n_dof, 2) solution
+        of J(c) dc/dbeta_k = -(dL/dbeta_k) c on the free dofs, zero on the
+        Dirichlet dofs (their values do not depend on beta).
+
+        beta = (d_Ca, d_Ci) enters the operator only through the membrane
+        diffusion alpha_s D_blood_s of species 1 (k = 1) and of species 4 and
+        5 (k = 2), so dL/dbeta_k is that diffusion with alpha_s = 1, applied
+        here element by element.  Both columns share one factorization.
+        """
+        fem, p = self.fem, self.pattern
+        membrane = fem.is_membrane
+        tri = self.mesh.triangles[membrane]
+        ke = (fem.area * fem.rbar)[membrane][:, None, None] * self._stiffness(membrane)
+        rhs = np.zeros((self.n_dof, 2))
+        for k, species in enumerate(((0,), (3, 4))):
+            for s in species:
+                dofs = N_SPECIES * tri + s
+                local = self.cfg.species.D_blood[s] * np.einsum("tab,tb->ta", ke, c_flat[dofs])
+                rhs[:, k] -= np.bincount(dofs.ravel(), weights=local.ravel(),
+                                         minlength=self.n_dof)
+        dc = np.zeros((self.n_dof, 2))
+        dc[p.free] = solve_linear(p.free_block(self.jacobian(c_flat)), rhs[p.free])
+        return dc
 
     def initial_field(self) -> ConcentrationField:
         """Constant extension of inlet blood values (dialysate inlet values on

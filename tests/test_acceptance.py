@@ -115,13 +115,13 @@ def test_criterion_3_noise_robustness(ctx_coarse, targets_coarse):
             sub = noisy[5 * k_sub:5 * (k_sub + 1)]
             cfg = MultiCostConfig(weights=default_weights(sub))
             res = identify_multi(sub, INIT, cfg, ctx_coarse,
-                                 tol=1e-6, max_iter=60, line_tol=1e-3)
+                                 tol=1e-6, max_iter=60)
             estimates[(sigma, k_sub)] = res.best_point
         if sigma == 0.05:
             full = noisy[:20]
             cfg = MultiCostConfig(weights=default_weights(full))
             res = identify_multi(full, INIT, cfg, ctx_coarse,
-                                 tol=1e-6, max_iter=60, line_tol=1e-3)
+                                 tol=1e-6, max_iter=60)
             estimates[(sigma, "full")] = res.best_point
 
     rel_errors_5 = [np.abs(estimates[(0.05, k)] - BETA_STAR) / BETA_STAR

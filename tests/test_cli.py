@@ -169,9 +169,20 @@ def test_invert_multi_on_bundle(workdir, synth_bundle):
     with open(os.path.join(workdir, "inv", "result.json")) as fh:
         result = json.load(fh)
     assert result["max_abs_error"] < 1e-2
+    assert 1 <= result["n_jacobians"] <= result["n_evals"]
     trace = (workdir / "inv" / "powell_trace.csv").read_text().splitlines()
     assert trace[0] == "k,d_ca,d_ci,J,err_to_truth"
     assert len(trace) > 2
+
+
+def test_negative_penalty_scale_exits_2(workdir, synth_bundle, capsys):
+    (workdir / "cfg_penalty.json").write_text(json.dumps(
+        {"mesh": [20, 4, 3, 4], "penalty_scale": -1}))
+    capsys.readouterr()
+    assert run(workdir, "invert-multi", "--config", "cfg_penalty.json",
+               "--targets", "synth", "--out", "inv_penalty") == 2
+    assert "bound penalty scale must be >= 0" in capsys.readouterr().err
+    assert not (workdir / "inv_penalty").exists()
 
 
 def test_invert_multi_missing_bundle_exits_4(workdir):
@@ -293,3 +304,16 @@ def test_report_is_pure(workdir, synth_bundle):
     assert run(workdir, "report", "inv_short") == 0
     assert read_bytes(workdir, "inv_short/summary.txt") == first
     assert read_bytes(workdir, "inv_short/report_objective.csv") == objective
+
+
+@pytest.mark.parametrize("name", ["manifest.json", "result.json", "noise_study.json",
+                                  "sensitivity.json"])
+def test_report_truncated_json_exits_3(workdir, synth_bundle, capsys, name):
+    bundle = workdir / f"report_truncated_{name.split('.')[0]}"
+    bundle.mkdir(exist_ok=True)
+    for fname in ("manifest.json", "targets.json"):
+        (bundle / fname).write_text((workdir / "synth" / fname).read_text())
+    (bundle / name).write_text('{"bundle_version": 1, "comm')
+    capsys.readouterr()
+    assert run(workdir, "report", str(bundle)) == 3
+    assert f"{name} is not valid JSON" in capsys.readouterr().err

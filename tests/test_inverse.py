@@ -11,7 +11,9 @@ from fiberdialysis.flow import compute_velocity_field
 from fiberdialysis.inverse import (ForwardContext, ForwardSolver, MultiCostConfig,
                                    context_from_profile, default_weights, identify_multi,
                                    identify_single, landscape_scan, multi_patient_cost,
+                                   multi_patient_residual_jacobian, multi_patient_residuals,
                                    sensitivity_study, single_patient_cost)
+from fiberdialysis.optim import powell_minimize
 from fiberdialysis.transport import BoundaryData, TransportSolver, outlet_concentration
 
 MESH = (24, 4, 3, 4)  # coarse but interface-aligned; tests are resolution-agnostic
@@ -144,6 +146,13 @@ def test_bound_penalty_active_outside_box(ctx, exact_patients):
     assert outside > inside + 1e4 * 0.3 ** 2 * 0.5
 
 
+def test_cost_config_rejects_negative_weights_and_scales():
+    for bad in ({"lam": -1.0}, {"penalty_scale": -1.0}):
+        with pytest.raises(ConfigurationError):
+            MultiCostConfig(weights=np.ones(5), **bad)
+    assert MultiCostConfig(weights=np.ones(5), penalty_scale=0.0).penalty_scale == 0.0
+
+
 def test_regularization_term(ctx, exact_patients):
     # R(beta) = |beta - box center|^2; both boxes contain the truth, so no penalty
     cfg = MultiCostConfig(weights=default_weights(exact_patients), lam=2.0,
@@ -206,6 +215,36 @@ def test_identify_multi_recovers_truth_and_stays_positive(ctx, exact_patients):
         assert np.all(p > 0)
 
 
+def test_identify_multi_matches_powell_under_noise(ctx, exact_patients):
+    # the same minimizer as the paper's Powell method on the same log-space
+    # cost: nonzero residual at the optimum
+    from fiberdialysis.cohort import NoiseSpec, add_measurement_noise
+
+    noisy = add_measurement_noise(exact_patients, NoiseSpec(sigma=0.03, seed=4))
+    cfg = MultiCostConfig(weights=default_weights(noisy))
+    ctx._warm.clear()
+    res = identify_multi(noisy, np.array([0.3, 0.8]), cfg, ctx, tol=1e-10, max_iter=40)
+    assert res.converged
+    ctx._warm.clear()
+    powell = powell_minimize(lambda z: multi_patient_cost(np.exp(z), noisy, cfg, ctx),
+                             np.log([0.3, 0.8]), tol=1e-10, max_iter=40)
+    assert powell.converged
+    assert np.max(np.abs(res.best_point - np.exp(powell.best_point))) < 1e-5
+
+
+def test_identify_multi_gauss_newton_records_its_work(ctx, exact_patients):
+    cfg = MultiCostConfig(weights=default_weights(exact_patients))
+    ctx._warm.clear()
+    res = identify_multi(exact_patients, np.array([0.3, 0.8]), cfg, ctx, tol=1e-10)
+    assert res.converged and res.stop_reason == "tolerance"
+    assert 1 <= res.n_jacobians <= res.n_evals <= 20
+    # reported values are the cost's own, at every accepted iterate
+    for beta, value in (res.trace[0], res.trace[-1]):
+        ctx._warm.clear()
+        assert value == pytest.approx(multi_patient_cost(beta, exact_patients, cfg, ctx),
+                                      rel=1e-6, abs=1e-15)
+
+
 def test_identify_multi_validates_init(ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
     with pytest.raises(UsageError):
@@ -223,6 +262,7 @@ def test_identify_multi_flags_all_failing_cohort(ctx, exact_patients):
     res = identify_multi(broken, np.array([0.3, 0.8]), cfg, ctx, max_iter=3)
     assert res.stop_reason == "stalled"
     assert not res.converged
+    assert res.best_value == pytest.approx(cfg.failure_value * len(broken))
 
 
 def test_sensitivity_zero_sigma_gives_zero_errors(ctx, exact_patients):
@@ -268,7 +308,7 @@ def test_noise_degradation_trend_over_seeds(ctx, exact_patients):
             cfg = MultiCostConfig(weights=default_weights(noisy))
             ctx._warm.clear()
             res = identify_multi(noisy, np.array([0.3, 0.8]), cfg, ctx,
-                                 tol=1e-6, max_iter=40, line_tol=1e-3)
+                                 tol=1e-6, max_iter=40)
             errors[sigma].append(np.linalg.norm(res.best_point - truth))
     assert np.mean(errors[0.05]) >= np.mean(errors[0.01])
 
@@ -374,3 +414,101 @@ def test_failed_coarse_solve_falls_back_to_the_cold_start(exact_patients, monkey
         outlet, _, _ = solver.solve(rec, beta)
     assert np.array_equal(outlet, ref)
     assert "forced failure" in caplog.text
+
+
+# -- tangent outlet Jacobians and the residual rows -------------------------------------
+
+@pytest.mark.parametrize("beta", [(0.8, 0.4), (0.3, 0.6)])
+def test_outlet_jacobian_matches_central_differences(exact_patients, beta):
+    # cold solves on both sides, h = 1e-4 beta; measured 1.1e-8 relative
+    profile = load_profile()
+    solver = ForwardSolver(profile.geometry, MESH, profile.transport_config())
+    rec = exact_patients[0]
+    _, fld, _ = solver.solve(rec, beta)
+    jac = solver.outlet_jacobian(rec, beta, fld.flat())
+    assert jac.shape == (5, 2)
+    for k in range(2):
+        h = 1e-4 * beta[k]
+        up, down = list(beta), list(beta)
+        up[k] += h
+        down[k] -= h
+        fd = (solver.solve(rec, up)[0] - solver.solve(rec, down)[0]) / (2.0 * h)
+        assert np.max(np.abs(jac[:, k] - fd) / np.abs(fd)) <= 1e-5
+
+
+def test_outlet_jacobians_pool_matches_serial(exact_patients):
+    profile = load_profile()
+    beta = np.array([0.7, 0.5])
+    pairs = [(rec, beta) for rec in exact_patients]
+    jacobians = []
+    for jobs in (1, 2):
+        with context_from_profile(profile, jobs=jobs, mesh_res=MESH) as context:
+            with pytest.raises(UsageError, match="forward_pairs"):
+                context.outlet_jacobians(pairs)
+            context.forward_pairs(pairs)
+            out = context.outlet_jacobians(pairs)
+            # a cold solve leaves the cached field, which is then stale
+            context.forward_pairs([(rec, beta + 0.1) for rec in exact_patients],
+                                  use_warm=False)
+            with pytest.raises(UsageError, match="at the given beta"):
+                context.outlet_jacobians([(rec, beta + 0.1) for rec in exact_patients])
+        assert all(err is None for _, err in out)
+        jacobians.append([jac for jac, _ in out])
+    for serial, pooled in zip(*jacobians):
+        assert np.array_equal(serial, pooled)
+
+
+def test_residual_rows_square_to_the_cost(ctx, exact_patients):
+    # prior and bound rows active: beta lies above the first bound interval
+    cfg = MultiCostConfig(weights=default_weights(exact_patients), lam=0.7,
+                          bounds=((0.1, 0.5), (0.2, 0.9)))
+    beta = np.array([0.6, 0.45])
+    ctx._warm.clear()
+    cost = multi_patient_cost(beta, exact_patients, cfg, ctx)
+    outlets = [F for F, _ in ctx.forward_pairs([(rec, beta) for rec in exact_patients])]
+    r = multi_patient_residuals(beta, exact_patients, outlets, cfg)
+    assert r.shape == (5 * len(exact_patients) + 6,)
+    assert float(r @ r) == pytest.approx(cost, rel=1e-12)
+    assert cost > 1e4 * 0.1 ** 2
+
+
+def test_residual_jacobian_matches_central_differences(ctx, exact_patients):
+    cfg = MultiCostConfig(weights=default_weights(exact_patients), lam=0.7,
+                          bounds=((0.1, 0.5), (0.2, 0.9)))
+    beta = np.array([0.6, 0.45])
+    pairs = [(rec, beta) for rec in exact_patients]
+    ctx.forward_pairs(pairs)
+    jac = multi_patient_residual_jacobian(
+        beta, [J for J, _ in ctx.outlet_jacobians(pairs)], cfg)
+
+    def rows(b):
+        outlets = [F for F, _ in ctx.forward_pairs([(rec, b) for rec in exact_patients])]
+        return multi_patient_residuals(b, exact_patients, outlets, cfg)
+
+    for k in range(2):
+        h = np.zeros(2)
+        h[k] = 1e-4 * beta[k]
+        fd = (rows(beta + h) - rows(beta - h)) / (2.0 * h[k])
+        assert np.max(np.abs(jac[:, k] - fd)) <= 1e-5 * np.max(np.abs(fd))
+
+
+@pytest.mark.slow
+def test_gauss_newton_identifies_every_pinned_cohort(capsys):
+    # the bench's invert job on cohort seeds 0..15: coarse mesh, s1..s4,
+    # exact targets at (0.8, 0.4), start (0.3, 0.8), tol 1e-10
+    profile = load_profile()
+    real = CohortTable.from_csv(packaged_data_path("sample_cohort.csv"))
+    evals = []
+    with context_from_profile(profile, jobs=1, mesh_res=(40, 6, 4, 5)) as context:
+        for seed in range(16):
+            patients = make_reference_targets(generate_cohort(real, ns=4, seed=seed),
+                                              context, (0.8, 0.4))
+            cfg = MultiCostConfig(weights=default_weights(patients))
+            res = identify_multi(patients, np.array([0.3, 0.8]), cfg, context, tol=1e-10)
+            assert res.converged, (seed, res.stop_reason)
+            assert res.best_value <= 1e-8, seed
+            assert np.max(np.abs(res.best_point - [0.8, 0.4])) <= 1e-3, seed
+            evals.append(res.n_evals)
+    with capsys.disabled():
+        print(f"\ncohort seeds 0-15: {min(evals)}-{max(evals)} cost evaluations "
+              f"({evals})")

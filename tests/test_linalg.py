@@ -111,6 +111,18 @@ def test_preordered_solve_matches_ordered_solve():
     assert np.linalg.norm(xq - x[q]) <= 1e-12 * np.linalg.norm(x)
 
 
+def test_multi_column_rhs_matches_single_column_solves():
+    # one factorization, two back-solves
+    rng = np.random.default_rng(15)
+    A = SparseMatrix(_convection_diffusion(12, rng).tocsc())
+    b = rng.standard_normal((A.n, 2))
+    x = solve_linear(A, b)
+    assert x.shape == (A.n, 2)
+    for k in range(2):
+        xk = solve_linear(A, b[:, k])
+        assert np.linalg.norm(x[:, k] - xk) <= 1e-14 * np.linalg.norm(xk)
+
+
 def test_non_square_rejected():
     with pytest.raises(AssemblyError):
         SparseMatrix(sp.csr_matrix((2, 3)))

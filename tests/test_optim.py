@@ -5,8 +5,8 @@ import pytest
 
 from fiberdialysis import optim
 from fiberdialysis.exceptions import UsageError
-from fiberdialysis.optim import (fd_gradient, grid_search, powell_minimize,
-                                 projected_gradient)
+from fiberdialysis.optim import (fd_gradient, grid_search, levenberg_marquardt,
+                                 powell_minimize, projected_gradient)
 
 
 # -- finite-difference pseudo-gradient ---------------------------------------------
@@ -166,6 +166,113 @@ def test_start_failure_rejected():
         raise RuntimeError("nope")
     with pytest.raises(UsageError):
         powell_minimize(bad, np.array([0.0, 0.0]))
+
+
+# -- Levenberg-Marquardt ---------------------------------------------------------------
+
+def rosen_residuals(x):
+    return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
+
+
+def rosen_jacobian(x):
+    return np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
+
+
+def test_lm_zero_residual_rosenbrock():
+    res = levenberg_marquardt(rosen_residuals, rosen_jacobian, np.array([-1.2, 1.0]),
+                              tol=1e-12, max_iter=100)
+    assert res.converged and res.stop_reason == "tolerance"
+    assert np.max(np.abs(res.best_point - 1.0)) < 1e-10
+    assert res.best_value < 1e-20
+    values = [v for _, v in res.trace]
+    assert all(values[k + 1] < values[k] for k in range(len(values) - 1))
+    # a Jacobian at the start and at each accepted point but the last, at most
+    assert len(res.trace) - 1 <= res.n_jacobians <= len(res.trace)
+
+
+def test_lm_nonzero_residual_matches_minpack():
+    from scipy.optimize import least_squares
+
+    t = np.linspace(0.0, 2.0, 9)
+    y = 1.5 * np.exp(-0.7 * t) + 0.05 * np.cos(7.0 * t)   # not in the model's range
+
+    def residuals(x):
+        return x[0] * np.exp(x[1] * t) - y
+
+    def jacobian(x):
+        e = np.exp(x[1] * t)
+        return np.column_stack([e, x[0] * t * e])
+
+    res = levenberg_marquardt(residuals, jacobian, np.array([1.0, 0.0]), tol=1e-12)
+    ref = least_squares(residuals, [1.0, 0.0], jac=jacobian, method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    assert res.converged
+    assert np.max(np.abs(res.best_point - ref.x)) < 1e-9
+    assert res.best_value == pytest.approx(2.0 * ref.cost, rel=1e-10)
+    assert res.best_value > 1e-3
+
+
+def test_lm_active_prior_and_bound_rows():
+    # data rows x - a, prior rows sqrt(lam) (x - c) and soft-bound rows
+    # sqrt(s) max(0, lo - x), sqrt(s) max(0, x - hi) on [0, 1]^2, as in the
+    # multi-patient cost: a lies outside the box, so the prior and one bound
+    # row of each coordinate are active at the minimum
+    a, c, lam, s = np.array([2.0, -1.0]), np.array([0.5, 0.5]), 0.5, 100.0
+
+    def residuals(x):
+        return np.concatenate([x - a, np.sqrt(lam) * (x - c),
+                               np.sqrt(s) * np.maximum(0.0, -x),
+                               np.sqrt(s) * np.maximum(0.0, x - 1.0)])
+
+    def jacobian(x):
+        return np.vstack([np.eye(2), np.sqrt(lam) * np.eye(2),
+                          -np.sqrt(s) * np.diag((x < 0.0).astype(float)),
+                          np.sqrt(s) * np.diag((x > 1.0).astype(float))])
+
+    res = levenberg_marquardt(residuals, jacobian, np.array([0.5, 0.5]), tol=1e-12)
+    expected = [(a[0] + lam * c[0] + s) / (1 + lam + s), (a[1] + lam * c[1]) / (1 + lam + s)]
+    assert res.converged
+    assert np.allclose(res.best_point, expected, rtol=0, atol=1e-10)
+
+
+def test_lm_unevaluable_trial_is_a_rejected_step():
+    calls = []
+
+    def residuals(x):
+        calls.append(x.copy())
+        return None if len(calls) == 2 else rosen_residuals(x)
+
+    res = levenberg_marquardt(residuals, rosen_jacobian, np.array([-1.2, 1.0]),
+                              tol=1e-12, max_iter=100)
+    assert res.converged
+    assert np.max(np.abs(res.best_point - 1.0)) < 1e-10
+    assert res.n_evals == len(calls)
+    assert not any(np.array_equal(p, calls[1]) for p, _ in res.trace)
+
+
+def test_lm_failing_start_stalls():
+    res = levenberg_marquardt(lambda x: None, rosen_jacobian, np.array([0.3, 0.8]))
+    assert res.stop_reason == "stalled" and not res.converged
+    assert res.n_evals == 1 and res.n_jacobians == 0
+    assert np.array_equal(res.best_point, [0.3, 0.8])
+    assert res.best_value == math.inf
+
+
+def test_lm_failing_jacobian_stalls():
+    res = levenberg_marquardt(rosen_residuals, lambda x: None, np.array([-1.2, 1.0]))
+    assert res.stop_reason == "stalled" and not res.converged
+    assert res.n_evals == 1 and res.n_jacobians == 1
+
+
+def test_lm_iteration_cap_counts_trial_steps():
+    seen = []
+    res = levenberg_marquardt(rosen_residuals, rosen_jacobian, np.array([-1.2, 1.0]),
+                              tol=1e-12, max_iter=3,
+                              callback=lambda k, x, mu: seen.append((k, mu)))
+    assert res.stop_reason == "max_iter" and not res.converged
+    assert res.n_evals == 4
+    assert [k for k, _ in seen] == [1, 2, 3]
+    assert all(mu > 0 for _, mu in seen)
 
 
 # -- grid search -----------------------------------------------------------------------
