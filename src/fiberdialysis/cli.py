@@ -128,6 +128,32 @@ class _BundleMismatch(FiberDialysisError):
     pass
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v):
+    return isinstance(v, list) and all(_is_number(x) for x in v)
+
+
+def _is_list(v):
+    return isinstance(v, list)
+
+
+def _is_str(v):
+    return isinstance(v, str)
+
+
+def _require_fields(path, name, obj, fields):
+    """``obj``, read from file ``name`` of bundle ``path``, if it is a JSON
+    object whose ``fields`` (key -> predicate on the value) all hold;
+    _BundleMismatch (exit 3) naming the file otherwise."""
+    if not (isinstance(obj, dict) and all(ok(obj.get(k)) for k, ok in fields.items())):
+        raise _BundleMismatch(f"bundle {path}: {name} must hold an object with "
+                              f"well-formed {', '.join(fields) or 'fields'}")
+    return obj
+
+
 # -- commands ---------------------------------------------------------------------
 
 def cmd_forward(args, cfg: RunConfig, ctx: ForwardContext) -> int:
@@ -454,15 +480,19 @@ def cmd_report(args) -> int:
         return EXIT_INCOMPLETE
     lines = [f"bundle: {os.path.basename(os.path.normpath(bundle))}"]
     if os.path.exists(os.path.join(bundle, "manifest.json")):
-        manifest = _read_bundle_json(bundle, "manifest.json")
+        manifest = _require_fields(bundle, "manifest.json",
+                                   _read_bundle_json(bundle, "manifest.json"), {})
         lines.append(f"command: {manifest.get('command')}")
         lines.append(f"profile: {manifest.get('profile_name')} "
-                     f"({manifest.get('profile_sha256', '')[:12]})")
+                     f"({str(manifest.get('profile_sha256', ''))[:12]})")
     for name, desc in sorted(present.items()):
         lines.append(f"artifact: {name} ({desc})")
 
     if "powell_trace.csv" in present:
         rows = _read_csv_rows(os.path.join(bundle, "powell_trace.csv"))
+        if any(len(r) != 5 for r in rows):
+            raise _BundleMismatch(f"bundle {bundle}: powell_trace.csv rows must have 5 "
+                                  "fields (k, d_ca, d_ci, J, err_to_truth)")
         _write_csv(os.path.join(bundle, "report_objective.csv"), ["k", "J"],
                    [(r[0], r[3]) for r in rows])
         _write_csv(os.path.join(bundle, "report_phase_plane.csv"),
@@ -470,18 +500,32 @@ def cmd_report(args) -> int:
         if rows and rows[0][4] != "":
             _write_csv(os.path.join(bundle, "report_beta_error.csv"), ["k", "err"],
                        [(r[0], r[4]) for r in rows])
-            lines.append(f"final beta error: {float(rows[-1][4]):.3e}")
+            try:
+                final_error = float(rows[-1][4])
+            except ValueError:
+                raise _BundleMismatch(f"bundle {bundle}: powell_trace.csv ends in a "
+                                      "non-numeric err_to_truth") from None
+            lines.append(f"final beta error: {final_error:.3e}")
     if "result.json" in present:
-        res = _read_bundle_json(bundle, "result.json")
+        res = _require_fields(bundle, "result.json", _read_bundle_json(bundle, "result.json"),
+                              {"best_point": _is_numbers, "best_value": _is_number})
         lines.append(f"best point: {res['best_point']} (J = {res['best_value']:.6g})")
     if "noise_study.json" in present:
-        study = _read_bundle_json(bundle, "noise_study.json")
+        name = "noise_study.json"
+        study = _require_fields(bundle, name, _read_bundle_json(bundle, name),
+                                {"estimates": _is_list})
         for e in study["estimates"]:
+            _require_fields(bundle, name, e, {"sigma": _is_number, "subcohort": _is_str,
+                                              "beta": _is_numbers})
             lines.append(f"sigma {e['sigma']:g} {e['subcohort']}: "
                          f"beta = {[round(v, 5) for v in e['beta']]}")
     if "sensitivity.json" in present:
-        sens = _read_bundle_json(bundle, "sensitivity.json")
+        name = "sensitivity.json"
+        sens = _require_fields(bundle, name, _read_bundle_json(bundle, name),
+                               {"levels": _is_list})
         for lvl in sens["levels"]:
+            _require_fields(bundle, name, lvl, {"sigma": _is_number, "cohort_mean": _is_number,
+                                                "cohort_max": _is_number})
             lines.append(f"sigma {lvl['sigma']:g}: mean output error "
                          f"{lvl['cohort_mean']:.4%} (max {lvl['cohort_max']:.4%})")
     text = "\n".join(lines) + "\n"

@@ -18,8 +18,12 @@ nonlinear system is solved by Newton in variational form: each step solves
 for the free dofs only: the Dirichlet dofs take the inlet data directly and
 their columns move to the right-hand side.  The structure of that system is
 fixed per mesh (``NewtonPattern``): each step scatters values into it and
-factorizes the free block in a fill-reducing order computed once from the
-pattern, so every solve on a mesh takes the same path.
+solves the free block in a fill-reducing order computed once from the
+pattern, so every solve on a mesh takes the same path.  A solve factorizes
+its first Jacobian once; each later step solves by iterative refinement on
+those factors, to the accuracy of a direct solve, and factorizes again only
+when refinement stalls short of it.  The Newton iterates are those of one LU
+per step, up to roundoff.
 """
 
 from __future__ import annotations
@@ -338,6 +342,7 @@ class TransportSolver:
         self.n_dof = self.pattern.n_dof
         self._build_dirichlet(dirichlet_override)
         self._build_linear_operator()
+        self._lu = None  # factors of an earlier step of the current solve
 
     # .. boundary values ..
 
@@ -525,14 +530,20 @@ class TransportSolver:
         """One Newton update: the solution x of J x = J c - F(c) with
         x = g on the Dirichlet dofs.
 
-        Only the free dofs are factorized: J_ff x_f = (J (c - g) - F(c))_f,
-        whose right-hand side carries the Dirichlet columns J_fD g.
+        Only the free dofs are solved for: J_ff x_f = (J (c - g) - F(c))_f,
+        whose right-hand side carries the Dirichlet columns J_fD g.  The
+        first step factorizes J_ff; later ones refine on the factors kept
+        from the step before (see ``solve_linear``).
         """
         p = self.pattern
         J = self.jacobian(c_flat)
         rhs = J @ (c_flat - self.g_vec) - self.residual(c_flat, source_nodal)
+        A = p.free_block(J)
+        # only A holds the old factors, so a refactorization frees them first
+        A.lu, self._lu = self._lu, None
         x = self.g_vec.copy()
-        x[p.free] = solve_linear(p.free_block(J), rhs[p.free])
+        x[p.free] = solve_linear(A, rhs[p.free])
+        self._lu = A.lu
         return x
 
     def solve(self, c0: ConcentrationField | None = None, source_nodal=None) -> tuple:
@@ -543,18 +554,23 @@ class TransportSolver:
         cfg = self.cfg
         c_next = self.project_dirichlet((self.initial_field() if c0 is None else c0).flat())
         trace = []
-        while not trace or (len(trace) <= cfg.newton_max_iter + 1
-                            and trace[-1] > cfg.newton_tol):
-            n, c_prev = len(trace), c_next
-            try:
-                c_next = self.step(c_prev, source_nodal)
-            except SolverError as exc:
-                where = f"iteration {n}" if n else "start"
-                raise NewtonError(f"linear solve failed at Newton {where}: {exc}",
-                                  trace=trace) from exc
-            if not np.all(np.isfinite(c_next)):
-                raise NewtonError(f"Newton iterate diverged at iteration {n}", trace=trace)
-            trace.append(self.newton_norm(c_next - c_prev))
+        self._lu = None
+        try:
+            while not trace or (len(trace) <= cfg.newton_max_iter + 1
+                                and trace[-1] > cfg.newton_tol):
+                n, c_prev = len(trace), c_next
+                try:
+                    c_next = self.step(c_prev, source_nodal)
+                except SolverError as exc:
+                    where = f"iteration {n}" if n else "start"
+                    raise NewtonError(f"linear solve failed at Newton {where}: {exc}",
+                                      trace=trace) from exc
+                if not np.all(np.isfinite(c_next)):
+                    raise NewtonError(f"Newton iterate diverged at iteration {n}",
+                                      trace=trace)
+                trace.append(self.newton_norm(c_next - c_prev))
+        finally:
+            self._lu = None  # the factors are the largest thing a solve holds
         if trace[-1] > cfg.newton_tol:
             raise NewtonError(
                 f"Newton did not reach tol {cfg.newton_tol:g} in "

@@ -317,3 +317,25 @@ def test_report_truncated_json_exits_3(workdir, synth_bundle, capsys, name):
     capsys.readouterr()
     assert run(workdir, "report", str(bundle)) == 3
     assert f"{name} is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, content", [
+    ("result.json", "{}"),
+    ("result.json", "[1]"),
+    ("result.json", '{"best_point": [0.8, "x"], "best_value": 1.0}'),
+    ("noise_study.json", '{"estimates": [{"sigma": 0.01, "subcohort": "A"}]}'),
+    ("sensitivity.json", '{"levels": 3}'),
+    ("sensitivity.json", '{"levels": [{"sigma": 0.01, "cohort_mean": null, "cohort_max": 0}]}'),
+    ("powell_trace.csv", "k,d_ca,d_ci,J,err_to_truth\n0,0.3,0.8\n"),
+    ("powell_trace.csv", "k,d_ca,d_ci,J,err_to_truth\n0,0.3,0.8,1.0,0.5\n1,0.4,0.7,0.5,x\n"),
+])
+def test_report_wrong_shaped_artifact_exits_3(workdir, synth_bundle, capsys, name, content):
+    bundle = workdir / "report_wrong_shape"
+    bundle.mkdir(exist_ok=True)
+    for fname in os.listdir(bundle):
+        os.remove(bundle / fname)
+    (bundle / "manifest.json").write_text((workdir / "synth" / "manifest.json").read_text())
+    (bundle / name).write_text(content)
+    capsys.readouterr()
+    assert run(workdir, "report", str(bundle)) == 3
+    assert name in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from fiberdialysis.exceptions import AssemblyError, SolverError
-from fiberdialysis.linalg import SparseMatrix, fill_reducing_order, solve_linear
+from fiberdialysis.linalg import Factorization, SparseMatrix, fill_reducing_order, solve_linear
 
 
 def matrix(dense):
@@ -121,6 +121,44 @@ def test_multi_column_rhs_matches_single_column_solves():
     for k in range(2):
         xk = solve_linear(A, b[:, k])
         assert np.linalg.norm(x[:, k] - xk) <= 1e-14 * np.linalg.norm(xk)
+
+
+def test_refinement_on_nearby_factors_matches_direct_solve():
+    # as between Newton steps: the same matrix but for a small change of its
+    # diagonal blocks
+    import scipy.sparse.linalg as spla
+    rng = np.random.default_rng(16)
+    A = _convection_diffusion(12, rng).tocsc()
+    B = (A + sp.diags(0.005 * rng.uniform(-1.0, 1.0, A.shape[0]))).tocsc()
+    b = rng.standard_normal((A.shape[0], 2))
+    expected = spla.spsolve(B, b)
+    factors = Factorization(A)
+    x = factors.refine(B, b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    # solve_linear refines on the factors it is handed and keeps them
+    M = SparseMatrix(B)
+    M.lu = factors
+    x = solve_linear(M, b[:, 0])
+    assert M.lu is factors
+    assert np.linalg.norm(x - expected[:, 0]) <= 1e-12 * np.linalg.norm(expected[:, 0])
+
+
+def test_refinement_on_unrelated_factors_stalls_and_is_refactorized():
+    import scipy.sparse.linalg as spla
+    rng = np.random.default_rng(17)
+    A = _convection_diffusion(12, rng).tocsc()
+    unrelated = A.copy()
+    unrelated.data = rng.uniform(0.5, 1.5, A.nnz)
+    unrelated.setdiag(10.0)
+    b = rng.standard_normal(A.shape[0])
+    stale = Factorization(unrelated.tocsc())
+    assert stale.refine(A, b) is None
+    M = SparseMatrix(A)
+    M.lu = stale
+    x = solve_linear(M, b)
+    assert isinstance(M.lu, Factorization) and M.lu is not stale
+    expected = spla.spsolve(A, b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_non_square_rejected():

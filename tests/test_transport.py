@@ -1,7 +1,13 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from fiberdialysis import linalg
+from fiberdialysis.config import load_profile
 from fiberdialysis.exceptions import ConfigurationError, NewtonError, SolverError
 from fiberdialysis.flow import HydraulicState, VelocityField, compute_velocity_field
 from fiberdialysis.mesh import AxiGeometry, build_structured_mesh
@@ -313,6 +319,91 @@ def test_solver_is_deterministic():
     f1, _ = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
     f2, _ = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
     assert np.array_equal(f1.values, f2.values)
+
+
+# -- one factorization per solve ------------------------------------------------------
+
+def _profile_solver(res, beta):
+    """Solver of the packaged profile's physics on mesh ``res`` at beta."""
+    prof = load_profile()
+    mesh = build_structured_mesh(prof.geometry, *res)
+    cfg = prof.transport_config()
+    cfg = replace(cfg, species=cfg.species.with_beta(*beta))
+    bd = BoundaryData(inlet_blood=(0.11, 3.71602, 0.0577928, 5.03048, 1.37152),
+                      inlet_dialysate=(1.25, 0, 0, 0, 0))
+    velocity = compute_velocity_field(mesh, prof.geometry, prof.base_hydraulics())
+    return TransportSolver(mesh, velocity, cfg, bd)
+
+
+def _one_lu_per_step_newton(solver, c0):
+    """``solve``'s Newton loop with each step a direct solve of the full
+    system: (final flat field, trace)."""
+    cfg = solver.cfg
+    c, trace = solver.project_dirichlet(c0.flat()), []
+    while not trace or (len(trace) <= cfg.newton_max_iter + 1 and trace[-1] > cfg.newton_tol):
+        J = solver.jacobian(c).tocsc()
+        c_next = spla.spsolve(J, J @ c - solver.residual(c))
+        trace.append(solver.newton_norm(c_next - c))
+        c = c_next
+    return c, trace
+
+
+@pytest.fixture
+def lu_count(monkeypatch):
+    """Number of sparse LU factorizations since the test started."""
+    calls = [0]
+    splu = linalg.spla.splu
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", counted)
+    return lambda: calls[0]
+
+
+@pytest.mark.parametrize("res, warm", [((40, 6, 4, 5), False), ((40, 6, 4, 5), True),
+                                       ((80, 12, 8, 10), False)])
+def test_solve_matches_one_lu_per_step_newton(res, warm, lu_count):
+    solver = _profile_solver(res, (0.8, 0.4))
+    c0 = _profile_solver(res, (0.6, 0.3)).solve()[0] if warm else solver.initial_field()
+    before = lu_count()
+    field, result = solver.solve(c0)
+    lus = lu_count() - before
+    expected, trace = _one_lu_per_step_newton(solver, c0)
+    assert len(result.trace) == len(trace) >= 3
+    assert lus < len(trace)
+    assert np.linalg.norm(field.flat() - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_two_step_warm_solve_factorizes_once(lu_count):
+    solver = _profile_solver((40, 6, 4, 5), (0.8, 0.4))
+    c0, _ = _profile_solver((40, 6, 4, 5), (0.7, 0.4)).solve()
+    before = lu_count()
+    _, result = solver.solve(c0)
+    assert len(result.trace) == 2
+    assert lu_count() - before == 1
+
+
+@pytest.mark.parametrize("max_iter", [25, 0])
+def test_solve_releases_its_factorization(monkeypatch, max_iter):
+    # the factors are the largest thing a solve holds; none may outlive it,
+    # whether it converges or raises
+    made = []
+    init = linalg.Factorization.__init__
+
+    def tracked(self, csc):
+        init(self, csc)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(linalg.Factorization, "__init__", tracked)
+    solver = _tight_tol_solver(max_iter)
+    try:
+        solver.solve()
+    except NewtonError:
+        assert max_iter == 0
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
 
 
 # -- outlet observable -----------------------------------------------------------------
