@@ -9,17 +9,20 @@ or the single-patient relative misfit (projected gradient), with forward
 failures folded into a large objective value.
 
 Per-patient forward solves are independent.  Each process runs them through
-one ``ForwardSolver``; ``ForwardContext`` holds the main process's and fans
-solves out over a process pool.  Warm-start fields travel through the main
-process with each task, so results do not depend on worker scheduling and
-re-runs are byte-identical.
+one ``ForwardSolver``, which also keeps each patient's warm-start field.
+``ForwardContext`` holds the main process's and, with jobs > 1, gives each
+patient a home slot: one worker process that runs all of that patient's
+solves in the order asked.  Fields never leave the process that solved
+them, each patient's warm-start history is the serial one, and results do
+not depend on ``jobs``: re-runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,8 +31,8 @@ from .cohort import PatientRecord
 from .exceptions import ConfigurationError, NewtonError, SolverError, UsageError
 from .flow import HydraulicState, calibrate_hydraulics, compute_velocity_field
 from .mesh import AxiGeometry, build_structured_mesh, prolongation
-from .optim import (GridResult, OptimResult, grid_search, levenberg_marquardt,
-                    projected_gradient)
+from .optim import (GridResult, OptimResult, grid_axes, grid_search,
+                    levenberg_marquardt, projected_gradient)
 from .optim import powell_minimize  # noqa: F401  (bench/tracing.py wraps inverse.powell_minimize)
 from .transport import (BoundaryData, ConcentrationField, TransportConfig,
                         TransportSolver, outlet_concentration)
@@ -70,8 +73,9 @@ def default_weights(patients) -> np.ndarray:
 
 class ForwardSolver:
     """The per-patient forward solve of one process: geometry, mesh and
-    config template, plus the velocity fields of the patients it has seen,
-    keyed by (patient id, hydraulics).
+    config template, plus, for the patients it has seen, their velocity
+    fields, keyed by (patient id, hydraulics), and the converged field of
+    each one's last warm task.
 
     A cold solve on a mesh whose four resolution counts are all even starts
     Newton from the same solve on the mesh with half of each count (nested
@@ -84,6 +88,7 @@ class ForwardSolver:
         self.mesh = build_structured_mesh(geom, *mesh_res)
         self.cfg_template = cfg_template
         self._velocity: dict = {}
+        self._warm: dict = {}     # patient id -> converged flat field of its last warm task
         self._coarse = None       # (coarse ForwardSolver, prolongation), built lazily
 
     def solve(self, rec: PatientRecord, beta, c0_flat=None):
@@ -143,21 +148,30 @@ class ForwardSolver:
             return None
         return ConcentrationField(m, (prolong @ fld.values.T).T)
 
-    def task(self, rec: PatientRecord, beta, c0_flat):
-        """``solve`` as one pool task: (outlet list, converged flat field, None),
-        or (None, None, exception) when the solve raises.  Exceptions pickle
-        with their attributes (``NewtonError.trace``, ``SolverError.residual``)."""
-        try:
-            outlet, fld, _ = self.solve(rec, beta, c0_flat)
-        except Exception as exc:
-            return None, None, exc
-        return outlet.tolist(), fld.flat(), None
+    def task(self, rec: PatientRecord, beta, warm: bool):
+        """``solve`` as one task of ``ForwardContext.forward_pairs``: (outlet
+        list, None), or (None, exception) when the solve raises.  Exceptions
+        pickle with their attributes (``NewtonError.trace``,
+        ``SolverError.residual``).
 
-    def jacobian_task(self, rec: PatientRecord, beta, c_flat):
-        """``outlet_jacobian`` as one pool task: (Jacobian rows, None), or
-        (None, exception) when it raises."""
+        A warm task starts from the patient's last warm-converged field
+        here, if there is one, and its own converged field replaces that
+        one; a cold task neither reads nor writes it."""
         try:
-            jac = self.outlet_jacobian(rec, beta, c_flat)
+            outlet, fld, _ = self.solve(rec, beta, self._warm.get(rec.id) if warm else None)
+        except Exception as exc:
+            return None, exc
+        if warm:
+            self._warm[rec.id] = fld.flat()
+        return outlet.tolist(), None
+
+    def jacobian_task(self, rec: PatientRecord, beta):
+        """``outlet_jacobian`` as one task of
+        ``ForwardContext.outlet_jacobians``, at the patient's last
+        warm-converged field here, which the caller has checked is the field
+        at beta: (Jacobian rows, None), or (None, exception) when it raises."""
+        try:
+            jac = self.outlet_jacobian(rec, beta, self._warm[rec.id])
         except Exception as exc:
             return None, exc
         return jac.tolist(), None
@@ -166,26 +180,64 @@ class ForwardSolver:
 _WORKER: dict = {}
 
 
-def _worker_init(geom, mesh_res, cfg_template):
-    _WORKER["solver"] = ForwardSolver(geom, mesh_res, cfg_template)
-
-
 def _worker_forward(task):
-    """``ForwardSolver.task`` in a pool worker; ``task`` is (record, beta,
-    warm flat field or None)."""
-    return _WORKER["solver"].task(*task)
+    """``ForwardSolver.task`` in a home slot.  ``task`` is (record, beta,
+    None, warm) and the result (outlet list, None, exception or None).  The
+    None places are those of a warm field going in and a converged field
+    coming out, whose bytes ``bench/tracing.py`` counts; fields never leave
+    their home process, so both stay None."""
+    rec, beta, _, warm = task
+    outlet, err = _WORKER["solver"].task(rec, beta, warm)
+    return outlet, None, err
 
 
 def _worker_jacobian(task):
-    """``ForwardSolver.jacobian_task`` in a pool worker; ``task`` is (record,
-    beta, converged flat field)."""
+    """``ForwardSolver.jacobian_task`` in a home slot; ``task`` is (record,
+    beta)."""
     return _WORKER["solver"].jacobian_task(*task)
 
 
+def _slot_main(conn, inherited, geom, mesh_res, cfg_template):
+    """Body of a home slot's process: one ``ForwardSolver``, then, for each
+    batch (function, tasks) received, the list of the tasks' results, in
+    order, until None arrives or the main process goes away.  ``inherited``
+    are the main process's pipe ends that the fork copied; closing them
+    lets the slot see its own pipe close."""
+    for end in inherited:
+        end.close()
+    _WORKER["solver"] = ForwardSolver(geom, mesh_res, cfg_template)
+    try:
+        while (batch := conn.recv()) is not None:
+            fn, tasks = batch
+            conn.send([fn(task) for task in tasks])
+    except (EOFError, BrokenPipeError):
+        pass  # the main process has gone
+
+
+def _stop_slots(slots):
+    """Ask each home slot to finish and wait for its process, so that its
+    CPU time is counted among this process's children."""
+    for end, _ in slots:
+        try:
+            end.send(None)
+        except OSError:
+            pass  # the slot has already exited
+        end.close()
+    for _, proc in slots:
+        proc.join()
+
+
 class ForwardContext:
-    """Shared mesh/config plus per-patient forward evaluation, optionally
-    fanned out over a process pool (jobs > 1).  Immutable inputs; the only
-    mutable state is the main-process warm-start cache."""
+    """Shared mesh/config plus per-patient forward evaluation, in this
+    process (jobs = 1) or in ``jobs`` home slots: forked worker processes
+    with a ``ForwardSolver`` each.
+
+    Each patient gets a home slot the first time it is seen (new ids in id
+    order, round-robin over the slots) and keeps it for the life of the
+    context, so its velocity field and warm fields stay in one process and
+    its solves run in the order they were asked for, as in this process.
+    The mutable state here is that assignment and, per patient, the beta
+    of its last warm-converged field."""
 
     def __init__(self, geom: AxiGeometry, mesh_res, cfg_template: TransportConfig,
                  base_hydraulics: HydraulicState, jobs: int = 1):
@@ -200,23 +252,43 @@ class ForwardContext:
         self.mesh = self._solver.mesh
         # in-process forward solve: (record, beta, c0_flat=None) -> (outlet, field, NewtonResult)
         self.forward_detailed = self._solver.solve
-        self._warm: dict = {}
-        self._warm_beta: dict = {}   # patient id -> beta of its cached field
-        self._pool = None
+        self._warm_beta: dict = {}   # patient id -> beta of its last warm-converged field
+        self._home: dict = {}        # patient id -> home slot
+        self._slots = None           # [(pipe end, process)] per slot, once started
+        self._stop = None
 
     # .. plumbing ..
 
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=_worker_init,
-                initargs=(self.geom, self.mesh_res, self.cfg_template))
-        return self._pool
+    def _ensure_slots(self):
+        """The home slots, forking every slot's process before any task is
+        sent."""
+        if self._slots is None:
+            # fork, not spawn: a spawned slot would import numpy and scipy
+            # again.  This context starts no thread, and every slot forks
+            # before a task is sent, so no fork copies a lock another
+            # thread holds.
+            fork = multiprocessing.get_context("fork")
+            slots = []
+            for _ in range(self.jobs):
+                here, there = fork.Pipe()
+                proc = fork.Process(target=_slot_main, daemon=True, args=(
+                    there, [end for end, _ in slots] + [here],
+                    self.geom, self.mesh_res, self.cfg_template))
+                proc.start()
+                there.close()
+                slots.append((here, proc))
+            self._slots = slots
+            self._stop = weakref.finalize(self, _stop_slots, slots)
+        return self._slots
 
     def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
+        """Stop the home slots; a later call starts new ones, which hold no
+        warm fields."""
+        if self._slots is not None:
+            self._stop()
+            self._slots = None
+            self._home.clear()
+            self._warm_beta.clear()
 
     def __enter__(self):
         return self
@@ -224,13 +296,36 @@ class ForwardContext:
     def __exit__(self, *exc):
         self.close()
 
-    def _run(self, local, remote, tasks):
-        """``local(*task)`` for each task in this process when jobs == 1 or
-        there is one task, else ``remote(task)`` in the pool; results in task
-        order."""
-        if self.jobs == 1 or len(tasks) == 1:
-            return [local(*task) for task in tasks]
-        return list(self._ensure_pool().map(remote, tasks))
+    def _homes(self, ids):
+        """The home slot of each patient id, assigning ids not seen before
+        in id order, round-robin."""
+        for pid in sorted(set(ids) - self._home.keys()):
+            self._home[pid] = len(self._home) % self.jobs
+        return [self._home[pid] for pid in ids]
+
+    def _in_slots(self, fn, tasks):
+        """``fn(task)`` for each task, whose first element is a patient
+        record, in that patient's home slot; results in task order.  Each
+        slot receives its tasks as one batch and runs them in the order
+        given, so no slot waits on another."""
+        slots = self._ensure_slots()
+        batches: dict = {}
+        for k, home in enumerate(self._homes([task[0].id for task in tasks])):
+            batches.setdefault(home, []).append(k)
+        out = [None] * len(tasks)
+        try:
+            for home, index in batches.items():
+                slots[home][0].send((fn, [tasks[k] for k in index]))
+            for home, index in batches.items():
+                for k, result in zip(index, slots[home][0].recv()):
+                    out[k] = result
+        except (EOFError, OSError) as exc:
+            self.close()
+            raise RuntimeError("a home slot of the forward pool exited") from exc
+        except BaseException:
+            self.close()  # the slots may hold batches or results not yet read
+            raise
+        return out
 
     # .. calibration ..
 
@@ -250,44 +345,55 @@ class ForwardContext:
         with ``pairs`` of (outlet array, None) or (None, the exception the
         solve raised).
 
-        Each solve starts from the patient's last converged field unless
-        ``use_warm`` is False.  Results are gathered by submission index and
-        the warm cache is updated in pair order, so outputs are independent
-        of scheduling.
+        Unless ``use_warm`` is False, each solve starts from the patient's
+        last converged field, that of an earlier pair of the same call
+        included, and keeps its own.  A pair that repeats an earlier one of
+        the call (the same record object at the same beta) is solved once
+        and shares its result.  A patient's solves run in pair order in one
+        process, so outputs do not depend on ``jobs``.
         """
         warm = use_warm is None or bool(use_warm)
-        tasks = [(rec, tuple(float(b) for b in np.asarray(beta)),
-                  self._warm.get(rec.id) if warm else None) for rec, beta in pairs]
-        raw = self._run(self._solver.task, _worker_forward, tasks)
-        out = []
-        for (rec, beta, _), (outlet, flat, err) in zip(tasks, raw):
-            if err is None:
-                if warm:
-                    self._warm[rec.id] = np.asarray(flat)
+        keys = [(id(rec), tuple(float(b) for b in np.asarray(beta))) for rec, beta in pairs]
+        position: dict = {}   # key -> index of its task
+        tasks = []
+        for (rec, _), key in zip(pairs, keys):
+            if key not in position:
+                position[key] = len(tasks)
+                tasks.append((rec, key[1]))
+        if self.jobs == 1:
+            raw = [self._solver.task(rec, beta, warm) for rec, beta in tasks]
+        else:
+            raw = [(outlet, err) for outlet, _, err in self._in_slots(
+                _worker_forward, [(rec, beta, None, warm) for rec, beta in tasks])]
+        if warm:
+            for (rec, beta), (_, err) in zip(tasks, raw):
+                if err is None:
                     self._warm_beta[rec.id] = beta
-                out.append((np.asarray(outlet), None))
-            else:
-                out.append((None, err))
+        out = []
+        for key in keys:
+            outlet, err = raw[position[key]]
+            out.append((None, err) if err is not None else (np.asarray(outlet), None))
         return out
 
     def outlet_jacobians(self, pairs):
         """Exact outlet Jacobians d outlet / d beta, shape (5, 2), for
-        [(record, beta), ...], each taken at the patient's cached converged
-        field, which must be the field of that (patient, beta): call this
-        after a warm-started ``forward_pairs`` on the same pairs, else it
-        raises UsageError.  Returns a list aligned with ``pairs`` of
-        (Jacobian, None) or (None, exception).
+        [(record, beta), ...], each taken at the patient's last
+        warm-converged field, which must be the field of that (patient,
+        beta): call this after a warm-started ``forward_pairs`` on the same
+        pairs, else it raises UsageError.  Returns a list aligned with
+        ``pairs`` of (Jacobian, None) or (None, exception).
 
-        Runs in the pool like ``forward_pairs``: LU factors do not pickle, so
-        each task factorizes where it solves."""
-        tasks = [(rec, tuple(float(b) for b in np.asarray(beta)), self._warm.get(rec.id))
-                 for rec, beta in pairs]
-        stale = sorted({rec.id for rec, beta, flat in tasks
-                        if flat is None or self._warm_beta[rec.id] != beta})
+        Each runs where the patient's field is, in its home slot when
+        jobs > 1."""
+        tasks = [(rec, tuple(float(b) for b in np.asarray(beta))) for rec, beta in pairs]
+        stale = sorted({rec.id for rec, beta in tasks if self._warm_beta.get(rec.id) != beta})
         if stale:
             raise UsageError(f"no converged field at the given beta for patients "
                              f"{', '.join(stale)}: solve them with forward_pairs first")
-        raw = self._run(self._solver.jacobian_task, _worker_jacobian, tasks)
+        if self.jobs == 1:
+            raw = [self._solver.jacobian_task(*task) for task in tasks]
+        else:
+            raw = self._in_slots(_worker_jacobian, tasks)
         return [(np.asarray(jac) if err is None else None, err) for jac, err in raw]
 
 
@@ -460,11 +566,21 @@ def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,
 def landscape_scan(patients, box, n1: int, n2: int, cfg: MultiCostConfig,
                    ctx: ForwardContext) -> GridResult:
     """Exhaustive multi-patient cost scan on a uniform grid (endpoints
-    included), with failures recorded as the configured failure value."""
-    def objective(b):
-        return multi_patient_cost(b, patients, cfg, ctx)
+    included), with failures recorded as the configured failure value.
 
-    grid = grid_search(objective, box, n1, n2)
+    The whole grid is one ``forward_pairs`` batch: points in
+    ``grid_search``'s row-major order, patients in the order given.  Each
+    patient's warm starts follow the same sequence as a point-by-point
+    scan, and no home slot waits for the others between points."""
+    if not patients:
+        raise UsageError("landscape scan needs a nonempty patient list")
+    b1, b2 = grid_axes(box, n1, n2)
+    points = [np.array([x1, x2]) for x1 in b1 for x2 in b2]
+    results = ctx.forward_pairs([(rec, beta) for beta in points for rec in patients])
+    n = len(patients)
+    at_point = {beta.tobytes(): results[k * n:(k + 1) * n] for k, beta in enumerate(points)}
+    grid = grid_search(lambda b: _folded_cost(b, patients, at_point[b.tobytes()], cfg),
+                       box, n1, n2)
     values = np.where(np.isfinite(grid.values), grid.values, cfg.failure_value)
     return GridResult(beta1_axis=grid.beta1_axis, beta2_axis=grid.beta2_axis,
                       values=values, argmin_point=grid.argmin_point,

@@ -113,9 +113,10 @@ class Factorization:
                 residual=residual)
         return x
 
-    def refine(self, csc, b):
+    def refine(self, csc, b, x0=None):
         """x with ``csc`` x = b for a matrix near the factorized one, by
-        iterative refinement x <- x + LU^-1 (b - csc x) from x = 0.
+        iterative refinement x <- x + LU^-1 (b - csc x) from the start
+        ``x0`` (default 0); a start near x saves sweeps.
 
         Sweeps go on while the largest correction of every column at least
         halves, so they stop where roundoff stops them: there x is as
@@ -123,8 +124,10 @@ class Factorization:
         ``_REFINED_CORRECTION`` of x means the factors are too far from
         ``csc``: returns None, and the caller factorizes ``csc`` instead.
         """
-        x = self._lu.solve(b)
-        size = _column_max(x)
+        if x0 is None:
+            x0 = np.zeros_like(b)
+        dx = self._lu.solve(b - csc @ x0)
+        x, size = x0 + dx, _column_max(dx)
         while True:
             dx = self._lu.solve(b - csc @ x)
             size_next = _column_max(dx)
@@ -136,23 +139,24 @@ class Factorization:
         return x
 
 
-def solve_linear(A: SparseMatrix, b) -> np.ndarray:
+def solve_linear(A: SparseMatrix, b, x0=None) -> np.ndarray:
     """Solve A x = b by sparse direct LU; deterministic for fixed inputs.
 
     ``b`` is a vector or an (n, k) array of k right-hand sides, which share
     one factorization.  A is factorized in its given order, which the
     caller has taken from ``fill_reducing_order``.  When ``A.lu`` holds the
-    factors of a nearby matrix, A is first solved by refinement on them, and
-    factorized only if that stalls; ``A.lu`` is left holding the factors
-    used.  Raises SolverError (carrying the residual norm when available) on
-    factorization breakdown or when the residual check of any column fails.
+    factors of a nearby matrix, A is first solved by refinement on them,
+    starting from ``x0`` if given, and factorized only if that stalls;
+    ``A.lu`` is left holding the factors used.  Raises SolverError
+    (carrying the residual norm when available) on factorization breakdown
+    or when the residual check of any column fails.
     """
     b = np.asarray(b, dtype=float)
     csc = A.to_csc()
     if csc.shape[0] != b.shape[0]:
         raise SolverError(f"dimension mismatch: matrix {csc.shape[0]}, rhs {b.shape[0]}")
     if A.lu is not None:
-        x = A.lu.refine(csc, b)
+        x = A.lu.refine(csc, b, x0)
         if x is not None:
             return x
         A.lu = None  # release the stale factors before factorizing

@@ -399,20 +399,25 @@ class GridResult:
         return out
 
 
-def grid_search(f, box, n1: int, n2: int) -> GridResult:
-    """Evaluate f on the uniform (n1 x n2) tensor grid over
-    box = ((lo1, hi1), (lo2, hi2)), endpoints included.
-
-    Failed evaluations are recorded as +inf; ties resolve to the first
-    row-major minimal entry.
-    """
+def grid_axes(box, n1: int, n2: int):
+    """The axes (b1, b2) of the uniform (n1 x n2) tensor grid over
+    box = ((lo1, hi1), (lo2, hi2)), endpoints included."""
     (lo1, hi1), (lo2, hi2) = box
     if n1 < 2 or n2 < 2:
         raise UsageError("grid resolution must be at least 2 per axis")
     if not (hi1 > lo1 and hi2 > lo2):
         raise UsageError("grid box must be nondegenerate")
-    b1 = np.linspace(lo1, hi1, n1)
-    b2 = np.linspace(lo2, hi2, n2)
+    return np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
+
+
+def grid_search(f, box, n1: int, n2: int) -> GridResult:
+    """Evaluate f at every point np.array([b1[i1], b2[i2]]) of the grid
+    ``grid_axes`` gives, in row-major order.
+
+    Failed evaluations are recorded as +inf; ties resolve to the first
+    row-major minimal entry.
+    """
+    b1, b2 = grid_axes(box, n1, n2)
     obj = _CountedObjective(f)
     values = np.empty((n1, n2))
     for i1 in range(n1):

@@ -533,7 +533,8 @@ class TransportSolver:
         Only the free dofs are solved for: J_ff x_f = (J (c - g) - F(c))_f,
         whose right-hand side carries the Dirichlet columns J_fD g.  The
         first step factorizes J_ff; later ones refine on the factors kept
-        from the step before (see ``solve_linear``).
+        from the step before (see ``solve_linear``), starting from c_f, which
+        leaves only the Newton update to refine.
         """
         p = self.pattern
         J = self.jacobian(c_flat)
@@ -542,7 +543,7 @@ class TransportSolver:
         # only A holds the old factors, so a refactorization frees them first
         A.lu, self._lu = self._lu, None
         x = self.g_vec.copy()
-        x[p.free] = solve_linear(A, rhs[p.free])
+        x[p.free] = solve_linear(A, rhs[p.free], x0=c_flat[p.free])
         self._lu = A.lu
         return x
 

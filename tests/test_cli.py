@@ -257,6 +257,36 @@ def test_grid_row_count_and_reproducibility(workdir, synth_bundle):
         read_bytes(workdir, "grid2/landscape.csv")
 
 
+def _bundle_files(path):
+    """Every file of a bundle by name, with the manifest's ``jobs`` option
+    taken out."""
+    files = {}
+    for name in sorted(os.listdir(path)):
+        with open(os.path.join(path, name), "rb") as fh:
+            files[name] = fh.read()
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["options"]["jobs"]
+    return files, manifest
+
+
+def test_bundles_do_not_depend_on_jobs(workdir, synth_bundle):
+    # 3 or 4 patients: at jobs 2 and 3 some home slot holds two of them
+    commands = {
+        "grid": ["--patients", "s1,s2,s3", "--box", "0.3,0.9,0.2,0.6", "--n", "3"],
+        "invert-multi": ["--patients", "s1,s2,s3", "--init", "0.5,0.5"],
+        "noise-study": ["--sigmas", "0.01", "--subcohort-size", "2",
+                        "--n-subcohorts", "2"],
+    }
+    for command, argv in commands.items():
+        bundles = []
+        for jobs in ("1", "2", "3"):
+            out = f"{command}_jobs{jobs}"
+            assert run(workdir, command, "--config", "cfg.json", "--targets", "synth",
+                       "--jobs", jobs, *argv, "--out", out) == 0
+            bundles.append(_bundle_files(workdir / out))
+        assert bundles[1] == bundles[0] and bundles[2] == bundles[0], command
+
+
 def test_sensitivity_command(workdir, synth_bundle):
     rc = run(workdir, "sensitivity", "--config", "cfg.json", "--targets", "synth",
              "--sigmas", "0.02", "--seed", "3", "--out", "sens")

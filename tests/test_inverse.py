@@ -1,8 +1,13 @@
+import functools
+import json
+import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fiberdialysis import inverse
 from fiberdialysis.cohort import (CohortTable, generate_cohort, make_reference_targets)
 from fiberdialysis.config import load_profile, packaged_data_path
 from fiberdialysis.exceptions import (ConfigurationError, NewtonError, SolverError,
@@ -27,6 +32,21 @@ def ctx():
     context.close()
 
 
+@pytest.fixture
+def fresh_ctx():
+    """Factory of new jobs=1 contexts on MESH, whose solves start from no
+    warm field."""
+    contexts = []
+
+    def make():
+        contexts.append(context_from_profile(load_profile(), jobs=1, mesh_res=MESH))
+        return contexts[-1]
+
+    yield make
+    for context in contexts:
+        context.close()
+
+
 @pytest.fixture(scope="module")
 def exact_patients(ctx):
     real = CohortTable.from_csv(packaged_data_path("sample_cohort.csv"))
@@ -40,15 +60,15 @@ def test_reference_targets_match_direct_forward(ctx, exact_patients):
     assert np.allclose(outlet, rec.observed_outlet, rtol=0, atol=1e-12)
 
 
-def test_multi_cost_zero_at_truth(ctx, exact_patients):
+def test_multi_cost_zero_at_truth(fresh_ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     val = multi_patient_cost(np.array([0.8, 0.4]), exact_patients, cfg, ctx)
     assert val <= 1e-12
 
 
-def test_single_cost_zero_on_self_consistent_targets(ctx, exact_patients):
-    ctx._warm.clear()
+def test_single_cost_zero_on_self_consistent_targets(fresh_ctx, exact_patients):
+    ctx = fresh_ctx()
     val = single_patient_cost(np.array([0.8, 0.4]), exact_patients[0], ctx)
     assert val <= 1e-12
 
@@ -61,32 +81,32 @@ def test_single_cost_rejects_zero_targets(ctx, exact_patients):
         single_patient_cost(np.array([0.5, 0.5]), bad, ctx)
 
 
-def test_duplicated_patient_scales_cost_linearly(ctx, exact_patients):
+def test_duplicated_patient_scales_cost_linearly(fresh_ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients[:1]))
     beta = np.array([0.6, 0.5])
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     single = multi_patient_cost(beta, exact_patients[:1], cfg, ctx)
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     tripled = multi_patient_cost(beta, exact_patients[:1] * 3, cfg, ctx)
     assert tripled == pytest.approx(3.0 * single, rel=1e-12)
 
 
-def test_cost_invariant_under_patient_permutation(ctx, exact_patients):
+def test_cost_invariant_under_patient_permutation(fresh_ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
     beta = np.array([0.55, 0.45])
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     a = multi_patient_cost(beta, exact_patients, cfg, ctx)
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     b = multi_patient_cost(beta, exact_patients[::-1], cfg, ctx)
     assert a == b
 
 
-def test_weight_scaling_scales_cost_quadratically(ctx, exact_patients):
+def test_weight_scaling_scales_cost_quadratically(fresh_ctx, exact_patients):
     w = default_weights(exact_patients)
     beta = np.array([0.5, 0.5])
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     base = multi_patient_cost(beta, exact_patients, MultiCostConfig(weights=w), ctx)
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     scaled = multi_patient_cost(beta, exact_patients, MultiCostConfig(weights=3.0 * w), ctx)
     assert scaled == pytest.approx(9.0 * base, rel=1e-12)
 
@@ -179,13 +199,13 @@ ORACLE_MIN_VALUE = 0.0
 
 
 @pytest.mark.slow
-def test_identify_single_reaches_grid_oracle_floor(ctx):
+def test_identify_single_reaches_grid_oracle_floor(ctx, fresh_ctx):
     real = CohortTable.from_csv(packaged_data_path("sample_cohort.csv"))
     cohort = generate_cohort(real, ns=1, seed=11)
     patient = make_reference_targets(cohort, ctx, (0.5, 0.5))[0]
     assert np.allclose(patient.observed_outlet, ORACLE_TARGETS, atol=1e-12), \
         "pinned setup changed; regenerate the 61x61 grid oracle"
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     res = identify_single(patient, np.array([0.2, 0.2]), ctx,
                           initial_step=0.25, tol=1e-5, n_max=80)
     assert np.linalg.norm(res.best_point - ORACLE_ARGMIN) <= 0.05
@@ -204,9 +224,9 @@ def test_identify_single_trace_monotone(ctx, exact_patients):
     assert all(values[k + 1] <= values[k] for k in range(len(values) - 1))
 
 
-def test_identify_multi_recovers_truth_and_stays_positive(ctx, exact_patients):
+def test_identify_multi_recovers_truth_and_stays_positive(fresh_ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     res = identify_multi(exact_patients, np.array([0.3, 0.8]), cfg, ctx,
                          tol=1e-10, max_iter=40)
     assert np.max(np.abs(res.best_point - [0.8, 0.4])) < 1e-3
@@ -215,32 +235,32 @@ def test_identify_multi_recovers_truth_and_stays_positive(ctx, exact_patients):
         assert np.all(p > 0)
 
 
-def test_identify_multi_matches_powell_under_noise(ctx, exact_patients):
+def test_identify_multi_matches_powell_under_noise(fresh_ctx, exact_patients):
     # the same minimizer as the paper's Powell method on the same log-space
     # cost: nonzero residual at the optimum
     from fiberdialysis.cohort import NoiseSpec, add_measurement_noise
 
     noisy = add_measurement_noise(exact_patients, NoiseSpec(sigma=0.03, seed=4))
     cfg = MultiCostConfig(weights=default_weights(noisy))
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     res = identify_multi(noisy, np.array([0.3, 0.8]), cfg, ctx, tol=1e-10, max_iter=40)
     assert res.converged
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     powell = powell_minimize(lambda z: multi_patient_cost(np.exp(z), noisy, cfg, ctx),
                              np.log([0.3, 0.8]), tol=1e-10, max_iter=40)
     assert powell.converged
     assert np.max(np.abs(res.best_point - np.exp(powell.best_point))) < 1e-5
 
 
-def test_identify_multi_gauss_newton_records_its_work(ctx, exact_patients):
+def test_identify_multi_gauss_newton_records_its_work(fresh_ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     res = identify_multi(exact_patients, np.array([0.3, 0.8]), cfg, ctx, tol=1e-10)
     assert res.converged and res.stop_reason == "tolerance"
     assert 1 <= res.n_jacobians <= res.n_evals <= 20
     # reported values are the cost's own, at every accepted iterate
     for beta, value in (res.trace[0], res.trace[-1]):
-        ctx._warm.clear()
+        ctx = fresh_ctx()
         assert value == pytest.approx(multi_patient_cost(beta, exact_patients, cfg, ctx),
                                       rel=1e-6, abs=1e-15)
 
@@ -281,11 +301,11 @@ def test_sensitivity_reproducible(ctx, exact_patients):
 
 
 @pytest.mark.slow
-def test_identify_multi_invariant_to_initial_point(ctx, exact_patients):
+def test_identify_multi_invariant_to_initial_point(fresh_ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
     results = []
     for init in ([0.3, 0.8], [1.0, 1.0], [0.5, 0.2]):
-        ctx._warm.clear()
+        ctx = fresh_ctx()
         res = identify_multi(exact_patients, np.array(init), cfg, ctx,
                              tol=1e-10, max_iter=40)
         results.append(res.best_point)
@@ -294,7 +314,7 @@ def test_identify_multi_invariant_to_initial_point(ctx, exact_patients):
 
 
 @pytest.mark.slow
-def test_noise_degradation_trend_over_seeds(ctx, exact_patients):
+def test_noise_degradation_trend_over_seeds(fresh_ctx, exact_patients):
     # recovered-parameter error grows with the noise level as a trend over
     # several seed families, not necessarily per seed
     from fiberdialysis.cohort import NoiseSpec, add_measurement_noise
@@ -306,7 +326,7 @@ def test_noise_degradation_trend_over_seeds(ctx, exact_patients):
             noisy = add_measurement_noise(
                 exact_patients, NoiseSpec(sigma=sigma, seed=seed))
             cfg = MultiCostConfig(weights=default_weights(noisy))
-            ctx._warm.clear()
+            ctx = fresh_ctx()
             res = identify_multi(noisy, np.array([0.3, 0.8]), cfg, ctx,
                                  tol=1e-6, max_iter=40)
             errors[sigma].append(np.linalg.norm(res.best_point - truth))
@@ -315,23 +335,157 @@ def test_noise_degradation_trend_over_seeds(ctx, exact_patients):
 
 def test_forward_many_parallel_matches_serial(exact_patients):
     # three betas in a row, so warm runs start from the previous solve's
-    # fields; use_warm=None warm-starts
+    # fields; use_warm=None warm-starts.  The kept fields are compared
+    # through the outlet Jacobians taken at them: byte-equal after warm
+    # runs, and refused after cold runs, which keep no field
     profile = load_profile()
     betas = [np.array([0.7, 0.5]), np.array([0.3, 0.8]), np.array([0.75, 0.45])]
+    pairs = [(rec, betas[-1]) for rec in exact_patients]
     for use_warm in (None, False):
         with context_from_profile(profile, jobs=1, mesh_res=MESH) as serial, \
                 context_from_profile(profile, jobs=2, mesh_res=MESH) as parallel:
             for beta in betas:
-                pairs = [(rec, beta) for rec in exact_patients]
-                ref = serial.forward_pairs(pairs, use_warm=use_warm)
-                par = parallel.forward_pairs(pairs, use_warm=use_warm)
+                ref = serial.forward_pairs([(rec, beta) for rec in exact_patients],
+                                           use_warm=use_warm)
+                par = parallel.forward_pairs([(rec, beta) for rec in exact_patients],
+                                             use_warm=use_warm)
                 for (a, ea), (b, eb) in zip(ref, par):
                     assert ea is None and eb is None
                     assert np.array_equal(a, b)
-            assert serial._warm.keys() == parallel._warm.keys()
-            assert len(serial._warm) == (0 if use_warm is False else len(exact_patients))
-            for pid, flat in serial._warm.items():
-                assert np.array_equal(flat, parallel._warm[pid])
+            if use_warm is False:
+                for context in (serial, parallel):
+                    with pytest.raises(UsageError):
+                        context.outlet_jacobians(pairs)
+                continue
+            for (a, ea), (b, eb) in zip(serial.outlet_jacobians(pairs),
+                                        parallel.outlet_jacobians(pairs)):
+                assert ea is None and eb is None
+                assert np.array_equal(a, b)
+
+
+def _call_log(path):
+    """A function appending its keyword arguments, with this process's id,
+    as one JSON line to ``path``; pool slots inherit it when they fork."""
+    def log(**entry):
+        with open(path, "a") as fh:
+            fh.write(json.dumps(dict(entry, pid=os.getpid())) + "\n")
+    return log
+
+
+def _read_log(path):
+    with open(path) as fh:
+        return [json.loads(line) for line in fh]
+
+
+def test_each_patient_solves_in_one_home_process(exact_patients, tmp_path, monkeypatch):
+    # jobs=2 over s1, s2, s3: in id order, s1 and s3 share one home slot and
+    # s2 has the other, though s2 comes first; each velocity field is built
+    # once, in its patient's home slot
+    log = _call_log(tmp_path / "calls.jsonl")
+
+    def logged(plain, kind):
+        def call(*args):
+            log(kind=kind, id=args[1].id if kind == "task" else None)
+            return plain(*args)
+        return call
+
+    monkeypatch.setattr(ForwardSolver, "task", logged(ForwardSolver.task, "task"))
+    monkeypatch.setattr(ForwardSolver, "jacobian_task",
+                        logged(ForwardSolver.jacobian_task, "task"))
+    monkeypatch.setattr(inverse, "compute_velocity_field",
+                        logged(inverse.compute_velocity_field, "velocity"))
+    beta = np.array([0.7, 0.5])
+    cfg = MultiCostConfig(weights=default_weights(exact_patients))
+    s1, s2, s3 = exact_patients
+    with context_from_profile(load_profile(), jobs=2, mesh_res=MESH) as context:
+        context.forward_pairs([(s2, beta), (s1, beta), (s3, beta)])
+        context.forward_pairs([(s2, beta + 0.1)], use_warm=False)
+        context.outlet_jacobians([(rec, beta) for rec in exact_patients])
+        landscape_scan(exact_patients, ((0.3, 0.9), (0.2, 0.6)), 2, 2, cfg, context)
+    calls = _read_log(tmp_path / "calls.jsonl")
+    home = {}
+    for entry in calls:
+        if entry["kind"] == "task":
+            assert home.setdefault(entry["id"], entry["pid"]) == entry["pid"]
+    assert os.getpid() not in home.values()
+    assert home[s1.id] == home[s3.id] != home[s2.id]
+    velocity = [entry["pid"] for entry in calls if entry["kind"] == "velocity"]
+    assert sorted(velocity) == sorted(home.values())
+
+
+def test_no_pool_task_or_result_carries_a_field(ctx, exact_patients, tmp_path, monkeypatch):
+    # the field places of the pool protocol stay None, and every task and
+    # result pickles to less than one field
+    field_bytes = len(pickle.dumps(ctx.forward_detailed(exact_patients[0], (0.7, 0.5))[1].flat()))
+    log = _call_log(tmp_path / "pool.jsonl")
+    for name in ("_worker_forward", "_worker_jacobian"):
+        plain = getattr(inverse, name)
+
+        @functools.wraps(plain)   # pickled by name into the slots
+        def spy(task, plain=plain, name=name):
+            result = plain(task)
+            log(name=name, task=len(pickle.dumps(task)), result=len(pickle.dumps(result)),
+                fields=[task[2], result[1]] if name == "_worker_forward" else [])
+            return result
+
+        monkeypatch.setattr(inverse, name, spy)
+    beta = np.array([0.7, 0.5])
+    with context_from_profile(load_profile(), jobs=2, mesh_res=MESH) as context:
+        for b in (beta, beta + 0.05, beta):
+            context.forward_pairs([(rec, b) for rec in exact_patients])
+        context.outlet_jacobians([(rec, beta) for rec in exact_patients])
+    calls = _read_log(tmp_path / "pool.jsonl")
+    assert [entry["name"] for entry in calls].count("_worker_forward") == 9
+    assert [entry["name"] for entry in calls].count("_worker_jacobian") == 3
+    for entry in calls:
+        assert entry["fields"] in ([None, None], [])
+        assert max(entry["task"], entry["result"]) < field_bytes
+
+
+def test_home_slots_stop_on_close_and_a_dead_slot_raises(exact_patients):
+    import multiprocessing
+    import signal
+
+    pairs = [(rec, np.array([0.7, 0.5])) for rec in exact_patients]
+    before = set(multiprocessing.active_children())
+    with context_from_profile(load_profile(), jobs=2, mesh_res=MESH) as context:
+        reference = context.forward_pairs(pairs)
+        slots = set(multiprocessing.active_children()) - before
+        assert len(slots) == 2
+        os.kill(next(iter(slots)).pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="home slot"):
+            context.forward_pairs(pairs)
+        assert not any(proc.is_alive() for proc in slots)
+        # new slots start cold: no field to take a Jacobian at
+        with pytest.raises(UsageError):
+            context.outlet_jacobians(pairs)
+        context.forward_pairs(pairs, use_warm=False)
+        restarted = set(multiprocessing.active_children()) - before
+        assert len(restarted) == 2 and not restarted & slots
+        again = context.forward_pairs(pairs)
+    assert not set(multiprocessing.active_children()) - before
+    for (a, _), (b, _) in zip(reference, again):
+        assert np.array_equal(a, b)
+
+
+def test_landscape_is_one_batch_with_the_point_by_point_warm_history(
+        fresh_ctx, exact_patients, monkeypatch):
+    cfg = MultiCostConfig(weights=default_weights(exact_patients))
+    batches = []
+    plain = ForwardContext.forward_pairs
+
+    def forward_pairs(self, pairs, *args):
+        batches.append(len(pairs))
+        return plain(self, pairs, *args)
+
+    monkeypatch.setattr(ForwardContext, "forward_pairs", forward_pairs)
+    grid = landscape_scan(exact_patients, ((0.3, 0.9), (0.2, 0.6)), 3, 4, cfg, fresh_ctx())
+    assert batches == [3 * 4 * len(exact_patients)]
+    scan = fresh_ctx()
+    expected = [[multi_patient_cost(np.array([b1, b2]), exact_patients, cfg, scan)
+                 for b2 in grid.beta2_axis] for b1 in grid.beta1_axis]
+    assert np.array_equal(grid.values, expected)
+    assert grid.n_evals == 12
 
 
 def test_warm_start_matches_cold_solve(ctx, exact_patients):
@@ -452,18 +606,22 @@ def test_outlet_jacobians_pool_matches_serial(exact_patients):
                                   use_warm=False)
             with pytest.raises(UsageError, match="at the given beta"):
                 context.outlet_jacobians([(rec, beta + 0.1) for rec in exact_patients])
+            # a warm solve at another beta moves the field away from beta
+            context.forward_pairs([(rec, beta + 0.1) for rec in exact_patients])
+            with pytest.raises(UsageError, match="at the given beta"):
+                context.outlet_jacobians(pairs)
         assert all(err is None for _, err in out)
         jacobians.append([jac for jac, _ in out])
     for serial, pooled in zip(*jacobians):
         assert np.array_equal(serial, pooled)
 
 
-def test_residual_rows_square_to_the_cost(ctx, exact_patients):
+def test_residual_rows_square_to_the_cost(fresh_ctx, exact_patients):
     # prior and bound rows active: beta lies above the first bound interval
     cfg = MultiCostConfig(weights=default_weights(exact_patients), lam=0.7,
                           bounds=((0.1, 0.5), (0.2, 0.9)))
     beta = np.array([0.6, 0.45])
-    ctx._warm.clear()
+    ctx = fresh_ctx()
     cost = multi_patient_cost(beta, exact_patients, cfg, ctx)
     outlets = [F for F, _ in ctx.forward_pairs([(rec, beta) for rec in exact_patients])]
     r = multi_patient_residuals(beta, exact_patients, outlets, cfg)

@@ -164,3 +164,27 @@ def test_refinement_on_unrelated_factors_stalls_and_is_refactorized():
 def test_non_square_rejected():
     with pytest.raises(AssemblyError):
         SparseMatrix(sp.csr_matrix((2, 3)))
+
+
+def test_refinement_from_a_nearby_start_saves_sweeps(monkeypatch):
+    # as in a Newton step: the start is the current iterate, the solution is
+    # a small update of it; each sweep takes one _column_max of its correction
+    import scipy.sparse.linalg as spla
+    from fiberdialysis import linalg
+    rng = np.random.default_rng(18)
+    A = _convection_diffusion(12, rng).tocsc()
+    B = (A + sp.diags(0.005 * rng.uniform(-1.0, 1.0, A.shape[0]))).tocsc()
+    b = rng.standard_normal(A.shape[0])
+    expected = spla.spsolve(B, b)
+    start = expected + 1e-6 * rng.standard_normal(A.shape[0])
+    factors = Factorization(A)
+    calls = []
+    plain_max = linalg._column_max
+    monkeypatch.setattr(linalg, "_column_max", lambda v: calls.append(1) or plain_max(v))
+    sweeps = []
+    for x0 in (None, start):
+        del calls[:]
+        x = factors.refine(B, b, x0)
+        sweeps.append(len(calls))
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert sweeps[1] < sweeps[0]
