@@ -6,15 +6,19 @@ the patient's frozen calibrated hydraulics, and observes the blood outlet
 averages.  Identification minimizes the weighted multi-patient least squares
 in log-parameters, by Levenberg-Marquardt on exact tangent outlet Jacobians,
 or the single-patient relative misfit (projected gradient), with forward
-failures folded into a large objective value.
+failures folded into a large objective value.  A forward solve asked for
+tangents returns the outlet Jacobian d outlet / d beta next to the outlet,
+taken inside that solve on the factors it already holds.
 
 Per-patient forward solves are independent.  Each process runs them through
-one ``ForwardSolver``, which also keeps each patient's warm-start field.
+one ``ForwardSolver``, which also keeps each patient's warm-start state: the
+beta, field and (after a tangent solve) dc/dbeta of its last warm solve, so
+the next warm solve starts from the first-order prediction at its own beta.
 ``ForwardContext`` holds the main process's and, with jobs > 1, gives each
 patient a home slot: one worker process that runs all of that patient's
-solves in the order asked.  Fields never leave the process that solved
-them, each patient's warm-start history is the serial one, and results do
-not depend on ``jobs``: re-runs are byte-identical.
+solves in the order asked.  Fields and tangent fields never leave the
+process that solved them, each patient's warm-start history is the serial
+one, and results do not depend on ``jobs``: re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def default_weights(patients) -> np.ndarray:
 class ForwardSolver:
     """The per-patient forward solve of one process: geometry, mesh and
     config template, plus, for the patients it has seen, their velocity
-    fields, keyed by (patient id, hydraulics), and the converged field of
+    fields, keyed by (patient id, hydraulics), and the warm-start state of
     each one's last warm task.
 
     A cold solve on a mesh whose four resolution counts are all even starts
@@ -88,24 +92,18 @@ class ForwardSolver:
         self.mesh = build_structured_mesh(geom, *mesh_res)
         self.cfg_template = cfg_template
         self._velocity: dict = {}
-        self._warm: dict = {}     # patient id -> converged flat field of its last warm task
+        self._warm: dict = {}     # patient id -> (beta, flat field, dc/dbeta or None)
         self._coarse = None       # (coarse ForwardSolver, prolongation), built lazily
 
-    def solve(self, rec: PatientRecord, beta, c0_flat=None):
+    def solve(self, rec: PatientRecord, beta, c0_flat=None, tangents: bool = False):
         """Forward solve at beta = (d_Ca, d_Ci), warm-started from the flat
-        field ``c0_flat`` if given; returns (outlet, field, NewtonResult)."""
-        fld, result = self._newton(rec, beta, c0_flat)
-        return outlet_concentration(fld, self.mesh, self.geom), fld, result
+        field ``c0_flat`` if given; returns (outlet, field, NewtonResult),
+        whose ``tangents`` hold dc/dbeta when ``tangents`` is set."""
+        fld, result = self._newton(rec, beta, c0_flat, tangents)
+        return self._outlet(fld), fld, result
 
-    def outlet_jacobian(self, rec: PatientRecord, beta, c_flat) -> np.ndarray:
-        """Exact outlet Jacobian d outlet / d beta, shape (5, 2), of patient
-        ``rec`` at beta, from the converged flat field ``c_flat`` of that
-        solve: one LU and two back-solves (``TransportSolver.beta_tangents``),
-        mapped through the outlet functional, which is linear in c."""
-        dc = self._transport(rec, beta).beta_tangents(np.asarray(c_flat, dtype=float))
-        return np.column_stack([
-            outlet_concentration(ConcentrationField.from_flat(self.mesh, col),
-                                 self.mesh, self.geom) for col in dc.T])
+    def _outlet(self, fld: ConcentrationField) -> np.ndarray:
+        return outlet_concentration(fld, self.mesh, self.geom)
 
     def _transport(self, rec: PatientRecord, beta) -> TransportSolver:
         """The assembled transport system of patient ``rec`` at beta."""
@@ -118,13 +116,13 @@ class ForwardSolver:
                           inlet_dialysate=tuple(rec.inlet_dialysate))
         return TransportSolver(self.mesh, self._velocity[key], cfg, bd)
 
-    def _newton(self, rec: PatientRecord, beta, c0_flat):
+    def _newton(self, rec: PatientRecord, beta, c0_flat, tangents=False):
         """``solve`` without the outlet: (field, NewtonResult)."""
         if c0_flat is None:
             c0 = self._nested_start(rec, beta)
         else:
             c0 = ConcentrationField.from_flat(self.mesh, c0_flat)
-        return self._transport(rec, beta).solve(c0=c0)
+        return self._transport(rec, beta).solve(c0=c0, tangents=tangents)
 
     def _nested_start(self, rec: PatientRecord, beta):
         """The cold solve on the half-resolution mesh, prolonged to this
@@ -148,33 +146,37 @@ class ForwardSolver:
             return None
         return ConcentrationField(m, (prolong @ fld.values.T).T)
 
-    def task(self, rec: PatientRecord, beta, warm: bool):
+    def task(self, rec: PatientRecord, beta, warm: bool, tangents: bool = False):
         """``solve`` as one task of ``ForwardContext.forward_pairs``: (outlet
-        list, None), or (None, exception) when the solve raises.  Exceptions
+        list, None), or (None, exception) when the solve raises.  With
+        ``tangents`` the outlet list is that of the (5, 3) array [outlet,
+        d outlet / d beta]; the outlet functional is linear in c, so it maps
+        each column of dc/dbeta to one of d outlet / d beta.  Exceptions
         pickle with their attributes (``NewtonError.trace``,
         ``SolverError.residual``).
 
         A warm task starts from the patient's last warm-converged field
-        here, if there is one, and its own converged field replaces that
-        one; a cold task neither reads nor writes it."""
+        here, if there is one, moved to this beta by its dc/dbeta if that
+        solve took tangents (c + dc/dbeta (beta - beta_old)); its own
+        beta, field and tangents then replace those.  A cold task neither
+        reads nor writes them."""
+        beta = np.asarray(beta, dtype=float)
+        c0 = None
+        if warm and rec.id in self._warm:
+            beta_old, c0, dc = self._warm[rec.id]
+            if dc is not None:
+                c0 = c0 + dc @ (beta - beta_old)
         try:
-            outlet, fld, _ = self.solve(rec, beta, self._warm.get(rec.id) if warm else None)
+            outlet, fld, result = self.solve(rec, beta, c0, tangents)
         except Exception as exc:
             return None, exc
         if warm:
-            self._warm[rec.id] = fld.flat()
+            self._warm[rec.id] = beta, fld.flat(), result.tangents
+        if tangents:
+            outlet = np.column_stack([outlet] + [
+                self._outlet(ConcentrationField.from_flat(self.mesh, col))
+                for col in result.tangents.T])
         return outlet.tolist(), None
-
-    def jacobian_task(self, rec: PatientRecord, beta):
-        """``outlet_jacobian`` as one task of
-        ``ForwardContext.outlet_jacobians``, at the patient's last
-        warm-converged field here, which the caller has checked is the field
-        at beta: (Jacobian rows, None), or (None, exception) when it raises."""
-        try:
-            jac = self.outlet_jacobian(rec, beta, self._warm[rec.id])
-        except Exception as exc:
-            return None, exc
-        return jac.tolist(), None
 
 
 _WORKER: dict = {}
@@ -182,34 +184,27 @@ _WORKER: dict = {}
 
 def _worker_forward(task):
     """``ForwardSolver.task`` in a home slot.  ``task`` is (record, beta,
-    None, warm) and the result (outlet list, None, exception or None).  The
-    None places are those of a warm field going in and a converged field
-    coming out, whose bytes ``bench/tracing.py`` counts; fields never leave
-    their home process, so both stay None."""
-    rec, beta, _, warm = task
-    outlet, err = _WORKER["solver"].task(rec, beta, warm)
+    None, warm, tangents) and the result (outlet list, None, exception or
+    None).  The None places are those of a warm field going in and a
+    converged field coming out, whose bytes ``bench/tracing.py`` counts;
+    fields never leave their home process, so both stay None."""
+    rec, beta, _, warm, tangents = task
+    outlet, err = _WORKER["solver"].task(rec, beta, warm, tangents)
     return outlet, None, err
-
-
-def _worker_jacobian(task):
-    """``ForwardSolver.jacobian_task`` in a home slot; ``task`` is (record,
-    beta)."""
-    return _WORKER["solver"].jacobian_task(*task)
 
 
 def _slot_main(conn, inherited, geom, mesh_res, cfg_template):
     """Body of a home slot's process: one ``ForwardSolver``, then, for each
-    batch (function, tasks) received, the list of the tasks' results, in
-    order, until None arrives or the main process goes away.  ``inherited``
+    batch of ``_worker_forward`` tasks received, the list of their results,
+    in order, until None arrives or the main process goes away.  ``inherited``
     are the main process's pipe ends that the fork copied; closing them
     lets the slot see its own pipe close."""
     for end in inherited:
         end.close()
     _WORKER["solver"] = ForwardSolver(geom, mesh_res, cfg_template)
     try:
-        while (batch := conn.recv()) is not None:
-            fn, tasks = batch
-            conn.send([fn(task) for task in tasks])
+        while (tasks := conn.recv()) is not None:
+            conn.send([_worker_forward(task) for task in tasks])
     except (EOFError, BrokenPipeError):
         pass  # the main process has gone
 
@@ -236,8 +231,7 @@ class ForwardContext:
     order, round-robin over the slots) and keeps it for the life of the
     context, so its velocity field and warm fields stay in one process and
     its solves run in the order they were asked for, as in this process.
-    The mutable state here is that assignment and, per patient, the beta
-    of its last warm-converged field."""
+    The mutable state here is that assignment."""
 
     def __init__(self, geom: AxiGeometry, mesh_res, cfg_template: TransportConfig,
                  base_hydraulics: HydraulicState, jobs: int = 1):
@@ -250,9 +244,9 @@ class ForwardContext:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self._solver = ForwardSolver(geom, self.mesh_res, cfg_template)
         self.mesh = self._solver.mesh
-        # in-process forward solve: (record, beta, c0_flat=None) -> (outlet, field, NewtonResult)
+        # in-process forward solve: (record, beta, c0_flat=None, tangents=False)
+        #   -> (outlet, field, NewtonResult)
         self.forward_detailed = self._solver.solve
-        self._warm_beta: dict = {}   # patient id -> beta of its last warm-converged field
         self._home: dict = {}        # patient id -> home slot
         self._slots = None           # [(pipe end, process)] per slot, once started
         self._stop = None
@@ -288,7 +282,6 @@ class ForwardContext:
             self._stop()
             self._slots = None
             self._home.clear()
-            self._warm_beta.clear()
 
     def __enter__(self):
         return self
@@ -303,11 +296,11 @@ class ForwardContext:
             self._home[pid] = len(self._home) % self.jobs
         return [self._home[pid] for pid in ids]
 
-    def _in_slots(self, fn, tasks):
-        """``fn(task)`` for each task, whose first element is a patient
-        record, in that patient's home slot; results in task order.  Each
-        slot receives its tasks as one batch and runs them in the order
-        given, so no slot waits on another."""
+    def _in_slots(self, tasks):
+        """``_worker_forward(task)`` for each task in its patient's home
+        slot; results in task order.  Each slot receives its tasks as one
+        batch and runs them in the order given, so no slot waits on
+        another."""
         slots = self._ensure_slots()
         batches: dict = {}
         for k, home in enumerate(self._homes([task[0].id for task in tasks])):
@@ -315,7 +308,7 @@ class ForwardContext:
         out = [None] * len(tasks)
         try:
             for home, index in batches.items():
-                slots[home][0].send((fn, [tasks[k] for k in index]))
+                slots[home][0].send([tasks[k] for k in index])
             for home, index in batches.items():
                 for k, result in zip(index, slots[home][0].recv()):
                     out[k] = result
@@ -343,58 +336,37 @@ class ForwardContext:
     def forward_pairs(self, pairs, use_warm=None):
         """Forward solves for [(record, beta), ...]; returns a list aligned
         with ``pairs`` of (outlet array, None) or (None, the exception the
-        solve raised).
+        solve raised).  A pair (record, beta, True) asks for tangents: its
+        result is then the (5, 3) array [outlet, d outlet / d beta], taken
+        inside the solve, and a failed tangent solve fails the pair.
 
         Unless ``use_warm`` is False, each solve starts from the patient's
         last converged field, that of an earlier pair of the same call
         included, and keeps its own.  A pair that repeats an earlier one of
-        the call (the same record object at the same beta) is solved once
-        and shares its result.  A patient's solves run in pair order in one
-        process, so outputs do not depend on ``jobs``.
+        the call (the same record object at the same beta, asking for the
+        same tangents) is solved once and shares its result.  A patient's
+        solves run in pair order in one process, so outputs do not depend on
+        ``jobs``.
         """
         warm = use_warm is None or bool(use_warm)
-        keys = [(id(rec), tuple(float(b) for b in np.asarray(beta))) for rec, beta in pairs]
+        keys = [(id(pair[0]), tuple(float(b) for b in np.asarray(pair[1])),
+                 len(pair) > 2 and bool(pair[2])) for pair in pairs]
         position: dict = {}   # key -> index of its task
         tasks = []
-        for (rec, _), key in zip(pairs, keys):
+        for pair, key in zip(pairs, keys):
             if key not in position:
                 position[key] = len(tasks)
-                tasks.append((rec, key[1]))
+                tasks.append((pair[0], key[1], None, warm, key[2]))
         if self.jobs == 1:
-            raw = [self._solver.task(rec, beta, warm) for rec, beta in tasks]
+            raw = [self._solver.task(rec, beta, warm, tangents)
+                   for rec, beta, _, _, tangents in tasks]
         else:
-            raw = [(outlet, err) for outlet, _, err in self._in_slots(
-                _worker_forward, [(rec, beta, None, warm) for rec, beta in tasks])]
-        if warm:
-            for (rec, beta), (_, err) in zip(tasks, raw):
-                if err is None:
-                    self._warm_beta[rec.id] = beta
+            raw = [(outlet, err) for outlet, _, err in self._in_slots(tasks)]
         out = []
         for key in keys:
             outlet, err = raw[position[key]]
             out.append((None, err) if err is not None else (np.asarray(outlet), None))
         return out
-
-    def outlet_jacobians(self, pairs):
-        """Exact outlet Jacobians d outlet / d beta, shape (5, 2), for
-        [(record, beta), ...], each taken at the patient's last
-        warm-converged field, which must be the field of that (patient,
-        beta): call this after a warm-started ``forward_pairs`` on the same
-        pairs, else it raises UsageError.  Returns a list aligned with
-        ``pairs`` of (Jacobian, None) or (None, exception).
-
-        Each runs where the patient's field is, in its home slot when
-        jobs > 1."""
-        tasks = [(rec, tuple(float(b) for b in np.asarray(beta))) for rec, beta in pairs]
-        stale = sorted({rec.id for rec, beta in tasks if self._warm_beta.get(rec.id) != beta})
-        if stale:
-            raise UsageError(f"no converged field at the given beta for patients "
-                             f"{', '.join(stale)}: solve them with forward_pairs first")
-        if self.jobs == 1:
-            raw = [self._solver.jacobian_task(*task) for task in tasks]
-        else:
-            raw = self._in_slots(_worker_jacobian, tasks)
-        return [(np.asarray(jac) if err is None else None, err) for jac, err in raw]
 
 
 def context_from_profile(profile, jobs: int = 1, mesh_res=None) -> ForwardContext:
@@ -514,10 +486,12 @@ def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,
     """Minimize the multi-patient cost in z = log(beta), which enforces
     positivity, by Levenberg-Marquardt on ``multi_patient_residuals``
     (patients in id order) with exact outlet Jacobians; the z-Jacobian is the
-    beta-Jacobian times diag(beta).  ``tol`` and ``max_iter`` are the
-    stopping tolerance and trial-step cap.  A trial point where any patient's
-    solve fails cannot be evaluated.  The returned trace lives in beta space
-    and reports ``multi_patient_cost``'s values, failures folded in."""
+    beta-Jacobian times diag(beta).  Each evaluation asks its solves for
+    tangents, so the Jacobian at a point comes with its residuals.  ``tol``
+    and ``max_iter`` are the stopping tolerance and trial-step cap.  A trial
+    point where any patient's solve, tangents included, fails cannot be
+    evaluated.  The returned trace lives in beta space and reports
+    ``multi_patient_cost``'s values, failures folded in."""
     if not patients:
         raise UsageError("identify_multi needs a nonempty patient list")
     init = np.asarray(init, dtype=float)
@@ -527,29 +501,27 @@ def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,
         if not (lo <= b <= hi):
             raise UsageError(f"initial point {init} outside the configured bounds {cfg.bounds}")
     patients = sorted(patients, key=lambda rec: rec.id)
-    costs: dict = {}   # z.tobytes() -> multi_patient_cost at that point
+    costs: dict = {}       # z.tobytes() -> multi_patient_cost at that point
+    jacobians: dict = {}   # z.tobytes() -> the patients' outlet Jacobians there
 
     def residuals(z):
         beta = np.exp(z)
-        results = ctx.forward_pairs([(rec, beta) for rec in patients])
-        costs[z.tobytes()] = _folded_cost(beta, patients, results, cfg)
+        results = ctx.forward_pairs([(rec, beta, True) for rec in patients])
+        outlets = [(None, err) if err is not None else (A[:, 0], None) for A, err in results]
+        costs[z.tobytes()] = _folded_cost(beta, patients, outlets, cfg)
         failed = [(rec.id, err) for rec, (_, err) in zip(patients, results) if err is not None]
         for pid, err in failed:
             log.info("beta %s: patient %s failed (%s: %s)", beta.tolist(), pid,
                      type(err).__name__, err)
         if failed:
             return None
-        return multi_patient_residuals(beta, patients, [F for F, _ in results], cfg)
+        jacobians[z.tobytes()] = [A[:, 1:] for A, _ in results]
+        return multi_patient_residuals(beta, patients, [F for F, _ in outlets], cfg)
 
     def jacobian(z):
+        # LM asks only at a point whose residuals it has just evaluated
         beta = np.exp(z)
-        results = ctx.outlet_jacobians([(rec, beta) for rec in patients])
-        for rec, (_, err) in zip(patients, results):
-            if err is not None:
-                log.info("beta %s: outlet Jacobian of patient %s failed (%s: %s)",
-                         beta.tolist(), rec.id, type(err).__name__, err)
-                return None
-        return multi_patient_residual_jacobian(beta, [jac for jac, _ in results], cfg) * beta
+        return multi_patient_residual_jacobian(beta, jacobians[z.tobytes()], cfg) * beta
 
     def report(k, z, damping):
         log.info("Levenberg-Marquardt iteration %d: beta %s, J %.6e, damping %.3e",

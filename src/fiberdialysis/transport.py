@@ -24,6 +24,12 @@ its first Jacobian once; each later step solves by iterative refinement on
 those factors, to the accuracy of a direct solve, and factorizes again only
 when refinement stalls short of it.  The Newton iterates are those of one LU
 per step, up to roundoff.
+
+Asked for tangents, a solve also returns dc/dbeta at its converged field,
+the sensitivity of the solution to beta = (d_Ca, d_Ci): the two columns of
+J(c) dc/dbeta = -(dL/dbeta) c, refined on the factors the solve still holds
+before it releases them, so they cost no factorization of their own unless
+that refinement stalls.
 """
 
 from __future__ import annotations
@@ -165,6 +171,7 @@ class NewtonResult:
     converged: bool
     n_solves: int
     trace: list
+    tangents: np.ndarray | None = None   # (n_dof, 2) dc/dbeta, when asked for
 
 
 # -- reaction kinetics -----------------------------------------------------------
@@ -477,15 +484,16 @@ class TransportSolver:
         data[p.rx_pos] -= (p.mass_species[:, None, :] * jf).ravel()[p.rx_keep]
         return p.matrix(data)
 
-    def beta_tangents(self, c_flat) -> np.ndarray:
+    def _beta_tangents(self, c_flat) -> np.ndarray:
         """dc/dbeta at the converged field ``c_flat``: the (n_dof, 2) solution
         of J(c) dc/dbeta_k = -(dL/dbeta_k) c on the free dofs, zero on the
-        Dirichlet dofs (their values do not depend on beta).
+        Dirichlet dofs (their values do not depend on beta).  Both columns
+        refine on the factors of the solve that converged to ``c_flat``.
 
         beta = (d_Ca, d_Ci) enters the operator only through the membrane
         diffusion alpha_s D_blood_s of species 1 (k = 1) and of species 4 and
         5 (k = 2), so dL/dbeta_k is that diffusion with alpha_s = 1, applied
-        here element by element.  Both columns share one factorization.
+        here element by element.
         """
         fem, p = self.fem, self.pattern
         membrane = fem.is_membrane
@@ -498,8 +506,10 @@ class TransportSolver:
                 local = self.cfg.species.D_blood[s] * np.einsum("tab,tb->ta", ke, c_flat[dofs])
                 rhs[:, k] -= np.bincount(dofs.ravel(), weights=local.ravel(),
                                          minlength=self.n_dof)
+        A = p.free_block(self.jacobian(c_flat))
+        A.lu, self._lu = self._lu, None
         dc = np.zeros((self.n_dof, 2))
-        dc[p.free] = solve_linear(p.free_block(self.jacobian(c_flat)), rhs[p.free])
+        dc[p.free] = solve_linear(A, rhs[p.free])
         return dc
 
     def initial_field(self) -> ConcentrationField:
@@ -547,11 +557,14 @@ class TransportSolver:
         self._lu = A.lu
         return x
 
-    def solve(self, c0: ConcentrationField | None = None, source_nodal=None) -> tuple:
+    def solve(self, c0: ConcentrationField | None = None, source_nodal=None,
+              tangents: bool = False) -> tuple:
         """Newton solve from ``c0`` (default ``initial_field``) in at most
         ``newton_max_iter + 2`` steps.  Returns (field, NewtonResult) with the
-        trace of r-weighted L2 update norms; raises NewtonError (carrying the
-        partial trace) on linear-solver failure or non-convergence."""
+        trace of r-weighted L2 update norms, and with ``tangents`` also
+        dc/dbeta at the converged field in ``NewtonResult.tangents``.  Raises
+        NewtonError (carrying the partial trace) on linear-solver failure or
+        non-convergence, and SolverError when the tangent solve fails."""
         cfg = self.cfg
         c_next = self.project_dirichlet((self.initial_field() if c0 is None else c0).flat())
         trace = []
@@ -570,15 +583,16 @@ class TransportSolver:
                     raise NewtonError(f"Newton iterate diverged at iteration {n}",
                                       trace=trace)
                 trace.append(self.newton_norm(c_next - c_prev))
+            if trace[-1] > cfg.newton_tol:
+                raise NewtonError(
+                    f"Newton did not reach tol {cfg.newton_tol:g} in "
+                    f"{cfg.newton_max_iter} iterations (last update {trace[-1]:.3e})",
+                    trace=trace)
+            dc = self._beta_tangents(c_next) if tangents else None
         finally:
             self._lu = None  # the factors are the largest thing a solve holds
-        if trace[-1] > cfg.newton_tol:
-            raise NewtonError(
-                f"Newton did not reach tol {cfg.newton_tol:g} in "
-                f"{cfg.newton_max_iter} iterations (last update {trace[-1]:.3e})",
-                trace=trace)
         return ConcentrationField.from_flat(self.mesh, c_next), \
-            NewtonResult(converged=True, n_solves=len(trace), trace=trace)
+            NewtonResult(converged=True, n_solves=len(trace), trace=trace, tangents=dc)
 
 
 # -- observable ---------------------------------------------------------------------

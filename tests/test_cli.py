@@ -175,6 +175,32 @@ def test_invert_multi_on_bundle(workdir, synth_bundle):
     assert len(trace) > 2
 
 
+def test_invert_multi_makes_one_lu_per_forward_solve(workdir, monkeypatch):
+    # the benchmark's invert job (cohort 7, s1..s4, mesh (40, 6, 4, 5),
+    # jobs 1): 6 evaluations of 4 solves, each factorizing once; the
+    # outlet Jacobians refine on their solve's factors (48 LUs when each
+    # Jacobian was taken with an LU of its own)
+    from fiberdialysis import linalg
+
+    (workdir / "cfg_lu.json").write_text(json.dumps({"mesh": [40, 6, 4, 5], "seed": 7}))
+    assert run(workdir, "synth", "--config", "cfg_lu.json", "--ns", "4", "--seed", "7",
+               "--beta-star", "0.8,0.4", "--out", "synth_lu") == 0
+    calls = []
+    splu = linalg.spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", counted)
+    assert run(workdir, "invert-multi", "--config", "cfg_lu.json", "--targets", "synth_lu",
+               "--patients", "s1,s2,s3,s4", "--init", "0.3,0.8", "--jobs", "1",
+               "--out", "inv_lu") == 0
+    result = json.loads((workdir / "inv_lu" / "result.json").read_text())
+    assert result["n_evals"] == 6 and result["converged"]
+    assert len(calls) == 24
+
+
 def test_negative_penalty_scale_exits_2(workdir, synth_bundle, capsys):
     (workdir / "cfg_penalty.json").write_text(json.dumps(
         {"mesh": [20, 4, 3, 4], "penalty_scale": -1}))

@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import pickle
@@ -334,33 +333,32 @@ def test_noise_degradation_trend_over_seeds(fresh_ctx, exact_patients):
 
 
 def test_forward_many_parallel_matches_serial(exact_patients):
-    # three betas in a row, so warm runs start from the previous solve's
-    # fields; use_warm=None warm-starts.  The kept fields are compared
-    # through the outlet Jacobians taken at them: byte-equal after warm
-    # runs, and refused after cold runs, which keep no field
+    # betas in a row, so warm runs start from the previous solve's state;
+    # use_warm=None warm-starts.  Tangent pairs follow plain ones, so warm
+    # runs also start from first-order predictions; every outlet and
+    # outlet Jacobian is byte-equal
     profile = load_profile()
-    betas = [np.array([0.7, 0.5]), np.array([0.3, 0.8]), np.array([0.75, 0.45])]
-    pairs = [(rec, betas[-1]) for rec in exact_patients]
+    asks = [(np.array([0.7, 0.5]),), (np.array([0.3, 0.8]), True),
+            (np.array([0.75, 0.45]), True), (np.array([0.7, 0.4]),)]
     for use_warm in (None, False):
         with context_from_profile(profile, jobs=1, mesh_res=MESH) as serial, \
                 context_from_profile(profile, jobs=2, mesh_res=MESH) as parallel:
-            for beta in betas:
-                ref = serial.forward_pairs([(rec, beta) for rec in exact_patients],
-                                           use_warm=use_warm)
-                par = parallel.forward_pairs([(rec, beta) for rec in exact_patients],
-                                             use_warm=use_warm)
+            for ask in asks:
+                pairs = [(rec, *ask) for rec in exact_patients]
+                ref = serial.forward_pairs(pairs, use_warm=use_warm)
+                par = parallel.forward_pairs(pairs, use_warm=use_warm)
                 for (a, ea), (b, eb) in zip(ref, par):
                     assert ea is None and eb is None
+                    assert a.shape == ((5, 3) if len(ask) > 1 else (5,))
                     assert np.array_equal(a, b)
-            if use_warm is False:
-                for context in (serial, parallel):
-                    with pytest.raises(UsageError):
-                        context.outlet_jacobians(pairs)
-                continue
-            for (a, ea), (b, eb) in zip(serial.outlet_jacobians(pairs),
-                                        parallel.outlet_jacobians(pairs)):
-                assert ea is None and eb is None
-                assert np.array_equal(a, b)
+
+
+def test_plain_and_tangent_pairs_of_one_call_are_two_tasks(fresh_ctx, exact_patients):
+    # the tangent flag is part of a pair's identity: asking for the same
+    # (patient, beta) with and without tangents solves twice
+    rec, beta = exact_patients[0], np.array([0.7, 0.5])
+    out = fresh_ctx().forward_pairs([(rec, beta), (rec, beta, True), (rec, beta)])
+    assert [A.shape for A, _ in out] == [(5,), (5, 3), (5,)]
 
 
 def _call_log(path):
@@ -390,8 +388,6 @@ def test_each_patient_solves_in_one_home_process(exact_patients, tmp_path, monke
         return call
 
     monkeypatch.setattr(ForwardSolver, "task", logged(ForwardSolver.task, "task"))
-    monkeypatch.setattr(ForwardSolver, "jacobian_task",
-                        logged(ForwardSolver.jacobian_task, "task"))
     monkeypatch.setattr(inverse, "compute_velocity_field",
                         logged(inverse.compute_velocity_field, "velocity"))
     beta = np.array([0.7, 0.5])
@@ -400,7 +396,7 @@ def test_each_patient_solves_in_one_home_process(exact_patients, tmp_path, monke
     with context_from_profile(load_profile(), jobs=2, mesh_res=MESH) as context:
         context.forward_pairs([(s2, beta), (s1, beta), (s3, beta)])
         context.forward_pairs([(s2, beta + 0.1)], use_warm=False)
-        context.outlet_jacobians([(rec, beta) for rec in exact_patients])
+        context.forward_pairs([(rec, beta, True) for rec in exact_patients])
         landscape_scan(exact_patients, ((0.3, 0.9), (0.2, 0.6)), 2, 2, cfg, context)
     calls = _read_log(tmp_path / "calls.jsonl")
     home = {}
@@ -415,30 +411,30 @@ def test_each_patient_solves_in_one_home_process(exact_patients, tmp_path, monke
 
 def test_no_pool_task_or_result_carries_a_field(ctx, exact_patients, tmp_path, monkeypatch):
     # the field places of the pool protocol stay None, and every task and
-    # result pickles to less than one field
+    # result, tangent ones included, pickles to less than one field: the
+    # tangent fields stay in the home slot with the field
     field_bytes = len(pickle.dumps(ctx.forward_detailed(exact_patients[0], (0.7, 0.5))[1].flat()))
     log = _call_log(tmp_path / "pool.jsonl")
-    for name in ("_worker_forward", "_worker_jacobian"):
-        plain = getattr(inverse, name)
+    plain = inverse._worker_forward
 
-        @functools.wraps(plain)   # pickled by name into the slots
-        def spy(task, plain=plain, name=name):
-            result = plain(task)
-            log(name=name, task=len(pickle.dumps(task)), result=len(pickle.dumps(result)),
-                fields=[task[2], result[1]] if name == "_worker_forward" else [])
-            return result
+    def spy(task):   # the slots fork after this patch, so they run it
+        result = plain(task)
+        log(tangents=task[4], task=len(pickle.dumps(task)), result=len(pickle.dumps(result)),
+            fields=[task[2], result[1]])
+        return result
 
-        monkeypatch.setattr(inverse, name, spy)
+    monkeypatch.setattr(inverse, "_worker_forward", spy)
     beta = np.array([0.7, 0.5])
     with context_from_profile(load_profile(), jobs=2, mesh_res=MESH) as context:
         for b in (beta, beta + 0.05, beta):
             context.forward_pairs([(rec, b) for rec in exact_patients])
-        context.outlet_jacobians([(rec, beta) for rec in exact_patients])
+        for b in (beta, beta - 0.05):
+            context.forward_pairs([(rec, b, True) for rec in exact_patients])
     calls = _read_log(tmp_path / "pool.jsonl")
-    assert [entry["name"] for entry in calls].count("_worker_forward") == 9
-    assert [entry["name"] for entry in calls].count("_worker_jacobian") == 3
+    assert [entry["tangents"] for entry in calls].count(False) == 9
+    assert [entry["tangents"] for entry in calls].count(True) == 6
     for entry in calls:
-        assert entry["fields"] in ([None, None], [])
+        assert entry["fields"] == [None, None]
         assert max(entry["task"], entry["result"]) < field_bytes
 
 
@@ -456,16 +452,14 @@ def test_home_slots_stop_on_close_and_a_dead_slot_raises(exact_patients):
         with pytest.raises(RuntimeError, match="home slot"):
             context.forward_pairs(pairs)
         assert not any(proc.is_alive() for proc in slots)
-        # new slots start cold: no field to take a Jacobian at
-        with pytest.raises(UsageError):
-            context.outlet_jacobians(pairs)
         context.forward_pairs(pairs, use_warm=False)
         restarted = set(multiprocessing.active_children()) - before
         assert len(restarted) == 2 and not restarted & slots
-        again = context.forward_pairs(pairs)
+        # new slots start cold: a warm solve there repeats the first one
+        again = context.forward_pairs([(rec, beta, True) for rec, beta in pairs])
     assert not set(multiprocessing.active_children()) - before
     for (a, _), (b, _) in zip(reference, again):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, b[:, 0])
 
 
 def test_landscape_is_one_batch_with_the_point_by_point_warm_history(
@@ -573,47 +567,101 @@ def test_failed_coarse_solve_falls_back_to_the_cold_start(exact_patients, monkey
 # -- tangent outlet Jacobians and the residual rows -------------------------------------
 
 @pytest.mark.parametrize("beta", [(0.8, 0.4), (0.3, 0.6)])
-def test_outlet_jacobian_matches_central_differences(exact_patients, beta):
+def test_outlet_jacobian_matches_central_differences(fresh_ctx, exact_patients, beta):
     # cold solves on both sides, h = 1e-4 beta; measured 1.1e-8 relative
-    profile = load_profile()
-    solver = ForwardSolver(profile.geometry, MESH, profile.transport_config())
+    ctx = fresh_ctx()
     rec = exact_patients[0]
-    _, fld, _ = solver.solve(rec, beta)
-    jac = solver.outlet_jacobian(rec, beta, fld.flat())
-    assert jac.shape == (5, 2)
+    [(A, err)] = ctx.forward_pairs([(rec, beta, True)], use_warm=False)
+    assert err is None and A.shape == (5, 3)
+    assert np.array_equal(A[:, 0], ctx.forward_detailed(rec, beta)[0])
+    jac = A[:, 1:]
     for k in range(2):
         h = 1e-4 * beta[k]
         up, down = list(beta), list(beta)
         up[k] += h
         down[k] -= h
-        fd = (solver.solve(rec, up)[0] - solver.solve(rec, down)[0]) / (2.0 * h)
+        fd = (ctx.forward_detailed(rec, up)[0] - ctx.forward_detailed(rec, down)[0]) / (2.0 * h)
         assert np.max(np.abs(jac[:, k] - fd) / np.abs(fd)) <= 1e-5
 
 
 def test_outlet_jacobians_pool_matches_serial(exact_patients):
+    # cold, warm from a plain solve, cold between, then warm from a tangent
+    # solve (first-order prediction): Jacobians byte-equal at jobs 1 and 2
     profile = load_profile()
     beta = np.array([0.7, 0.5])
-    pairs = [(rec, beta) for rec in exact_patients]
     jacobians = []
     for jobs in (1, 2):
+        out = []
         with context_from_profile(profile, jobs=jobs, mesh_res=MESH) as context:
-            with pytest.raises(UsageError, match="forward_pairs"):
-                context.outlet_jacobians(pairs)
-            context.forward_pairs(pairs)
-            out = context.outlet_jacobians(pairs)
-            # a cold solve leaves the cached field, which is then stale
-            context.forward_pairs([(rec, beta + 0.1) for rec in exact_patients],
-                                  use_warm=False)
-            with pytest.raises(UsageError, match="at the given beta"):
-                context.outlet_jacobians([(rec, beta + 0.1) for rec in exact_patients])
-            # a warm solve at another beta moves the field away from beta
-            context.forward_pairs([(rec, beta + 0.1) for rec in exact_patients])
-            with pytest.raises(UsageError, match="at the given beta"):
-                context.outlet_jacobians(pairs)
+            for b, use_warm in ((beta, None), (beta + 0.1, False), (beta + 0.1, None),
+                                (beta - 0.05, None)):
+                out += context.forward_pairs([(rec, b, True) for rec in exact_patients],
+                                             use_warm=use_warm)
         assert all(err is None for _, err in out)
-        jacobians.append([jac for jac, _ in out])
+        jacobians.append([A[:, 1:] for A, _ in out])
     for serial, pooled in zip(*jacobians):
         assert np.array_equal(serial, pooled)
+
+
+def test_failed_tangent_solve_rejects_the_trial(fresh_ctx, exact_patients, monkeypatch,
+                                               caplog):
+    # the first trial's tangent solve of one patient raises: LM treats the
+    # trial as unevaluable, rejects it and still converges
+    from fiberdialysis import linalg, transport
+
+    calls = []
+
+    def solve_linear(A, b, x0=None):
+        if np.ndim(b) == 2:
+            calls.append(None)
+            if len(calls) == len(exact_patients) + 1:
+                raise SolverError("forced tangent failure")
+        return linalg.solve_linear(A, b, x0)
+
+    monkeypatch.setattr(transport, "solve_linear", solve_linear)
+    cfg = MultiCostConfig(weights=default_weights(exact_patients))
+    with caplog.at_level("INFO", logger="fiberdialysis.inverse"):
+        res = identify_multi(exact_patients, np.array([0.3, 0.8]), cfg, fresh_ctx(),
+                             tol=1e-10, max_iter=40)
+    assert "SolverError: forced tangent failure" in caplog.text
+    assert res.converged and np.max(np.abs(res.best_point - [0.8, 0.4])) < 1e-3
+    # the failed trial is not among the accepted iterates
+    assert res.n_evals > len(res.trace)
+
+
+def test_warm_tangent_task_starts_from_the_first_order_predictor(exact_patients, monkeypatch):
+    # a warm task after a tangent solve starts from c + dc/dbeta (beta -
+    # beta_old); after a plain warm solve, from its field; a cold task
+    # neither reads nor replaces the warm state
+    profile = load_profile()
+    solver = ForwardSolver(profile.geometry, MESH, profile.transport_config())
+    starts, ends = [], []
+    plain = TransportSolver.solve
+
+    def spy(self, c0=None, source_nodal=None, tangents=False):
+        starts.append(None if c0 is None else c0.flat())
+        fld, result = plain(self, c0, source_nodal, tangents)
+        ends.append((fld.flat(), result.tangents))
+        return fld, result
+
+    monkeypatch.setattr(TransportSolver, "solve", spy)
+    rec = exact_patients[0]
+    b = [np.array(beta) for beta in ((0.7, 0.5), (0.72, 0.47), (0.75, 0.45), (0.7, 0.4))]
+    outlets = [solver.task(rec, b[0], True, True), solver.task(rec, b[1], True, True),
+               solver.task(rec, b[2], True, False), solver.task(rec, b[3], True, False),
+               solver.task(rec, b[0], False, True), solver.task(rec, b[1], True, False)]
+    assert starts[0] is None and starts[4] is None
+    assert np.array_equal(starts[1], ends[0][0] + ends[0][1] @ (b[1] - b[0]))
+    assert np.array_equal(starts[2], ends[1][0] + ends[1][1] @ (b[2] - b[1]))
+    assert np.array_equal(starts[3], ends[2][0]) and ends[2][1] is None
+    assert np.array_equal(starts[5], ends[3][0])
+    # the documented precision of the forward map holds from these starts
+    for (outlet, err), beta in zip(outlets, b + b[:2]):
+        assert err is None
+        outlet = np.asarray(outlet)
+        outlet = outlet[:, 0] if outlet.ndim == 2 else outlet
+        cold = solver.solve(rec, beta)[0]
+        assert np.max(np.abs(outlet - cold) / np.abs(cold)) <= 1e-7
 
 
 def test_residual_rows_square_to_the_cost(fresh_ctx, exact_patients):
@@ -634,10 +682,9 @@ def test_residual_jacobian_matches_central_differences(ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients), lam=0.7,
                           bounds=((0.1, 0.5), (0.2, 0.9)))
     beta = np.array([0.6, 0.45])
-    pairs = [(rec, beta) for rec in exact_patients]
-    ctx.forward_pairs(pairs)
     jac = multi_patient_residual_jacobian(
-        beta, [J for J, _ in ctx.outlet_jacobians(pairs)], cfg)
+        beta, [A[:, 1:] for A, _ in ctx.forward_pairs([(rec, beta, True)
+                                                       for rec in exact_patients])], cfg)
 
     def rows(b):
         outlets = [F for F, _ in ctx.forward_pairs([(rec, b) for rec in exact_patients])]
