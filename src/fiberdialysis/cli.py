@@ -427,7 +427,8 @@ def cmd_sensitivity(args, cfg: RunConfig, ctx: ForwardContext) -> int:
     beta_star = _parse_pair(args.beta_star, "--beta-star") if args.beta_star else \
         tuple(manifest.get("args", {}).get("beta_star", cfg.options["beta_star"]))
     seed = int(args.seed) if args.seed is not None else int(cfg.options["seed"])
-    study = sensitivity_study(records, ctx, np.asarray(beta_star), sigmas, seed)
+    study = sensitivity_study(records, ctx, np.asarray(beta_star), sigmas, seed,
+                              clip_factor=float(cfg.options["clip_factor"]))
     out = _outdir(args)
     _write_csv(os.path.join(out, "sensitivity_species.csv"),
                ["sigma", "species", "mean_rel_error"], study.rows())

@@ -15,10 +15,11 @@ one ``ForwardSolver``, which also keeps each patient's warm-start state: the
 beta, field and (after a tangent solve) dc/dbeta of its last warm solve, so
 the next warm solve starts from the first-order prediction at its own beta.
 ``ForwardContext`` holds the main process's and, with jobs > 1, gives each
-patient a home slot: one worker process that runs all of that patient's
-solves in the order asked.  Fields and tangent fields never leave the
-process that solved them, each patient's warm-start history is the serial
-one, and results do not depend on ``jobs``: re-runs are byte-identical.
+patient a home slot: one worker process, forked with a copy of that
+solver, that runs all of that patient's solves in the order asked.  Fields
+and tangent fields never leave the process that solved them, each
+patient's warm-start history is the serial one, and results do not depend
+on ``jobs``: re-runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class ForwardSolver:
     A cold solve on a mesh whose four resolution counts are all even starts
     Newton from the same solve on the mesh with half of each count (nested
     iteration), prolonged to this mesh.  That coarse level is a
-    ``ForwardSolver`` of its own, built on the first cold solve, and nests
-    again while its counts stay even."""
+    ``ForwardSolver`` of its own, built with this one, and nests again while
+    its counts stay even."""
 
     def __init__(self, geom: AxiGeometry, mesh_res, cfg_template: TransportConfig):
         self.geom = geom
@@ -93,7 +94,10 @@ class ForwardSolver:
         self.cfg_template = cfg_template
         self._velocity: dict = {}
         self._warm: dict = {}     # patient id -> (beta, flat field, dc/dbeta or None)
-        self._coarse = None       # (coarse ForwardSolver, prolongation), built lazily
+        self._coarse = None       # (coarse ForwardSolver, prolongation) if the mesh nests
+        if not any(n % 2 for n in mesh_res):
+            coarse = ForwardSolver(geom, [n // 2 for n in mesh_res], cfg_template)
+            self._coarse = coarse, prolongation(coarse.mesh, self.mesh)
 
     def solve(self, rec: PatientRecord, beta, c0_flat=None, tangents: bool = False):
         """Forward solve at beta = (d_Ca, d_Ci), warm-started from the flat
@@ -128,23 +132,18 @@ class ForwardSolver:
         """The cold solve on the half-resolution mesh, prolonged to this
         mesh; None (start from ``initial_field``) when a resolution count is
         odd or that solve fails."""
-        m = self.mesh
-        res = (m.nx, m.nr_b, m.nr_m, m.nr_d)
-        if any(n % 2 for n in res):
-            return None
-        half = tuple(n // 2 for n in res)
         if self._coarse is None:
-            coarse = ForwardSolver(self.geom, half, self.cfg_template)
-            self._coarse = coarse, prolongation(coarse.mesh, m)
+            return None
         coarse, prolong = self._coarse
         try:
             fld, _ = coarse._newton(rec, beta, None)
         except (NewtonError, SolverError) as exc:
+            m = coarse.mesh
             log.debug("patient %s at beta %s: the solve on mesh %s failed (%s: %s); "
                       "starting from the inlet values", rec.id, tuple(beta),
-                      half, type(exc).__name__, exc)
+                      (m.nx, m.nr_b, m.nr_m, m.nr_d), type(exc).__name__, exc)
             return None
-        return ConcentrationField(m, (prolong @ fld.values.T).T)
+        return ConcentrationField(self.mesh, (prolong @ fld.values.T).T)
 
     def task(self, rec: PatientRecord, beta, warm: bool, tangents: bool = False):
         """``solve`` as one task of ``ForwardContext.forward_pairs``: (outlet
@@ -193,15 +192,17 @@ def _worker_forward(task):
     return outlet, None, err
 
 
-def _slot_main(conn, inherited, geom, mesh_res, cfg_template):
-    """Body of a home slot's process: one ``ForwardSolver``, then, for each
-    batch of ``_worker_forward`` tasks received, the list of their results,
-    in order, until None arrives or the main process goes away.  ``inherited``
-    are the main process's pipe ends that the fork copied; closing them
-    lets the slot see its own pipe close."""
+def _slot_main(conn, inherited, solver):
+    """Body of a home slot's process: for each batch of ``_worker_forward``
+    tasks received, the list of their results, in order, until None arrives
+    or the main process goes away.  ``solver`` is the fork's copy of the
+    context's ``ForwardSolver``; with jobs > 1 the main process runs no task,
+    so it holds no warm state.  ``inherited`` are the main process's pipe
+    ends that the fork copied; closing them lets the slot see its own pipe
+    close."""
     for end in inherited:
         end.close()
-    _WORKER["solver"] = ForwardSolver(geom, mesh_res, cfg_template)
+    _WORKER["solver"] = solver
     try:
         while (tasks := conn.recv()) is not None:
             conn.send([_worker_forward(task) for task in tasks])
@@ -224,8 +225,8 @@ def _stop_slots(slots):
 
 class ForwardContext:
     """Shared mesh/config plus per-patient forward evaluation, in this
-    process (jobs = 1) or in ``jobs`` home slots: forked worker processes
-    with a ``ForwardSolver`` each.
+    process (jobs = 1) or in ``jobs`` home slots: forked worker processes,
+    each with its copy of this process's ``ForwardSolver``.
 
     Each patient gets a home slot the first time it is seen (new ids in id
     order, round-robin over the slots) and keeps it for the life of the
@@ -236,13 +237,11 @@ class ForwardContext:
     def __init__(self, geom: AxiGeometry, mesh_res, cfg_template: TransportConfig,
                  base_hydraulics: HydraulicState, jobs: int = 1):
         self.geom = geom
-        self.mesh_res = tuple(int(n) for n in mesh_res)
-        self.cfg_template = cfg_template
         self.base_hydraulics = base_hydraulics
         self.jobs = int(jobs)
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        self._solver = ForwardSolver(geom, self.mesh_res, cfg_template)
+        self._solver = ForwardSolver(geom, tuple(int(n) for n in mesh_res), cfg_template)
         self.mesh = self._solver.mesh
         # in-process forward solve: (record, beta, c0_flat=None, tangents=False)
         #   -> (outlet, field, NewtonResult)
@@ -266,8 +265,7 @@ class ForwardContext:
             for _ in range(self.jobs):
                 here, there = fork.Pipe()
                 proc = fork.Process(target=_slot_main, daemon=True, args=(
-                    there, [end for end, _ in slots] + [here],
-                    self.geom, self.mesh_res, self.cfg_template))
+                    there, [end for end, _ in slots] + [here], self._solver))
                 proc.start()
                 there.close()
                 slots.append((here, proc))
@@ -419,10 +417,12 @@ def multi_patient_cost(beta, patients, cfg: MultiCostConfig, ctx: ForwardContext
 
 def _folded_cost(beta, patients, results, cfg: MultiCostConfig) -> float:
     """``multi_patient_cost`` at beta from the ``forward_pairs`` results of
-    ``patients``."""
+    ``patients``; each failed solve is logged at INFO as it is folded in."""
     terms = []
     for rec, (outlet, err) in zip(patients, results):
         if err is not None:
+            log.info("beta %s: patient %s failed (%s: %s)", np.asarray(beta).tolist(),
+                     rec.id, type(err).__name__, err)
             terms.append((rec.id, cfg.failure_value))
         else:
             resid = cfg.weights * (outlet - rec.observed_outlet)
@@ -486,12 +486,13 @@ def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,
     """Minimize the multi-patient cost in z = log(beta), which enforces
     positivity, by Levenberg-Marquardt on ``multi_patient_residuals``
     (patients in id order) with exact outlet Jacobians; the z-Jacobian is the
-    beta-Jacobian times diag(beta).  Each evaluation asks its solves for
-    tangents, so the Jacobian at a point comes with its residuals.  ``tol``
-    and ``max_iter`` are the stopping tolerance and trial-step cap.  A trial
-    point where any patient's solve, tangents included, fails cannot be
-    evaluated.  The returned trace lives in beta space and reports
-    ``multi_patient_cost``'s values, failures folded in."""
+    beta-Jacobian times diag(beta).  One evaluation asks its solves for
+    tangents and returns the residuals and the z-Jacobian, both from the
+    same ``forward_pairs`` results.  ``tol`` and ``max_iter`` are the
+    stopping tolerance and trial-step cap.  A trial point where any
+    patient's solve, tangents included, fails cannot be evaluated.  The
+    returned trace lives in beta space and reports ``multi_patient_cost``'s
+    values, failures folded in."""
     if not patients:
         raise UsageError("identify_multi needs a nonempty patient list")
     init = np.asarray(init, dtype=float)
@@ -501,34 +502,25 @@ def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,
         if not (lo <= b <= hi):
             raise UsageError(f"initial point {init} outside the configured bounds {cfg.bounds}")
     patients = sorted(patients, key=lambda rec: rec.id)
-    costs: dict = {}       # z.tobytes() -> multi_patient_cost at that point
-    jacobians: dict = {}   # z.tobytes() -> the patients' outlet Jacobians there
+    costs: dict = {}   # z.tobytes() -> multi_patient_cost at that point
 
-    def residuals(z):
+    def evaluate(z):
         beta = np.exp(z)
         results = ctx.forward_pairs([(rec, beta, True) for rec in patients])
         outlets = [(None, err) if err is not None else (A[:, 0], None) for A, err in results]
         costs[z.tobytes()] = _folded_cost(beta, patients, outlets, cfg)
-        failed = [(rec.id, err) for rec, (_, err) in zip(patients, results) if err is not None]
-        for pid, err in failed:
-            log.info("beta %s: patient %s failed (%s: %s)", beta.tolist(), pid,
-                     type(err).__name__, err)
-        if failed:
+        if any(err is not None for _, err in results):
             return None
-        jacobians[z.tobytes()] = [A[:, 1:] for A, _ in results]
-        return multi_patient_residuals(beta, patients, [F for F, _ in outlets], cfg)
-
-    def jacobian(z):
-        # LM asks only at a point whose residuals it has just evaluated
-        beta = np.exp(z)
-        return multi_patient_residual_jacobian(beta, jacobians[z.tobytes()], cfg) * beta
+        r = multi_patient_residuals(beta, patients, [F for F, _ in outlets], cfg)
+        jac = multi_patient_residual_jacobian(beta, [A[:, 1:] for A, _ in results], cfg)
+        return r, jac * beta
 
     def report(k, z, damping):
         log.info("Levenberg-Marquardt iteration %d: beta %s, J %.6e, damping %.3e",
                  k, np.exp(z).tolist(), costs[z.tobytes()], damping)
 
-    raw = levenberg_marquardt(residuals, jacobian, np.log(init), tol=tol,
-                              max_iter=max_iter, callback=report)
+    raw = levenberg_marquardt(evaluate, np.log(init), tol=tol, max_iter=max_iter,
+                              callback=report)
     beta_trace = [(np.exp(z), costs[z.tobytes()]) for z, _ in raw.trace]
     return OptimResult(best_point=np.exp(raw.best_point), best_value=beta_trace[-1][1],
                        trace=beta_trace, n_evals=raw.n_evals, converged=raw.converged,
@@ -538,7 +530,8 @@ def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,
 def landscape_scan(patients, box, n1: int, n2: int, cfg: MultiCostConfig,
                    ctx: ForwardContext) -> GridResult:
     """Exhaustive multi-patient cost scan on a uniform grid (endpoints
-    included), with failures recorded as the configured failure value.
+    included), with each failed solve folded in as the configured failure
+    value.
 
     The whole grid is one ``forward_pairs`` batch: points in
     ``grid_search``'s row-major order, patients in the order given.  Each
@@ -551,12 +544,8 @@ def landscape_scan(patients, box, n1: int, n2: int, cfg: MultiCostConfig,
     results = ctx.forward_pairs([(rec, beta) for beta in points for rec in patients])
     n = len(patients)
     at_point = {beta.tobytes(): results[k * n:(k + 1) * n] for k, beta in enumerate(points)}
-    grid = grid_search(lambda b: _folded_cost(b, patients, at_point[b.tobytes()], cfg),
+    return grid_search(lambda b: _folded_cost(b, patients, at_point[b.tobytes()], cfg),
                        box, n1, n2)
-    values = np.where(np.isfinite(grid.values), grid.values, cfg.failure_value)
-    return GridResult(beta1_axis=grid.beta1_axis, beta2_axis=grid.beta2_axis,
-                      values=values, argmin_point=grid.argmin_point,
-                      argmin_index=grid.argmin_index, n_evals=grid.n_evals)
 
 
 # -- sensitivity study ------------------------------------------------------------------
@@ -586,11 +575,12 @@ class SensitivityResult:
 
 
 def sensitivity_study(patients, ctx: ForwardContext, beta_star, sigmas,
-                      seed: int) -> SensitivityResult:
-    """Propagate clipped multiplicative coefficient perturbations through the
-    full forward solver and summarize relative output errors per noise level,
-    per patient and per species.  Patients whose perturbed solve fails are
-    excluded from that level and reported."""
+                      seed: int, clip_factor: float = 3.0) -> SensitivityResult:
+    """Propagate multiplicative coefficient perturbations, clipped to
+    +-clip_factor*sigma, through the full forward solver and summarize
+    relative output errors per noise level, per patient and per species.
+    Patients whose perturbed solve fails are excluded from that level and
+    reported."""
     from .cohort import derive_seed, perturb_coefficients
 
     beta_star = np.asarray(beta_star, dtype=float)
@@ -608,7 +598,8 @@ def sensitivity_study(patients, ctx: ForwardContext, beta_star, sigmas,
     levels = []
     for k, sigma in enumerate(sigmas):
         level_seed = derive_seed(seed, "sensitivity", k)
-        betas = perturb_coefficients(beta_star, float(sigma), len(kept), level_seed)
+        betas = perturb_coefficients(beta_star, float(sigma), len(kept), level_seed,
+                                     clip_factor=clip_factor)
         outs = ctx.forward_pairs(list(zip(kept, betas)), use_warm=False)
         per_patient = {}
         excluded = []

@@ -4,10 +4,10 @@ Derivative-free machinery for an expensive black-box objective: forward
 finite-difference pseudo-gradient, projected gradient descent with adaptive
 step halving, Powell direction-set minimization with bracketing + Brent line
 searches, and exhaustive grid scanning; and Levenberg-Marquardt for a sum
-of squares whose residual Jacobian is available.  All methods are
-deterministic for a deterministic objective, and a failing objective
-evaluation is folded into the search (treated as non-decrease / +inf)
-rather than aborting, except at the starting point.
+of squares whose one evaluation returns the residuals and their Jacobian
+together.  All methods are deterministic for a deterministic objective, and
+a failing objective evaluation is folded into the search (treated as
+non-decrease / +inf) rather than aborting, except at the starting point.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .exceptions import UsageError
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _STEP_FLOOR = 1e-12
 _LM_TAU = 1e-3  # initial damping relative to the largest diagonal entry of J^T J
+_LINE_TOL = 1e-6  # relative tolerance of Powell's Brent line searches
 
 
 @dataclass
@@ -169,7 +170,7 @@ def _bracket(g, a=0.0, b=1.0):
     return lo, b, hi, gb
 
 
-def _brent(g, a, m, b, gm, rel_tol=1e-6, max_iter=80):
+def _brent(g, a, m, b, gm, rel_tol=_LINE_TOL, max_iter=80):
     """Brent line minimization on a bracket (golden-section with parabolic
     refinement)."""
     x = w = v = m
@@ -223,7 +224,7 @@ def _brent(g, a, m, b, gm, rel_tol=1e-6, max_iter=80):
     return x, fx
 
 
-def _line_minimize(obj, x, direction, f_x, rel_tol=1e-6):
+def _line_minimize(obj, x, direction, f_x, rel_tol=_LINE_TOL):
     """Minimize t -> f(x + t d); returns (new x, new f, evals used)."""
     before = obj.n_evals
     scale = np.linalg.norm(direction)
@@ -240,8 +241,7 @@ def _line_minimize(obj, x, direction, f_x, rel_tol=1e-6):
     return x, f_x, obj.n_evals - before
 
 
-def powell_minimize(f, x0, tol: float = 1e-8, max_iter: int = 100,
-                    line_tol: float = 1e-6) -> OptimResult:
+def powell_minimize(f, x0, tol: float = 1e-8, max_iter: int = 100) -> OptimResult:
     """Powell's direction-set minimization.
 
     Sweeps one-dimensional minimizations over the current direction set; after
@@ -269,7 +269,7 @@ def powell_minimize(f, x0, tol: float = 1e-8, max_iter: int = 100,
         k_biggest = 0
         for k, d in enumerate(directions):
             f_before = fx
-            x, fx, _ = _line_minimize(obj, x, d, fx, rel_tol=line_tol)
+            x, fx, _ = _line_minimize(obj, x, d, fx)
             if f_before - fx > biggest_drop:
                 biggest_drop = f_before - fx
                 k_biggest = k
@@ -291,7 +291,7 @@ def powell_minimize(f, x0, tol: float = 1e-8, max_iter: int = 100,
                 t2 = f_start - f_ext
                 crit = 2.0 * (f_start - 2.0 * fx + f_ext) * t1**2 - biggest_drop * t2**2
                 if crit < 0.0:
-                    x, fx, _ = _line_minimize(obj, x, net, fx, rel_tol=line_tol)
+                    x, fx, _ = _line_minimize(obj, x, net, fx)
                     directions[k_biggest] = net / np.linalg.norm(net)
                     trace[-1] = (x.copy(), fx)
 
@@ -304,14 +304,13 @@ def powell_minimize(f, x0, tol: float = 1e-8, max_iter: int = 100,
 
 # -- Levenberg-Marquardt ------------------------------------------------------------
 
-def levenberg_marquardt(residuals, jacobian, x0, tol: float = 1e-10, max_iter: int = 60,
+def levenberg_marquardt(evaluate, x0, tol: float = 1e-10, max_iter: int = 60,
                         callback=None) -> OptimResult:
     """Levenberg-Marquardt minimization of f(x) = |r(x)|^2 (Madsen, Nielsen &
     Tingleff, *Methods for Non-Linear Least Squares Problems*, 2004, alg. 3.16).
 
-    ``residuals(x)`` returns the residual vector r(x), or None where it
-    cannot be evaluated; ``jacobian(x)`` returns dr/dx, or None, and is
-    called only at accepted points, right after their ``residuals`` call.
+    ``evaluate(x)`` returns the residual vector r(x) and its Jacobian dr/dx
+    as a pair, or None where x cannot be evaluated.
 
     Each iteration tries the step h solving (J^T J + mu I) h = -J^T r and
     accepts it if f decreases; the damping mu then shrinks by the gain ratio
@@ -319,29 +318,28 @@ def levenberg_marquardt(residuals, jacobian, x0, tol: float = 1e-10, max_iter: i
     rejected or unevaluable trial.  The search converges ("tolerance") when
     the undamped Gauss-Newton step is at most ``tol`` long, or when an
     accepted step improves f by at most tol (|f_old| + |f_new|) (Powell's
-    test).  It stops "stalled" when r or J cannot be evaluated at the start
-    or at an accepted point, or when rejections shrink the step below
-    ``tol``, and "max_iter" after ``max_iter`` trial steps.
+    test).  It stops "stalled" when the start cannot be evaluated or when
+    rejections shrink the step below ``tol``, and "max_iter" after
+    ``max_iter`` trial steps.  ``n_jacobians`` counts the points whose J a
+    step used: the start and each accepted point the search went on from.
     ``callback(k, x, mu)`` runs after trial k with the current point.
     """
     x = np.asarray(x0, dtype=float).copy()
-    r = residuals(x)
+    point = evaluate(x)
     n_evals, n_jac = 1, 0
-    if r is None:
+    if point is None:
         return OptimResult(best_point=x, best_value=math.inf, trace=[(x.copy(), math.inf)],
                            n_evals=n_evals, converged=False, stop_reason="stalled")
+    r, jac = point
     f = float(r @ r)
     trace = [(x.copy(), f)]
     mu, nu = None, 2.0
-    jac = None
+    moved = True   # x changed since the normal equations were formed
     stop_reason = "max_iter"
     for k in range(1, max_iter + 1):
-        if jac is None:
-            jac = jacobian(x)
+        if moved:
+            moved = False
             n_jac += 1
-            if jac is None:
-                stop_reason = "stalled"
-                break
             A, g = jac.T @ jac, jac.T @ r
             gn_step = np.linalg.lstsq(jac, -r, rcond=None)[0]
             if np.linalg.norm(gn_step) <= tol:
@@ -354,15 +352,16 @@ def levenberg_marquardt(residuals, jacobian, x0, tol: float = 1e-10, max_iter: i
             stop_reason = "stalled"
             break
         x_new = x + h
-        r_new = residuals(x_new)
+        trial = evaluate(x_new)
         n_evals += 1
-        f_new = math.inf if r_new is None else float(r_new @ r_new)
+        f_new = math.inf if trial is None else float(trial[0] @ trial[0])
         accepted = f_new < f
         if accepted:
             predicted = float(h @ (mu * h - g))   # |r|^2 - |r + J h|^2
             rho = (f - f_new) / predicted if predicted > 0 else 1.0
             small_gain = f - f_new <= tol * (abs(f) + abs(f_new) + 1e-30)
-            x, r, f, jac = x_new, r_new, f_new, None
+            x, f, moved = x_new, f_new, True
+            r, jac = trial
             trace.append((x.copy(), f))
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0

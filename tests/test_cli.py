@@ -323,6 +323,25 @@ def test_sensitivity_command(workdir, synth_bundle):
     assert len(payload["levels"][0]["per_species_mean"]) == 5
 
 
+def test_sensitivity_honours_clip_factor(workdir, synth_bundle):
+    # a clip of 1e-6 sigma leaves the perturbed coefficients within 2e-8 of
+    # beta*, so the outputs move by far less than at the default clip of 3
+    cfg = json.loads((workdir / "cfg.json").read_text())
+    (workdir / "cfg_clip.json").write_text(json.dumps(dict(cfg, clip_factor=1e-6)))
+    for name in ("cfg.json", "cfg_clip.json"):
+        rc = run(workdir, "sensitivity", "--config", name, "--targets", "synth",
+                 "--sigmas", "0.02", "--seed", "3", "--out", f"sens_{name}")
+        assert rc == 0
+    with open(os.path.join(workdir, "sens_cfg.json", "sensitivity.json")) as fh:
+        default = json.load(fh)["levels"][0]["cohort_mean"]
+    with open(os.path.join(workdir, "sens_cfg_clip.json", "sensitivity.json")) as fh:
+        clipped = json.load(fh)["levels"][0]["cohort_mean"]
+    with open(os.path.join(workdir, "sens_cfg_clip.json", "manifest.json")) as fh:
+        assert json.load(fh)["options"]["clip_factor"] == 1e-6
+    assert default > 1e-4
+    assert clipped < 1e-6
+
+
 def test_invert_single_command(workdir, synth_bundle):
     # build a patient CSV out of a synthetic record so the misfit is fittable
     with open(os.path.join(workdir, "synth", "targets.json")) as fh:

@@ -149,12 +149,18 @@ def test_forward_failures_are_typed_and_keep_the_newton_trace(exact_patients):
         assert serial.trace and serial.trace == pooled.trace
 
 
-def test_landscape_on_constant_failure_objective(ctx, exact_patients):
+def test_landscape_on_constant_failure_objective(ctx, exact_patients, caplog):
     nan_patient = replace(exact_patients[0], id="broken",
                           inlet_blood=np.full(5, np.nan), extras={})
     cfg = MultiCostConfig(weights=np.ones(5))
-    grid = landscape_scan([nan_patient], ((0.1, 0.9), (0.1, 0.9)), 2, 2, cfg, ctx)
+    with caplog.at_level("INFO", logger="fiberdialysis.inverse"):
+        grid = landscape_scan([nan_patient], ((0.1, 0.9), (0.1, 0.9)), 2, 2, cfg, ctx)
     assert np.all(grid.values == cfg.failure_value)
+    # each failed cell is logged once, with its beta, patient id and error type
+    failures = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+    assert len(failures) == 4
+    for (b1, b2), message in zip([(0.1, 0.1), (0.1, 0.9), (0.9, 0.1), (0.9, 0.9)], failures):
+        assert message.startswith(f"beta {[b1, b2]}: patient broken failed (ConfigurationError:")
 
 
 def test_bound_penalty_active_outside_box(ctx, exact_patients):
@@ -436,6 +442,25 @@ def test_no_pool_task_or_result_carries_a_field(ctx, exact_patients, tmp_path, m
     for entry in calls:
         assert entry["fields"] == [None, None]
         assert max(entry["task"], entry["result"]) < field_bytes
+
+
+def test_home_slots_fork_the_context_solver(exact_patients, tmp_path, monkeypatch):
+    # (16, 4, 4, 4) nests twice; its three meshes are built once, in this
+    # process, with the context's solver, and the slots run on the copies
+    # their fork made of it, nested levels included
+    log = _call_log(tmp_path / "mesh.jsonl")
+    plain = inverse.build_structured_mesh
+
+    def logged(*args):
+        log()
+        return plain(*args)
+
+    monkeypatch.setattr(inverse, "build_structured_mesh", logged)
+    beta = np.array([0.7, 0.5])
+    with context_from_profile(load_profile(), jobs=2, mesh_res=(16, 4, 4, 4)) as context:
+        out = context.forward_pairs([(rec, beta) for rec in exact_patients])
+    assert all(err is None for _, err in out)
+    assert [entry["pid"] for entry in _read_log(tmp_path / "mesh.jsonl")] == [os.getpid()] * 3
 
 
 def test_home_slots_stop_on_close_and_a_dead_slot_raises(exact_patients):
