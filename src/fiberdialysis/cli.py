@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -48,14 +49,27 @@ def _write_csv(path, header, rows):
                      else str(v) for v in row) + "\n")
 
 
+def _finite(text, kind=float):
+    """``text`` as a finite number of ``kind``, else ArgumentTypeError:
+    float() also parses nan and inf, which no option takes."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if isinstance(value, float) and not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_numbers(text, name, form, counts=None, kind=float):
     """The comma-separated numbers of option ``name``; ConfigurationError
-    (exit 2) unless each parses as ``kind`` and, when ``counts`` is given,
-    their count is one of ``counts``.  ``form`` describes the expected value."""
+    (exit 2) unless each parses as a finite ``kind`` and, when ``counts`` is
+    given, their count is one of ``counts``.  ``form`` describes the
+    expected value."""
     parts = [p for p in text.split(",") if p.strip() != ""]
     try:
-        values = [kind(p) for p in parts]
-    except ValueError:
+        values = [_finite(p, kind) for p in parts]
+    except argparse.ArgumentTypeError:
         values = []
     if not values or (counts is not None and len(values) not in counts):
         raise ConfigurationError(f"{name} must be {form}, got {text!r}")
@@ -584,7 +598,7 @@ def build_parser():
     p.add_argument("--patients", help="comma-separated patient ids (default: all)")
     p.add_argument("--init", help="initial d_Ca,d_Ci (default 0.3,0.8)")
     p.add_argument("--bounds", help="lo1,hi1,lo2,hi2 soft bounds")
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float,
+    p.add_argument("--noise-sigma", dest="noise_sigma", type=_finite,
                    help="perturb targets multiplicatively before inverting")
     p.set_defaults(func=cmd_invert_multi)
 
@@ -606,7 +620,7 @@ def build_parser():
     p.add_argument("--sigmas", help="comma-separated noise levels (default config)")
     p.add_argument("--subcohort-size", dest="subcohort_size", type=int, default=5)
     p.add_argument("--n-subcohorts", dest="n_subcohorts", type=int, default=4)
-    p.add_argument("--full-at", dest="full_at", type=float, default=0.05,
+    p.add_argument("--full-at", dest="full_at", type=_finite, default=0.05,
                    help="also invert the pooled cohort at this noise level")
     p.add_argument("--init")
     p.add_argument("--bounds")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -36,7 +37,9 @@ _HYDRAULIC_KEYS = ("K_over_mu", "Q_b", "Q_d", "p_in_b", "p_out_b", "p_in_d", "p_
 
 
 def _is_number(value, kind=(int, float)):
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """A finite number of ``kind``: json.load also reads NaN and Infinity."""
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def _is_numbers(value, n, kind=(int, float)):

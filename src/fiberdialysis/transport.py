@@ -25,11 +25,15 @@ those factors, to the accuracy of a direct solve, and factorizes again only
 when refinement stalls short of it.  The Newton iterates are those of one LU
 per step, up to roundoff.
 
-Asked for tangents, a solve also returns dc/dbeta at its converged field,
-the sensitivity of the solution to beta = (d_Ca, d_Ci): the two columns of
-J(c) dc/dbeta = -(dL/dbeta) c, refined on the factors the solve still holds
-before it releases them, so they cost no factorization of their own unless
-that refinement stalls.
+The linear operator L is assembled in one pass over all triangles.  beta =
+(d_Ca, d_Ci) enters it at one place: ``SpeciesConfig.with_beta`` maps beta to
+the membrane fractions alpha, and alpha_s scales only the membrane diffusion
+of species s (species 1, and 4 and 5), so L is affine in beta.  The assembly
+keeps that membrane block.  Asked for tangents, a solve also returns dc/dbeta
+at its converged field: the two columns of J(c) dc/dbeta = -(dL/dbeta) c, the
+right-hand side taken from the kept block, refined on the factors the solve
+still holds before it releases them, so they cost no factorization of their
+own unless that refinement stalls.
 """
 
 from __future__ import annotations
@@ -212,22 +216,19 @@ def reaction_jacobian(c, rp: ReactionParams) -> np.ndarray:
 def _operator_dofs(mesh: Mesh):
     """Row and column dofs of the linear operator's triplets, in the order
     ``TransportSolver._build_linear_operator`` emits their values: per
-    species the 3x3 blocks of its triangles, then the blood-membrane edge
-    blocks of the species that stay in blood."""
+    species the 3x3 blocks of its triangles, then the 2x2 blood-membrane
+    edge blocks of the species that stay in blood."""
     tri = mesh.triangles
+    ends = mesh.edges_with_tag(Boundary.BLOOD_MEMBRANE).T  # (2, E)
     rows, cols = [], []
     for s in range(N_SPECIES):
         a_tri = tri if CROSSES_MEMBRANE[s] else tri[mesh.fem.is_blood]
         rows.append(N_SPECIES * np.repeat(a_tri, 3, axis=1).ravel() + s)
         cols.append(N_SPECIES * np.tile(a_tri, (1, 3)).ravel() + s)
-    ends = mesh.edges_with_tag(Boundary.BLOOD_MEMBRANE).T
     for s in range(N_SPECIES):
-        if CROSSES_MEMBRANE[s]:
-            continue
-        for va in ends:
-            for vb in ends:
-                rows.append(N_SPECIES * va + s)
-                cols.append(N_SPECIES * vb + s)
+        if not CROSSES_MEMBRANE[s]:
+            rows.append(N_SPECIES * np.repeat(ends, 2, axis=0).ravel() + s)
+            cols.append(N_SPECIES * np.tile(ends, (2, 1)).ravel() + s)
     return np.concatenate(rows), np.concatenate(cols)
 
 
@@ -370,98 +371,57 @@ class TransportSolver:
 
     # .. linear operator (convection + diffusion + interface term) ..
 
-    def _species_coefficients(self):
-        cfg = self.cfg
-        sc = cfg.species
-        fem = self.fem
-        T = self.mesh.n_triangles
-        D_loc = np.empty((N_SPECIES, T))
-        S_loc = np.ones((N_SPECIES, T))
-        for s in range(N_SPECIES):
-            D = np.full(T, sc.D_dialysate[s])
-            D[fem.is_membrane] = sc.alpha[s] * sc.D_blood[s]
-            D[fem.is_blood] = sc.D_blood[s]
-            D_loc[s] = D
-            S_loc[s, fem.is_membrane] = sc.sieving[s]
-        return D_loc, S_loc
-
-    def _stiffness(self, active):
-        """Unscaled r-weighted diffusion element matrices (T, 3, 3) of the
-        triangles ``active``, axial part weighted by eps2."""
-        cfg, fem = self.cfg, self.fem
-        a_bx = fem.bx[active]
-        a_br = fem.br[active]
-        return ((cfg.eps2 / cfg.Pe) * a_bx[:, :, None] * a_bx[:, None, :]
-                + (1.0 / cfg.Pe) * a_br[:, :, None] * a_br[:, None, :])
-
     def _build_linear_operator(self):
-        mesh, fem, cfg = self.mesh, self.fem, self.cfg
-        tri = mesh.triangles
-        p = self.pattern
-        ux = self.velocity.u_x[tri]  # (T, 3)
-        ur = self.velocity.u_r[tri]
-        D_loc, S_loc = self._species_coefficients()
+        """L with identity Dirichlet rows, its triplet values in the order of
+        ``_operator_dofs``.  Species s diffuses with D_blood_s in blood,
+        alpha_s D_blood_s in the membrane and D_dialysate_s in dialysate; its
+        membrane convection carries sieving_s.  So alpha, and through
+        ``SpeciesConfig.with_beta`` beta, enters L only as a factor of the
+        membrane block w K (r-weight times unit-diffusivity stiffness), which
+        is kept for ``_beta_tangents``."""
+        fem, cfg, sc, p = self.fem, self.cfg, self.cfg.species, self.pattern
+        tri, sub = self.mesh.triangles, self.mesh.subdomain_of_triangle
+        # per triangle: unit-diffusivity stiffness (axial part weighted by
+        # eps2) and midedge convection sum_q w_q phi_a(q) (Ux(q) bx_b + Ur(q) br_b)
+        stiff = ((cfg.eps2 / cfg.Pe) * fem.bx[:, :, None] * fem.bx[:, None, :]
+                 + (1.0 / cfg.Pe) * fem.br[:, :, None] * fem.br[:, None, :])
+        conv_b = ((self.velocity.u_x[tri] @ fem.phi_q.T)[:, :, None] * fem.bx[:, None, :]
+                  + (self.velocity.u_r[tri] @ fem.phi_q.T)[:, :, None] * fem.br[:, None, :])
+        wq = (fem.area / 3.0)[:, None] * fem.r_q
+        conv = np.einsum("tq,qa,tqb->tab", wq, fem.phi_q, conv_b)
+        w = fem.area * fem.rbar
+        self._membrane_block = w[fem.is_membrane][:, None, None] * stiff[fem.is_membrane]
 
-        w_diff = fem.area * fem.rbar
-        vals_all = []
-
-        # convection at midedge points: Ue (T, q, 2)
-        ux_q = ux @ fem.phi_q.T
-        ur_q = ur @ fem.phi_q.T
-        wq = (fem.area / 3.0)[:, None] * fem.r_q  # (T, q)
-
-        shared = {}  # unscaled element matrices, one pair per set of triangles
+        vals = []
         for s in range(N_SPECIES):
-            crosses = CROSSES_MEMBRANE[s]
-            active = slice(None) if crosses else fem.is_blood
-            if crosses not in shared:
-                a_bx = fem.bx[active]
-                a_br = fem.br[active]
-                stiff = self._stiffness(active)
-                # convection: sum_q w_q phi_a(q) * S * (Ux(q) bx_b + Ur(q) br_b)
-                conv_b = (ux_q[active][:, :, None] * a_bx[:, None, :]
-                          + ur_q[active][:, :, None] * a_br[:, None, :])  # (T, q, b)
-                conv = np.einsum("tq,qa,tqb->tab", wq[active], fem.phi_q, conv_b)
-                shared[crosses] = stiff, conv
-            stiff, conv = shared[crosses]
-            ke = (D_loc[s] * w_diff)[active][:, None, None] * stiff
-            ce = conv * S_loc[s][active][:, None, None]
-            vals_all.append((ke + ce).ravel())
-        vals_all.extend(self._interface_term())
+            # coefficients indexed by Subdomain: blood, membrane, dialysate
+            D = np.array([sc.D_blood[s], sc.alpha[s] * sc.D_blood[s], sc.D_dialysate[s]])[sub]
+            S = np.array([1.0, sc.sieving[s], 1.0])[sub]
+            on = slice(None) if CROSSES_MEMBRANE[s] else fem.is_blood
+            ke = (D * w)[on][:, None, None] * stiff[on]
+            vals.append((ke + conv[on] * S[on][:, None, None]).ravel())
+        interface = self._interface_term().ravel()
+        vals.extend(interface for crosses in CROSSES_MEMBRANE if not crosses)
 
-        # triplet values in the order of _operator_dofs; Dirichlet rows are identity
-        vals = np.concatenate(vals_all)[p.op_keep]
+        vals = np.concatenate(vals)[p.op_keep]
         self._op_data = np.bincount(p.op_pos, weights=vals, minlength=p.nnz)
         self._op_data[p.dirichlet_pos] = 1.0
         self.L_bc = p.matrix(self._op_data)
 
     def _interface_term(self):
-        """-int_{Gamma_bm} r U_r c phi dx for the non-crossing species: the
-        flux-consistent wall condition (D/Pe) d_r c = c U_r, which makes the
-        total albumin flux through the membrane wall vanish."""
-        mesh = self.mesh
-        edges = mesh.edges_with_tag(Boundary.BLOOD_MEMBRANE)
-        v0, v1 = edges[:, 0], edges[:, 1]
-        p0, p1 = mesh.vertices[v0], mesh.vertices[v1]
-        h = np.abs(p1[:, 0] - p0[:, 0])
-        R1 = mesh.geom.R1
+        """-int_{Gamma_bm} r U_r c phi dx for a non-crossing species, as the
+        (a, b, edge) entries of the blood-membrane edges: the flux-consistent
+        wall condition (D/Pe) d_r c = c U_r, which makes the total albumin
+        flux through the membrane wall vanish."""
+        mesh, u_r = self.mesh, self.velocity.u_r
+        v0, v1 = mesh.edges_with_tag(Boundary.BLOOD_MEMBRANE).T
+        h = np.abs(mesh.vertices[v1, 0] - mesh.vertices[v0, 0])
         gp = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-        gw = np.array([0.5, 0.5])
-        ur0 = self.velocity.u_r[v0]
-        ur1 = self.velocity.u_r[v1]
-        vals = []
-        phis = np.stack([1.0 - gp, gp])  # (a, g)
-        for s in range(N_SPECIES):
-            if CROSSES_MEMBRANE[s]:
-                continue
-            for a in range(2):
-                for b in range(2):
-                    contrib = np.zeros(edges.shape[0])
-                    for g in range(2):
-                        ur_g = ur0 * (1 - gp[g]) + ur1 * gp[g]
-                        contrib += gw[g] * ur_g * phis[a, g] * phis[b, g]
-                    vals.append(-R1 * h * contrib)
-        return vals
+        phi = np.stack([1.0 - gp, gp])  # (a, g)
+        ur = np.outer(1 - gp, u_r[v0]) + np.outer(gp, u_r[v1])  # (g, E)
+        # two-point Gauss, weights 1/2
+        terms = 0.5 * ur * phi[:, None, :, None] * phi[None, :, :, None]  # (a, b, g, E)
+        return -mesh.geom.R1 * h * (terms[:, :, 0] + terms[:, :, 1])
 
     # .. residual / jacobian / newton ..
 
@@ -490,20 +450,20 @@ class TransportSolver:
         Dirichlet dofs (their values do not depend on beta).  Both columns
         refine on the factors of the solve that converged to ``c_flat``.
 
-        beta = (d_Ca, d_Ci) enters the operator only through the membrane
-        diffusion alpha_s D_blood_s of species 1 (k = 1) and of species 4 and
-        5 (k = 2), so dL/dbeta_k is that diffusion with alpha_s = 1, applied
-        here element by element.
+        L is affine in alpha: alpha_s multiplies only D_blood_s times the
+        membrane block w K of species s, which the assembly kept.  alpha is
+        linear in beta, so -(dL/dbeta_k) c applies that block to the species
+        ``SpeciesConfig.with_beta`` gives a nonzero alpha at beta = e_k.
         """
-        fem, p = self.fem, self.pattern
-        membrane = fem.is_membrane
-        tri = self.mesh.triangles[membrane]
-        ke = (fem.area * fem.rbar)[membrane][:, None, None] * self._stiffness(membrane)
+        p, sc = self.pattern, self.cfg.species
+        tri = self.mesh.triangles[self.fem.is_membrane]
         rhs = np.zeros((self.n_dof, 2))
-        for k, species in enumerate(((0,), (3, 4))):
-            for s in species:
+        for k, e_k in enumerate(np.eye(2)):
+            alpha = sc.with_beta(*e_k).alpha
+            for s in np.flatnonzero(alpha):
                 dofs = N_SPECIES * tri + s
-                local = self.cfg.species.D_blood[s] * np.einsum("tab,tb->ta", ke, c_flat[dofs])
+                local = (alpha[s] * sc.D_blood[s]
+                         * np.einsum("tab,tb->ta", self._membrane_block, c_flat[dofs]))
                 rhs[:, k] -= np.bincount(dofs.ravel(), weights=local.ravel(),
                                          minlength=self.n_dof)
         A = p.free_block(self.jacobian(c_flat))

@@ -123,6 +123,42 @@ def test_malformed_run_option_exits_2(workdir):
                    "--beta", "0.2,0.2", "--out", "fwd_bad_option") == 2
 
 
+def _nan_config(workdir):
+    # json writes and reads NaN and Infinity
+    (workdir / "cfg_nan.json").write_text(json.dumps({"mesh": [20, 4, 3, 4],
+                                                      "beta_star": [float("nan"), 0.4]}))
+    return "cfg_nan.json"
+
+
+def _inf_profile_config(workdir):
+    raw = json.loads(packaged_data_path("default_profile.json").read_text())
+    raw["transport"]["Pe"] = float("inf")
+    (workdir / "inf_profile.json").write_text(json.dumps(raw))
+    (workdir / "cfg_inf_profile.json").write_text(json.dumps(
+        {"profile": "inf_profile.json", "mesh": [20, 4, 3, 4]}))
+    return "cfg_inf_profile.json"
+
+
+@pytest.mark.parametrize("argv", [
+    ("forward", "--config", "cfg.json", "--patient", "PATIENT", "--beta", "nan,0.2"),
+    ("synth", "--config", "cfg.json", "--ns", "2", "--beta-star", "inf,0.4"),
+    ("synth", "--config", _nan_config, "--ns", "2"),
+    ("forward", "--config", _inf_profile_config, "--patient", "PATIENT", "--beta", "0.2,0.2"),
+    ("invert-multi", "--config", "cfg.json", "--targets", "synth", "--noise-sigma", "nan"),
+    ("noise-study", "--config", "cfg.json", "--targets", "synth", "--full-at", "-inf"),
+], ids=["beta", "beta-star", "config", "profile", "noise-sigma", "full-at"])
+def test_non_finite_number_exits_2(workdir, synth_bundle, argv):
+    # float() and json.load accept nan and inf; each must be a parse error
+    argv = [a(workdir) if callable(a) else a for a in argv]
+    argv = [str(packaged_data_path("patient1.csv")) if a == "PATIENT" else a for a in argv]
+    try:
+        rc = run(workdir, *argv, "--out", "out_non_finite")
+    except SystemExit as exc:  # argparse rejects an option's type
+        rc = exc.code
+    assert rc == 2
+    assert not (workdir / "out_non_finite").exists()
+
+
 def test_counts_below_one_exit_2(workdir, synth_bundle, capsys):
     assert run(workdir, "synth", "--config", "cfg.json", "--ns", "0",
                "--out", "synth_ns0") == 2

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ from fiberdialysis import linalg
 from fiberdialysis.config import load_profile
 from fiberdialysis.exceptions import ConfigurationError, NewtonError, SolverError
 from fiberdialysis.flow import HydraulicState, VelocityField, compute_velocity_field
-from fiberdialysis.mesh import AxiGeometry, build_structured_mesh
+from fiberdialysis.mesh import AxiGeometry, Boundary, build_structured_mesh
 from fiberdialysis.transport import (BoundaryData, ConcentrationField, ReactionParams,
                                      SpeciesConfig, TransportConfig, TransportSolver,
                                      export_field_csv, outlet_concentration,
@@ -212,6 +213,69 @@ def test_jacobian_consistency_second_order():
     errs = [np.linalg.norm(solver.residual(c + h * v) - solver.residual(c) - h * (A @ v))
             for h in (1e-2, 5e-3)]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
+
+
+def _operator_oracle(solver):
+    """L of ``solver`` as a dense matrix built triangle by triangle and edge
+    by edge from the weak form, with identity Dirichlet rows."""
+    mesh, sc, cfg = solver.mesh, solver.cfg.species, solver.cfg
+    ux, ur = solver.velocity.u_x, solver.velocity.u_r
+    L = np.zeros((solver.n_dof, solver.n_dof))
+    for t, (tri, sub) in enumerate(zip(mesh.triangles, mesh.subdomain_of_triangle)):
+        (x1, r1), (x2, r2), (x3, r3) = mesh.vertices[tri]
+        det = (x2 - x1) * (r3 - r1) - (x3 - x1) * (r2 - r1)
+        gx = np.array([r2 - r3, r3 - r1, r1 - r2]) / det  # d phi_a / dx
+        gr = np.array([x3 - x2, x1 - x3, x2 - x1]) / det  # d phi_a / dr
+        area, rbar = 0.5 * det, (r1 + r2 + r3) / 3.0
+        for s in range(5):
+            if sub == 0:
+                D, S = sc.D_blood[s], 1.0
+            elif s in (1, 2):
+                continue  # albumin species live in blood only
+            elif sub == 1:
+                D, S = sc.alpha[s] * sc.D_blood[s], sc.sieving[s]
+            else:
+                D, S = sc.D_dialysate[s], 1.0
+            for a in range(3):
+                for b in range(3):
+                    # centroid-rule diffusion, exact for constant gradients
+                    val = D * area * rbar * (cfg.eps2 * gx[a] * gx[b] + gr[a] * gr[b]) / cfg.Pe
+                    for m, n in ((0, 1), (1, 2), (0, 2)):  # midedge convection
+                        phi_a = 0.5 if a in (m, n) else 0.0
+                        u_x = 0.5 * (ux[tri[m]] + ux[tri[n]])
+                        u_r = 0.5 * (ur[tri[m]] + ur[tri[n]])
+                        r_mid = 0.5 * (mesh.vertices[tri[m], 1] + mesh.vertices[tri[n], 1])
+                        val += area / 3.0 * r_mid * S * (u_x * gx[b] + u_r * gr[b]) * phi_a
+                    L[5 * tri[a] + s, 5 * tri[b] + s] += val
+    # albumin wall term -R1 int U_r phi_a phi_b dx, exact: U_r is linear along
+    # the edge and int_e l0^i l1^j = h i! j! / (i + j + 1)!
+    for v in mesh.edges_with_tag(Boundary.BLOOD_MEMBRANE):
+        h = abs(mesh.vertices[v[1], 0] - mesh.vertices[v[0], 0])
+        for a in range(2):
+            for b in range(2):
+                for c in range(2):
+                    i = (a == 0) + (b == 0) + (c == 0)
+                    weight = h * math.factorial(i) * math.factorial(3 - i) / 24.0
+                    for s in (1, 2):
+                        L[5 * v[a] + s, 5 * v[b] + s] -= GEOM.R1 * ur[v[c]] * weight
+    L[solver.dirichlet_dofs] = 0.0
+    L[solver.dirichlet_dofs, solver.dirichlet_dofs] = 1.0
+    return L
+
+
+def test_operator_matches_an_element_by_element_oracle():
+    # D, alpha and sieving differ by species and subdomain, the flow crosses
+    # the membrane, and eps2 != 1 weights the axial diffusion
+    mesh = build_structured_mesh(GEOM, 5, 3, 2, 3)
+    species = SpeciesConfig(D_blood=(1.0, 0.7, 0.6, 0.9, 0.8),
+                            D_dialysate=(1.3, 1.1, 1.2, 1.4, 1.5),
+                            alpha=(0.8, 0, 0, 0.4, 0.4), sieving=(0.9, 0.5, 0.6, 0.7, 0.3))
+    bd = BoundaryData(inlet_blood=(0.2, 3.0, 0.1, 4.0, 1.0),
+                      inlet_dialysate=(1.2, 0, 0, 0, 0))
+    solver = TransportSolver(mesh, flow_field(mesh, K=0.05), transport_cfg(species=species), bd)
+    expected = _operator_oracle(solver)
+    got = solver.L_bc.toarray()
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_velocity_mesh_mismatch_rejected():
