@@ -143,11 +143,14 @@ class _BundleMismatch(FiberDialysisError):
 
 
 def _is_number(v):
+    """Any number, NaN included: sensitivity.json holds NaN for a level at
+    which every patient was excluded.  ``config._is_number`` is the finite
+    test."""
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _is_numbers(v):
-    return isinstance(v, list) and all(_is_number(x) for x in v)
+def _is_finite_numbers(v):
+    return config._is_numbers(v, None)
 
 
 def _is_list(v):
@@ -223,9 +226,9 @@ def _sigmas(args, cfg):
     return [float(s) for s in cfg.options["noise_sigmas"]]
 
 
-def _load_targets(args, needed=("targets.json",)):
+def _load_targets(args):
     import hashlib
-    manifest = _check_bundle(args.targets, needed)
+    manifest = _check_bundle(args.targets, ("targets.json",))
     targets_path = os.path.join(args.targets, "targets.json")
     try:
         records = load_records(targets_path)
@@ -523,7 +526,8 @@ def cmd_report(args) -> int:
             lines.append(f"final beta error: {final_error:.3e}")
     if "result.json" in present:
         res = _require_fields(bundle, "result.json", _read_bundle_json(bundle, "result.json"),
-                              {"best_point": _is_numbers, "best_value": _is_number})
+                              {"best_point": _is_finite_numbers,
+                               "best_value": config._is_number})
         lines.append(f"best point: {res['best_point']} (J = {res['best_value']:.6g})")
     if "noise_study.json" in present:
         name = "noise_study.json"
@@ -531,7 +535,7 @@ def cmd_report(args) -> int:
                                 {"estimates": _is_list})
         for e in study["estimates"]:
             _require_fields(bundle, name, e, {"sigma": _is_number, "subcohort": _is_str,
-                                              "beta": _is_numbers})
+                                              "beta": _is_finite_numbers})
             lines.append(f"sigma {e['sigma']:g} {e['subcohort']}: "
                          f"beta = {[round(v, 5) for v in e['beta']]}")
     if "sensitivity.json" in present:

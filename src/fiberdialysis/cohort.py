@@ -138,11 +138,18 @@ class PatientRecord:
         hyd = None
         if d.get("hydraulics") is not None:
             hyd = HydraulicState(**d["hydraulics"])
-        return cls(id=d["id"], inlet_blood=d["inlet_blood"],
-                   inlet_dialysate=d["inlet_dialysate"],
-                   observed_outlet=d.get("observed_outlet"),
-                   hydraulics=hyd, calibrated=d.get("calibrated", False),
-                   extras=dict(d.get("extras", {})))
+        rec = cls(id=d["id"], inlet_blood=d["inlet_blood"],
+                  inlet_dialysate=d["inlet_dialysate"],
+                  observed_outlet=d.get("observed_outlet"),
+                  hydraulics=hyd, calibrated=d.get("calibrated", False),
+                  extras=dict(d.get("extras", {})))
+        concentrations = [rec.inlet_blood, rec.inlet_dialysate]
+        if rec.observed_outlet is not None:
+            concentrations.append(rec.observed_outlet)
+        if not all(np.all(np.isfinite(c)) for c in concentrations):
+            raise ConfigurationError(f"patient record {rec.id!r} holds a non-finite "
+                                     "inlet or outlet concentration")
+        return rec
 
 
 def save_records(records, path):

@@ -184,7 +184,6 @@ _RUN_FORMS = {
 class RunConfig:
     profile: ConstantsProfile
     options: dict
-    origin: str = "<memory>"
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -217,7 +216,7 @@ class RunConfig:
                 raise ConfigurationError(
                     f"{path}: run option {key!r} must be {form}, got {value!r}")
             options[key] = value
-        return cls(profile=profile, options=options, origin=str(path))
+        return cls(profile=profile, options=options)
 
     @classmethod
     def defaults(cls, profile=None) -> "RunConfig":
@@ -267,6 +266,8 @@ def load_patient_csv(path, base_hydraulics: HydraulicState) -> PatientRecord:
             vals = [float(v) for v in vals]
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{line_no}: {exc}") from None
+        if not all(math.isfinite(v) for v in vals):
+            raise ConfigurationError(f"{path}:{line_no}: row {name!r} holds a non-finite value")
         if name in ("inlet_blood", "inlet_dialysate", "observed_outlet_blood"):
             if len(vals) != 5:
                 raise ConfigurationError(

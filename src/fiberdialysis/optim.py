@@ -2,12 +2,13 @@
 
 Derivative-free machinery for an expensive black-box objective: forward
 finite-difference pseudo-gradient, projected gradient descent with adaptive
-step halving, Powell direction-set minimization with bracketing + Brent line
-searches, and exhaustive grid scanning; and Levenberg-Marquardt for a sum
-of squares whose one evaluation returns the residuals and their Jacobian
-together.  All methods are deterministic for a deterministic objective, and
-a failing objective evaluation is folded into the search (treated as
-non-decrease / +inf) rather than aborting, except at the starting point.
+step halving, exhaustive grid scanning, and Powell's direction-set method
+(scipy's, kept as the oracle the Levenberg-Marquardt identification is
+tested against); and Levenberg-Marquardt for a sum of squares whose one
+evaluation returns the residuals and their Jacobian together.  All methods
+are deterministic for a deterministic objective, and a failing objective
+evaluation is folded into the search (treated as non-decrease / +inf)
+rather than aborting, except at the starting point.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ import numpy as np
 
 from .exceptions import UsageError
 
-_GOLD = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 _STEP_FLOOR = 1e-12
 _LM_TAU = 1e-3  # initial damping relative to the largest diagonal entry of J^T J
-_LINE_TOL = 1e-6  # relative tolerance of Powell's Brent line searches
 
 
 @dataclass
@@ -148,158 +147,34 @@ def projected_gradient(f, beta0, initial_step: float, tol: float, n_max: int,
 
 # -- Powell direction-set method ------------------------------------------------
 
-def _bracket(g, a=0.0, b=1.0):
-    """Expand by factor 2 from [a, b] until a minimum is bracketed.
-
-    Returns (a, m, b, gm) with g(m) <= g(a), g(m) <= g(b).
-    """
-    ga, gb = g(a), g(b)
-    if gb > ga:
-        a, b = b, a
-        ga, gb = gb, ga
-    c = b + 2.0 * (b - a)
-    gc = g(c)
-    while gc < gb:
-        a, ga = b, gb
-        b, gb = c, gc
-        c = b + 2.0 * (b - a)
-        gc = g(c)
-        if abs(c) > 1e12:
-            break
-    lo, hi = (a, c) if a < c else (c, a)
-    return lo, b, hi, gb
-
-
-def _brent(g, a, m, b, gm, rel_tol=_LINE_TOL, max_iter=80):
-    """Brent line minimization on a bracket (golden-section with parabolic
-    refinement)."""
-    x = w = v = m
-    fx = fw = fv = gm
-    d = e = b - a
-    for _ in range(max_iter):
-        xm = 0.5 * (a + b)
-        tol1 = rel_tol * abs(x) + 1e-15
-        tol2 = 2.0 * tol1
-        if abs(x - xm) <= tol2 - 0.5 * (b - a):
-            break
-        use_golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0:
-                p = -p
-            q = abs(q)
-            e_tmp = e
-            e = d
-            if abs(p) < abs(0.5 * q * e_tmp) and p > q * (a - x) and p < q * (b - x):
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = math.copysign(tol1, xm - x)
-                use_golden = False
-        if use_golden:
-            e = (b if x < xm else a) - x
-            d = (1.0 - _GOLD) * e
-        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
-        fu = g(u)
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, w = w, u
-                fv, fw = fw, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
-
-
-def _line_minimize(obj, x, direction, f_x, rel_tol=_LINE_TOL):
-    """Minimize t -> f(x + t d); returns (new x, new f, evals used)."""
-    before = obj.n_evals
-    scale = np.linalg.norm(direction)
-    if scale == 0.0:
-        return x, f_x, 0
-
-    def g(t):
-        return obj.safe(x + t * direction)
-
-    a, m, b, gm = _bracket(g, 0.0, 1.0)
-    t, ft = _brent(g, a, m, b, gm, rel_tol=rel_tol)
-    if ft < f_x:
-        return x + t * direction, ft, obj.n_evals - before
-    return x, f_x, obj.n_evals - before
-
-
 def powell_minimize(f, x0, tol: float = 1e-8, max_iter: int = 100) -> OptimResult:
-    """Powell's direction-set minimization.
+    """Powell's direction-set minimization (Powell, *Comput. J.* 7, 1964), as
+    scipy's ``minimize(method="Powell")`` with ``xtol = ftol = tol`` and at
+    most ``max_iter`` sweeps.
 
-    Sweeps one-dimensional minimizations over the current direction set; after
-    each sweep the net displacement replaces the direction that produced the
-    largest single decrease (the standard replacement test), keeping the set
-    non-degenerate.  Stops when both the sweep improvement and the sweep
-    displacement fall below ``tol``.  Failing objective evaluations are
-    treated as +inf by the line searches.
+    Failing objective evaluations count as +inf.  ``trace`` holds the start
+    and the point and value after each sweep; ``stop_reason`` is "tolerance"
+    when scipy reports success, else "max_iter".
     """
+    from scipy.optimize import minimize  # 0.2-0.3 s: only the oracle tests need it
+
     x = np.asarray(x0, dtype=float).copy()
-    n = x.size
     obj = _CountedObjective(f)
     fx = obj.safe(x)
     if not np.isfinite(fx):
         raise UsageError(f"objective not finite at the starting point {x0}")
-    directions = [np.eye(n)[k].copy() for k in range(n)]
     trace = [(x.copy(), fx)]
-    stop_reason = "max_iter"
-    converged = False
 
-    for _ in range(max_iter):
-        x_start = x.copy()
-        f_start = fx
-        biggest_drop = 0.0
-        k_biggest = 0
-        for k, d in enumerate(directions):
-            f_before = fx
-            x, fx, _ = _line_minimize(obj, x, d, fx)
-            if f_before - fx > biggest_drop:
-                biggest_drop = f_before - fx
-                k_biggest = k
-        improvement = f_start - fx
-        displacement = float(np.linalg.norm(x - x_start))
-        trace.append((x.copy(), fx))
-        if improvement <= tol * (abs(f_start) + abs(fx) + 1e-30) and displacement <= tol:
-            stop_reason = "tolerance"
-            converged = True
-            break
+    def record(intermediate_result):
+        trace.append((np.array(intermediate_result.x, dtype=float),
+                      float(intermediate_result.fun)))
 
-        # extrapolated point test, then replace the most effective direction
-        # with the net displacement (it is the one best represented by it)
-        net = x - x_start
-        if np.linalg.norm(net) > 0:
-            f_ext = obj.safe(x_start + 2.0 * net)
-            if f_ext < f_start:
-                t1 = f_start - fx - biggest_drop
-                t2 = f_start - f_ext
-                crit = 2.0 * (f_start - 2.0 * fx + f_ext) * t1**2 - biggest_drop * t2**2
-                if crit < 0.0:
-                    x, fx, _ = _line_minimize(obj, x, net, fx)
-                    directions[k_biggest] = net / np.linalg.norm(net)
-                    trace[-1] = (x.copy(), fx)
-
-    values = [v for _, v in trace]
-    k_best = int(np.argmin(values))
-    return OptimResult(best_point=trace[k_best][0].copy(), best_value=values[k_best],
-                       trace=trace, n_evals=obj.n_evals,
-                       converged=converged, stop_reason=stop_reason)
+    res = minimize(obj.safe, x, method="Powell", callback=record,
+                   options={"xtol": tol, "ftol": tol, "maxiter": max_iter})
+    converged = res.status == 0
+    return OptimResult(best_point=np.asarray(res.x, dtype=float), best_value=float(res.fun),
+                       trace=trace, n_evals=obj.n_evals, converged=converged,
+                       stop_reason="tolerance" if converged else "max_iter")
 
 
 # -- Levenberg-Marquardt ------------------------------------------------------------

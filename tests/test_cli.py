@@ -139,6 +139,13 @@ def _inf_profile_config(workdir):
     return "cfg_inf_profile.json"
 
 
+def _nan_patient(workdir):
+    text = packaged_data_path("patient1.csv").read_text()
+    (workdir / "patient_nan.csv").write_text(
+        text.replace("observed_outlet_blood,0.96,", "observed_outlet_blood,nan,"))
+    return "patient_nan.csv"
+
+
 @pytest.mark.parametrize("argv", [
     ("forward", "--config", "cfg.json", "--patient", "PATIENT", "--beta", "nan,0.2"),
     ("synth", "--config", "cfg.json", "--ns", "2", "--beta-star", "inf,0.4"),
@@ -146,7 +153,8 @@ def _inf_profile_config(workdir):
     ("forward", "--config", _inf_profile_config, "--patient", "PATIENT", "--beta", "0.2,0.2"),
     ("invert-multi", "--config", "cfg.json", "--targets", "synth", "--noise-sigma", "nan"),
     ("noise-study", "--config", "cfg.json", "--targets", "synth", "--full-at", "-inf"),
-], ids=["beta", "beta-star", "config", "profile", "noise-sigma", "full-at"])
+    ("invert-single", "--config", "cfg.json", "--patient", _nan_patient),
+], ids=["beta", "beta-star", "config", "profile", "noise-sigma", "full-at", "patient-csv"])
 def test_non_finite_number_exits_2(workdir, synth_bundle, argv):
     # float() and json.load accept nan and inf; each must be a parse error
     argv = [a(workdir) if callable(a) else a for a in argv]
@@ -295,6 +303,17 @@ def test_incomplete_patient_record_exits_3(workdir, synth_bundle, capsys):
     assert "targets.json" in err and "missing inlet_blood, inlet_dialysate" in err
 
 
+def test_non_finite_patient_record_exits_3(workdir, synth_bundle, capsys):
+    records = json.loads((workdir / "synth" / "targets.json").read_text())
+    records[1]["observed_outlet"][2] = float("nan")
+    bundle = _corrupt_bundle(workdir, "non_finite_record", targets=json.dumps(records))
+    capsys.readouterr()
+    assert run(workdir, "invert-multi", "--config", "cfg.json", "--targets", bundle,
+               "--out", "inv_non_finite") == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (workdir / "inv_non_finite").exists()
+
+
 def test_unknown_patient_id_exits_2(workdir, synth_bundle):
     rc = run(workdir, "invert-multi", "--config", "cfg.json", "--targets", "synth",
              "--patients", "sX", "--out", "inv_unknown")
@@ -434,7 +453,10 @@ def test_report_truncated_json_exits_3(workdir, synth_bundle, capsys, name):
     ("result.json", "{}"),
     ("result.json", "[1]"),
     ("result.json", '{"best_point": [0.8, "x"], "best_value": 1.0}'),
+    ("result.json", '{"best_value": 1.0, "best_point": [Infinity, 0.4]}'),
+    ("result.json", '{"best_value": NaN, "best_point": [0.8, 0.4]}'),
     ("noise_study.json", '{"estimates": [{"sigma": 0.01, "subcohort": "A"}]}'),
+    ("noise_study.json", '{"estimates": [{"sigma": 0.01, "subcohort": "A", "beta": [NaN, 0.4]}]}'),
     ("sensitivity.json", '{"levels": 3}'),
     ("sensitivity.json", '{"levels": [{"sigma": 0.01, "cohort_mean": null, "cohort_max": 0}]}'),
     ("powell_trace.csv", "k,d_ca,d_ci,J,err_to_truth\n0,0.3,0.8\n"),
@@ -450,3 +472,14 @@ def test_report_wrong_shaped_artifact_exits_3(workdir, synth_bundle, capsys, nam
     capsys.readouterr()
     assert run(workdir, "report", str(bundle)) == 3
     assert name in capsys.readouterr().err
+
+
+def test_report_accepts_nan_sensitivity_level(workdir, synth_bundle):
+    # sensitivity_study writes NaN for a level at which every patient was excluded
+    bundle = workdir / "report_nan_level"
+    bundle.mkdir(exist_ok=True)
+    (bundle / "manifest.json").write_text((workdir / "synth" / "manifest.json").read_text())
+    (bundle / "sensitivity.json").write_text(
+        '{"levels": [{"sigma": 0.01, "cohort_mean": NaN, "cohort_max": NaN}]}')
+    assert run(workdir, "report", str(bundle)) == 0
+    assert "sigma 0.01: mean output error nan%" in (bundle / "summary.txt").read_text()

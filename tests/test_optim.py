@@ -1,9 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fiberdialysis import optim
+import fiberdialysis
 from fiberdialysis.exceptions import UsageError
 from fiberdialysis.optim import (fd_gradient, grid_search, levenberg_marquardt,
                                  powell_minimize, projected_gradient)
@@ -116,26 +119,20 @@ def test_rosenbrock_minimum():
     assert np.max(np.abs(res.best_point - 1.0)) < 1e-4
 
 
-def test_flat_valley_costs_more_evaluations_along_flat_axis(monkeypatch):
-    calls = [0]
+def test_flat_valley_costs_more_evaluations_along_flat_axis():
+    points = []
 
     def valley(x):
-        calls[0] += 1
+        points.append(np.array(x, dtype=float))
         return float((x[1] - 0.4) ** 2 + 1e-4 * (x[0] - 0.8) ** 2)
 
-    used = [0, 0]  # line-search evaluations along e0 and e1
-    line_minimize = optim._line_minimize
-
-    def counted(obj, x, direction, f_x, rel_tol=1e-6):
-        before = calls[0]
-        out = line_minimize(obj, x, direction, f_x, rel_tol=rel_tol)
-        assert out[2] == calls[0] - before
-        used[int(np.argmax(np.abs(direction)))] += out[2]
-        return out
-
-    monkeypatch.setattr(optim, "_line_minimize", counted)
     res = powell_minimize(valley, np.array([0.0, 0.4]), tol=1e-12, max_iter=100)
     assert np.allclose(res.best_point, [0.8, 0.4], atol=1e-4)
+    used = [0, 0]  # evaluations that moved only x0, only x1 from the previous point
+    for prev, cur in zip(points, points[1:]):
+        moved = prev != cur
+        if moved.sum() == 1:
+            used[int(np.argmax(moved))] += 1
     assert used[0] > used[1]
 
 
@@ -166,6 +163,15 @@ def test_start_failure_rejected():
         raise RuntimeError("nope")
     with pytest.raises(UsageError):
         powell_minimize(bad, np.array([0.0, 0.0]))
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs 0.2-0.3 s to import; only powell_minimize needs it
+    src = os.path.dirname(os.path.dirname(fiberdialysis.__file__))
+    code = ("import sys, fiberdialysis, fiberdialysis.cli; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))
 
 
 # -- Levenberg-Marquardt ---------------------------------------------------------------
