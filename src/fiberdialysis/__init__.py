@@ -5,8 +5,8 @@ from .mesh import (AxiGeometry, Boundary, Mesh, Subdomain, boundary_vertices,
 from .linalg import SparseMatrix, solve_linear
 from .flow import (HydraulicState, VelocityField, calibrate_hydraulics,
                    compute_velocity_field, transmembrane_flux)
-from .transport import (BoundaryData, ConcentrationField, NewtonResult, ReactionParams,
-                        SpeciesConfig, TransportConfig, TransportSolver, export_field_csv,
+from .transport import (BoundaryData, NewtonResult, ReactionParams, SpeciesConfig,
+                        TransportConfig, TransportSolver, export_field_csv,
                         outlet_concentration, reaction_jacobian, reaction_source)
 from .optim import (GridResult, OptimResult, fd_gradient, grid_search,
                     levenberg_marquardt, powell_minimize, projected_gradient)

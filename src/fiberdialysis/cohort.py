@@ -20,6 +20,7 @@ import numpy as np
 
 from .exceptions import ConfigurationError, UsageError
 from .flow import HydraulicState
+from .transport import N_SPECIES
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +71,9 @@ class CohortTable:
         for line_no, row in enumerate(rows[1:], start=2):
             if not row:
                 continue
+            if len(row) != len(rows[0]):
+                raise ConfigurationError(f"{path}:{line_no}: {len(row)} cells where the "
+                                         f"header has {len(rows[0])}")
             names.append(row[0])
             try:
                 data.append([float(v) if v.strip() != "" else np.nan for v in row[1:]])
@@ -102,10 +106,13 @@ class PatientRecord:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.inlet_blood = np.asarray(self.inlet_blood, dtype=float)
-        self.inlet_dialysate = np.asarray(self.inlet_dialysate, dtype=float)
-        if self.observed_outlet is not None:
-            self.observed_outlet = np.asarray(self.observed_outlet, dtype=float)
+        for name in ("inlet_blood", "inlet_dialysate", "observed_outlet"):
+            if getattr(self, name) is not None:
+                v = np.asarray(getattr(self, name), dtype=float)
+                if v.shape != (N_SPECIES,):
+                    raise ConfigurationError(f"patient {self.id}: {name} must have "
+                                             f"{N_SPECIES} entries, got shape {v.shape}")
+                setattr(self, name, v)
         if np.any(self.inlet_blood < 0) or np.any(self.inlet_dialysate < 0):
             raise ConfigurationError(f"patient {self.id}: negative inlet concentration")
 

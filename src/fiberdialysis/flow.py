@@ -13,7 +13,7 @@ in -x (inlet at x = L).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -40,6 +40,10 @@ class HydraulicState:
     Q_d: float
 
     def __post_init__(self):
+        bad = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
+               if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ConfigurationError(f"hydraulic values must be finite, got {', '.join(bad)}")
         if not (self.Q_b > 0 and self.Q_d > 0):
             raise ConfigurationError(
                 f"flow rates must be positive, got Q_b={self.Q_b}, Q_d={self.Q_d}")

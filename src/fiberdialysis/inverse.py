@@ -14,6 +14,9 @@ Per-patient forward solves are independent.  Each process runs them through
 one ``ForwardSolver``, which also keeps each patient's warm-start state: the
 beta, field and (after a tangent solve) dc/dbeta of its last warm solve, so
 the next warm solve starts from the first-order prediction at its own beta.
+A field is the solve's own dof vector (entry 5*node + species, laid out by
+``transport``): it is cached, moved by its tangents and handed back to the
+next solve as is, and reshaped only to prolong a nested start node by node.
 ``ForwardContext`` holds the main process's and, with jobs > 1, gives each
 patient a home slot: one worker process, forked with a copy of that
 solver, that runs all of that patient's solves in the order asked.  Fields
@@ -39,8 +42,8 @@ from .mesh import AxiGeometry, build_structured_mesh, prolongation
 from .optim import (GridResult, OptimResult, grid_axes, grid_search,
                     levenberg_marquardt, projected_gradient)
 from .optim import powell_minimize  # noqa: F401  (bench/tracing.py wraps inverse.powell_minimize)
-from .transport import (BoundaryData, ConcentrationField, TransportConfig,
-                        TransportSolver, outlet_concentration)
+from .transport import (N_SPECIES, BoundaryData, TransportConfig, TransportSolver,
+                        outlet_concentration)
 
 log = logging.getLogger(__name__)
 
@@ -93,21 +96,18 @@ class ForwardSolver:
         self.mesh = build_structured_mesh(geom, *mesh_res)
         self.cfg_template = cfg_template
         self._velocity: dict = {}
-        self._warm: dict = {}     # patient id -> (beta, flat field, dc/dbeta or None)
+        self._warm: dict = {}     # patient id -> (beta, field, dc/dbeta or None)
         self._coarse = None       # (coarse ForwardSolver, prolongation) if the mesh nests
         if not any(n % 2 for n in mesh_res):
             coarse = ForwardSolver(geom, [n // 2 for n in mesh_res], cfg_template)
             self._coarse = coarse, prolongation(coarse.mesh, self.mesh)
 
-    def solve(self, rec: PatientRecord, beta, c0_flat=None, tangents: bool = False):
-        """Forward solve at beta = (d_Ca, d_Ci), warm-started from the flat
-        field ``c0_flat`` if given; returns (outlet, field, NewtonResult),
-        whose ``tangents`` hold dc/dbeta when ``tangents`` is set."""
-        fld, result = self._newton(rec, beta, c0_flat, tangents)
-        return self._outlet(fld), fld, result
-
-    def _outlet(self, fld: ConcentrationField) -> np.ndarray:
-        return outlet_concentration(fld, self.mesh, self.geom)
+    def solve(self, rec: PatientRecord, beta, c0=None, tangents: bool = False):
+        """Forward solve at beta = (d_Ca, d_Ci), warm-started from the field
+        ``c0`` if given; returns (outlet, field, NewtonResult), whose
+        ``tangents`` hold dc/dbeta when ``tangents`` is set."""
+        fld, result = self._newton(rec, beta, c0, tangents)
+        return outlet_concentration(fld, self.mesh, self.geom), fld, result
 
     def _transport(self, rec: PatientRecord, beta) -> TransportSolver:
         """The assembled transport system of patient ``rec`` at beta."""
@@ -120,12 +120,10 @@ class ForwardSolver:
                           inlet_dialysate=tuple(rec.inlet_dialysate))
         return TransportSolver(self.mesh, self._velocity[key], cfg, bd)
 
-    def _newton(self, rec: PatientRecord, beta, c0_flat, tangents=False):
+    def _newton(self, rec: PatientRecord, beta, c0, tangents=False):
         """``solve`` without the outlet: (field, NewtonResult)."""
-        if c0_flat is None:
+        if c0 is None:
             c0 = self._nested_start(rec, beta)
-        else:
-            c0 = ConcentrationField.from_flat(self.mesh, c0_flat)
         return self._transport(rec, beta).solve(c0=c0, tangents=tangents)
 
     def _nested_start(self, rec: PatientRecord, beta):
@@ -143,16 +141,15 @@ class ForwardSolver:
                       "starting from the inlet values", rec.id, tuple(beta),
                       (m.nx, m.nr_b, m.nr_m, m.nr_d), type(exc).__name__, exc)
             return None
-        return ConcentrationField(self.mesh, (prolong @ fld.values.T).T)
+        return (prolong @ fld.reshape(-1, N_SPECIES)).ravel()   # each species alike
 
     def task(self, rec: PatientRecord, beta, warm: bool, tangents: bool = False):
-        """``solve`` as one task of ``ForwardContext.forward_pairs``: (outlet
-        list, None), or (None, exception) when the solve raises.  With
-        ``tangents`` the outlet list is that of the (5, 3) array [outlet,
-        d outlet / d beta]; the outlet functional is linear in c, so it maps
-        each column of dc/dbeta to one of d outlet / d beta.  Exceptions
-        pickle with their attributes (``NewtonError.trace``,
-        ``SolverError.residual``).
+        """``solve`` as one task of ``ForwardContext.forward_pairs``: (outlet,
+        None), or (None, exception) when the solve raises.  With ``tangents``
+        the outlet is the (5, 3) array [outlet, d outlet / d beta]; the
+        outlet functional is linear in c, so it maps each column of dc/dbeta
+        to one of d outlet / d beta.  Exceptions pickle with their attributes
+        (``NewtonError.trace``, ``SolverError.residual``).
 
         A warm task starts from the patient's last warm-converged field
         here, if there is one, moved to this beta by its dc/dbeta if that
@@ -170,12 +167,11 @@ class ForwardSolver:
         except Exception as exc:
             return None, exc
         if warm:
-            self._warm[rec.id] = beta, fld.flat(), result.tangents
+            self._warm[rec.id] = beta, fld, result.tangents
         if tangents:
-            outlet = np.column_stack([outlet] + [
-                self._outlet(ConcentrationField.from_flat(self.mesh, col))
-                for col in result.tangents.T])
-        return outlet.tolist(), None
+            outlet = np.column_stack([outlet] + [outlet_concentration(col, self.mesh, self.geom)
+                                                 for col in result.tangents.T])
+        return outlet, None
 
 
 _WORKER: dict = {}
@@ -183,7 +179,7 @@ _WORKER: dict = {}
 
 def _worker_forward(task):
     """``ForwardSolver.task`` in a home slot.  ``task`` is (record, beta,
-    None, warm, tangents) and the result (outlet list, None, exception or
+    None, warm, tangents) and the result (outlet, None, exception or
     None).  The None places are those of a warm field going in and a
     converged field coming out, whose bytes ``bench/tracing.py`` counts;
     fields never leave their home process, so both stay None."""
@@ -243,7 +239,7 @@ class ForwardContext:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self._solver = ForwardSolver(geom, tuple(int(n) for n in mesh_res), cfg_template)
         self.mesh = self._solver.mesh
-        # in-process forward solve: (record, beta, c0_flat=None, tangents=False)
+        # in-process forward solve: (record, beta, c0=None, tangents=False)
         #   -> (outlet, field, NewtonResult)
         self.forward_detailed = self._solver.solve
         self._home: dict = {}        # patient id -> home slot
@@ -360,11 +356,7 @@ class ForwardContext:
                    for rec, beta, _, _, tangents in tasks]
         else:
             raw = [(outlet, err) for outlet, _, err in self._in_slots(tasks)]
-        out = []
-        for key in keys:
-            outlet, err = raw[position[key]]
-            out.append((None, err) if err is not None else (np.asarray(outlet), None))
-        return out
+        return [raw[position[key]] for key in keys]
 
 
 def context_from_profile(profile, jobs: int = 1, mesh_res=None) -> ForwardContext:

@@ -7,6 +7,12 @@ blood channel only; the other three are posed on the whole section with a
 piecewise membrane diffusivity alpha_i * D_blood_i and a sieving factor on
 membrane convection.
 
+A concentration field is one flat vector of P1 dofs, entry 5*node + species:
+the Newton unknown, the start a solve takes, the field it returns and each
+column of its tangents.  Only this module reads species from that layout
+(``initial_field``, ``outlet_concentration``, ``export_field_csv``); callers
+keep and pass the vector as is.
+
 Discretization: P1 Galerkin on the structured triangulation, all integrals
 r-weighted.  Diffusion uses exact centroid integration, convection a midedge
 rule, and the reaction term a vertex-lumped r-weighted mass so the mass-action
@@ -143,31 +149,11 @@ class BoundaryData:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (N_SPECIES,):
                 raise ConfigurationError(f"{name} must have {N_SPECIES} entries")
+            if not np.all(np.isfinite(v)):
+                raise ConfigurationError(f"{name} must be finite, got {v.tolist()}")
             if np.any(v < 0):
                 raise ConfigurationError(f"{name} must be nonnegative")
             object.__setattr__(self, name, tuple(v))
-
-
-class ConcentrationField:
-    """Five nodal scalar fields; albumin species are hard zeros outside blood."""
-
-    def __init__(self, mesh: Mesh, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (N_SPECIES, mesh.n_vertices):
-            raise ConfigurationError(
-                f"expected shape {(N_SPECIES, mesh.n_vertices)}, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ConfigurationError("concentration field contains non-finite entries")
-        self.mesh = mesh
-        self.values = values
-
-    def flat(self) -> np.ndarray:
-        """Interleaved dof vector: entry 5*node + species."""
-        return self.values.T.reshape(-1).copy()
-
-    @classmethod
-    def from_flat(cls, mesh: Mesh, flat: np.ndarray) -> "ConcentrationField":
-        return cls(mesh, np.asarray(flat, float).reshape(mesh.n_vertices, N_SPECIES).T)
 
 
 @dataclass
@@ -361,9 +347,9 @@ class TransportSolver:
             vals = inlet[p.dirichlet_source]
         else:
             override = np.asarray(override, dtype=float)
-            if override.shape != (N_SPECIES, self.mesh.n_vertices):
-                raise ConfigurationError("dirichlet override must be (5, n_vertices)")
-            vals = override.T.reshape(-1)[p.dirichlet_dofs]
+            if override.shape != (self.n_dof,):
+                raise ConfigurationError(f"dirichlet override must have {self.n_dof} dofs")
+            vals = override[p.dirichlet_dofs]
         self.dirichlet_dofs = p.dirichlet_dofs
         self.dirichlet_vals = vals
         self.g_vec = np.zeros(self.n_dof)
@@ -472,21 +458,22 @@ class TransportSolver:
         dc[p.free] = solve_linear(A, rhs[p.free])
         return dc
 
-    def initial_field(self) -> ConcentrationField:
+    def initial_field(self) -> np.ndarray:
         """Constant extension of inlet blood values (dialysate inlet values on
         the dialysate channel for the crossing species)."""
-        mesh = self.mesh
-        r = mesh.vertices[:, 1]
-        vals = np.zeros((N_SPECIES, mesh.n_vertices))
-        in_dialysate = r > mesh.geom.R2 + 1e-14
-        in_blood = r <= mesh.geom.R1 + 1e-14
+        geom = self.mesh.geom
+        r = self.mesh.vertices[:, 1]
+        in_dialysate = r > geom.R2 + 1e-14
+        in_blood = r <= geom.R1 + 1e-14
+        c = np.zeros(self.n_dof)
         for s in range(N_SPECIES):
+            species = c[s::N_SPECIES]   # entries N_SPECIES * node + s
             if CROSSES_MEMBRANE[s]:
-                vals[s] = self.bd.inlet_blood[s]
-                vals[s, in_dialysate] = self.bd.inlet_dialysate[s]
+                species[:] = self.bd.inlet_blood[s]
+                species[in_dialysate] = self.bd.inlet_dialysate[s]
             else:
-                vals[s, in_blood] = self.bd.inlet_blood[s]
-        return ConcentrationField(mesh, vals)
+                species[in_blood] = self.bd.inlet_blood[s]
+        return c
 
     def project_dirichlet(self, c_flat):
         out = c_flat.copy()
@@ -517,16 +504,17 @@ class TransportSolver:
         self._lu = A.lu
         return x
 
-    def solve(self, c0: ConcentrationField | None = None, source_nodal=None,
+    def solve(self, c0: np.ndarray | None = None, source_nodal=None,
               tangents: bool = False) -> tuple:
-        """Newton solve from ``c0`` (default ``initial_field``) in at most
+        """Newton solve from the field ``c0`` (default ``initial_field``), its
+        Dirichlet dofs replaced by the boundary values, in at most
         ``newton_max_iter + 2`` steps.  Returns (field, NewtonResult) with the
         trace of r-weighted L2 update norms, and with ``tangents`` also
         dc/dbeta at the converged field in ``NewtonResult.tangents``.  Raises
         NewtonError (carrying the partial trace) on linear-solver failure or
         non-convergence, and SolverError when the tangent solve fails."""
         cfg = self.cfg
-        c_next = self.project_dirichlet((self.initial_field() if c0 is None else c0).flat())
+        c_next = self.project_dirichlet(self.initial_field() if c0 is None else c0)
         trace = []
         self._lu = None
         try:
@@ -551,33 +539,34 @@ class TransportSolver:
             dc = self._beta_tangents(c_next) if tangents else None
         finally:
             self._lu = None  # the factors are the largest thing a solve holds
-        return ConcentrationField.from_flat(self.mesh, c_next), \
-            NewtonResult(converged=True, n_solves=len(trace), trace=trace, tangents=dc)
+        return c_next, NewtonResult(converged=True, n_solves=len(trace), trace=trace,
+                                    tangents=dc)
 
 
 # -- observable ---------------------------------------------------------------------
 
-def outlet_concentration(c: ConcentrationField, mesh: Mesh, geom: AxiGeometry) -> np.ndarray:
-    """Flow-section average at the blood outlet: (2 R^2 / R1^2) int r c_i dr
-    over x = L, 0 <= r <= R1, integrated exactly for P1 traces."""
+def outlet_concentration(c: np.ndarray, mesh: Mesh, geom: AxiGeometry) -> np.ndarray:
+    """Flow-section average of the field ``c`` at the blood outlet:
+    (2 R^2 / R1^2) int r c_i dr over x = L, 0 <= r <= R1, integrated exactly
+    for P1 traces."""
     idx = boundary_vertices(mesh, Boundary.OUTLET_BLOOD)
     r = mesh.vertices[idx, 1]
     ra, rb = r[:-1], r[1:]
     h = rb - ra
     out = np.empty(N_SPECIES)
     for s in range(N_SPECIES):
-        ca = c.values[s, idx[:-1]]
-        cb = c.values[s, idx[1:]]
+        ca = c[N_SPECIES * idx[:-1] + s]
+        cb = c[N_SPECIES * idx[1:] + s]
         # exact integral of r * (linear c) over each edge
         out[s] = np.sum(h * ((2 * ra + rb) * ca + (ra + 2 * rb) * cb) / 6.0)
     return out * 2.0 * geom.R**2 / geom.R1**2
 
 
-def export_field_csv(c: ConcentrationField, mesh: Mesh, path):
-    """Node table (x, r, c1..c5) in vertex order."""
+def export_field_csv(c: np.ndarray, mesh: Mesh, path):
+    """Node table (x, r, c1..c5) of the field ``c`` in vertex order."""
     with open(path, "w") as fh:
         fh.write("x,r,c1,c2,c3,c4,c5\n")
         for k in range(mesh.n_vertices):
             x, r = mesh.vertices[k]
-            row = ",".join(repr(float(v)) for v in c.values[:, k])
+            row = ",".join(repr(float(v)) for v in c[N_SPECIES * k:N_SPECIES * (k + 1)])
             fh.write(f"{x!r},{r!r},{row}\n")

@@ -314,6 +314,45 @@ def test_non_finite_patient_record_exits_3(workdir, synth_bundle, capsys):
     assert not (workdir / "inv_non_finite").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("hydraulics.p_in_b", float("nan")),
+    ("hydraulics.Q_b", float("inf")),
+    ("hydraulics.K_over_mu", float("inf")),
+    ("hydraulics.p_out_d", float("-inf")),
+    ("inlet_blood", [0.1, 3.7, 0.06, 5.0]),
+    ("observed_outlet", [0.1, 3.7, 0.06, 5.0]),
+], ids=["nan-p_in_b", "inf-Q_b", "inf-K_over_mu", "-inf-p_out_d", "4-entry-inlet_blood",
+        "4-entry-observed_outlet"])
+def test_malformed_patient_record_exits_3(workdir, synth_bundle, capsys, key, value):
+    # every command that reads targets.json rejects the bundle before any solve
+    records = json.loads((workdir / "synth" / "targets.json").read_text())
+    *parents, name = key.split(".")
+    owner = records[0]
+    for parent in parents:
+        owner = owner[parent]
+    owner[name] = value
+    bundle = _corrupt_bundle(workdir, "malformed_record", targets=json.dumps(records))
+    for command in (("invert-multi", "--patients", "s1,s2"),
+                    ("grid", "--patients", "s1,s2", "--n", "2"), ("noise-study",),
+                    ("sensitivity",)):
+        capsys.readouterr()
+        assert run(workdir, *command, "--config", "cfg.json", "--targets", bundle,
+                   "--out", "out_malformed") == 3, command
+        assert "targets.json does not hold patient records" in capsys.readouterr().err
+        assert not (workdir / "out_malformed").exists()
+
+
+def test_ragged_real_cohort_exits_2(workdir, capsys):
+    lines = packaged_data_path("sample_cohort.csv").read_text().splitlines()
+    lines[3] = lines[3].rsplit(",", 1)[0]
+    (workdir / "ragged.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(workdir, "synth", "--config", "cfg.json", "--real", "ragged.csv",
+               "--out", "synth_ragged") == 2
+    assert "ragged.csv:4: 6 cells where the header has 7" in capsys.readouterr().err
+    assert not (workdir / "synth_ragged").exists()
+
+
 def test_unknown_patient_id_exits_2(workdir, synth_bundle):
     rc = run(workdir, "invert-multi", "--config", "cfg.json", "--targets", "synth",
              "--patients", "sX", "--out", "inv_unknown")

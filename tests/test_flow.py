@@ -116,6 +116,15 @@ def test_invalid_hydraulics_rejected():
                        K_over_mu=-1e-3, Q_b=0.1, Q_d=0.5)
 
 
+@pytest.mark.parametrize("name, value", [("p_in_b", np.nan), ("Q_b", np.inf),
+                                         ("K_over_mu", np.inf), ("p_out_d", -np.inf)])
+def test_non_finite_hydraulics_rejected(name, value):
+    values = dict(p_in_b=1, p_out_b=1, p_in_d=1, p_out_d=1, K_over_mu=1e-3, Q_b=0.1, Q_d=0.5)
+    values[name] = value
+    with pytest.raises(ConfigurationError, match=f"must be finite, got {name}="):
+        HydraulicState(**values)
+
+
 # -- hydraulic calibration ----------------------------------------------------------
 
 def model_flux(hyd, geom=GEOM):

@@ -131,6 +131,16 @@ def test_single_cost_raises_the_forward_failure(ctx, exact_patients):
         single_patient_cost(np.array([0.5, 0.5]), nan_patient, ctx)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_single_cost_raises_on_an_infinite_inlet(ctx, exact_patients, bad):
+    # the forward solve's own inlet check; the record is edited after it is
+    # built because PatientRecord rejects a negative inlet itself
+    broken = replace(exact_patients[0], id="broken", extras={})
+    broken.inlet_blood = np.full(5, bad)
+    with pytest.raises(ConfigurationError, match="inlet_blood must be finite"):
+        single_patient_cost(np.array([0.5, 0.5]), broken, ctx)
+
+
 def test_forward_failures_are_typed_and_keep_the_newton_trace(exact_patients):
     # no Newton iteration allowed, so every solve fails with a NewtonError;
     # pool workers hand back the same exception, trace included
@@ -419,7 +429,7 @@ def test_no_pool_task_or_result_carries_a_field(ctx, exact_patients, tmp_path, m
     # the field places of the pool protocol stay None, and every task and
     # result, tangent ones included, pickles to less than one field: the
     # tangent fields stay in the home slot with the field
-    field_bytes = len(pickle.dumps(ctx.forward_detailed(exact_patients[0], (0.7, 0.5))[1].flat()))
+    field_bytes = len(pickle.dumps(ctx.forward_detailed(exact_patients[0], (0.7, 0.5))[1]))
     log = _call_log(tmp_path / "pool.jsonl")
     plain = inverse._worker_forward
 
@@ -512,12 +522,12 @@ def test_warm_start_matches_cold_solve(ctx, exact_patients):
     # Newton iteration starts from: measured <= 2.0e-9 relative on this mesh
     # and on (40, 6, 4, 5), for starts converged at distant betas
     for rec in exact_patients:
-        starts = [ctx.forward_detailed(rec, b)[1].flat()
+        starts = [ctx.forward_detailed(rec, b)[1]
                   for b in ((0.05, 0.05), (1.0, 1.0), (0.2, 0.9))]
         for beta in ((0.8, 0.4), (0.3, 0.6), (0.6, 0.15)):
             cold, _, _ = ctx.forward_detailed(rec, beta)
             for c0 in starts:
-                warm, _, _ = ctx.forward_detailed(rec, beta, c0_flat=c0)
+                warm, _, _ = ctx.forward_detailed(rec, beta, c0=c0)
                 assert np.max(np.abs(warm - cold) / np.abs(cold)) <= 1e-7
 
 
@@ -664,9 +674,9 @@ def test_warm_tangent_task_starts_from_the_first_order_predictor(exact_patients,
     plain = TransportSolver.solve
 
     def spy(self, c0=None, source_nodal=None, tangents=False):
-        starts.append(None if c0 is None else c0.flat())
+        starts.append(c0)
         fld, result = plain(self, c0, source_nodal, tangents)
-        ends.append((fld.flat(), result.tangents))
+        ends.append((fld, result.tangents))
         return fld, result
 
     monkeypatch.setattr(TransportSolver, "solve", spy)

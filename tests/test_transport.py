@@ -12,10 +12,9 @@ from fiberdialysis.config import load_profile
 from fiberdialysis.exceptions import ConfigurationError, NewtonError, SolverError
 from fiberdialysis.flow import HydraulicState, VelocityField, compute_velocity_field
 from fiberdialysis.mesh import AxiGeometry, Boundary, build_structured_mesh
-from fiberdialysis.transport import (BoundaryData, ConcentrationField, ReactionParams,
-                                     SpeciesConfig, TransportConfig, TransportSolver,
-                                     export_field_csv, outlet_concentration,
-                                     reaction_jacobian, reaction_source)
+from fiberdialysis.transport import (BoundaryData, ReactionParams, SpeciesConfig,
+                                     TransportConfig, TransportSolver, export_field_csv,
+                                     outlet_concentration, reaction_jacobian, reaction_source)
 
 GEOM = AxiGeometry(L=1.0, R1=0.4, R2=0.6, R=1.0)
 
@@ -28,6 +27,11 @@ def species_cfg(alpha=(0.8, 0, 0, 0.4, 0.4), D=1.0):
 def transport_cfg(deltas=(0.3, 0.3, 0.6), Fd=2.0, Pe=10.0, eps2=0.01, **kw):
     return TransportConfig(Pe=Pe, eps2=eps2, species=kw.pop("species", species_cfg()),
                            reactions=ReactionParams(*deltas, Fd), **kw)
+
+
+def species_rows(field):
+    """The dof vector ``field`` (entry 5*node + species) as (5, n_vertices)."""
+    return field.reshape(-1, 5).T
 
 
 def still_field(mesh):
@@ -110,7 +114,7 @@ def test_dirichlet_rows_are_identity_with_imposed_rhs():
     bd = BoundaryData(inlet_blood=(0.5, 1.0, 0.1, 2.0, 0.7),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
     solver = TransportSolver(mesh, flow_field(mesh), cfg, bd)
-    c0 = solver.initial_field().flat()
+    c0 = solver.initial_field()
     csr = solver.jacobian(c0)
     c1 = solver.step(c0)
     for dof, val in zip(solver.dirichlet_dofs, solver.dirichlet_vals):
@@ -129,7 +133,7 @@ def _oracle_cases():
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
     rng = np.random.default_rng(12)
     velocity = flow_field(mesh)
-    override = rng.uniform(0.5, 1.5, (5, mesh.n_vertices))
+    override = rng.uniform(0.5, 1.5, 5 * mesh.n_vertices)
     source = rng.standard_normal((5, mesh.n_vertices))
     c = rng.uniform(0.1, 2.0, 5 * mesh.n_vertices)
     return [(TransportSolver(mesh, velocity, transport_cfg(), bd), c, None),
@@ -174,7 +178,7 @@ def test_linear_regime_block_structure():
     cfg = transport_cfg(deltas=(0.0, 0.0, 0.0))
     bd = BoundaryData(inlet_blood=(1, 1, 0, 1, 1), inlet_dialysate=(1, 0, 0, 1, 1))
     solver = TransportSolver(mesh, still_field(mesh), cfg, bd)
-    A = solver.jacobian(solver.initial_field().flat()).tocoo()
+    A = solver.jacobian(solver.initial_field()).tocoo()
     s_row = A.row % 5
     s_col = A.col % 5
     off_species = s_row != s_col
@@ -310,10 +314,11 @@ def test_constant_solution_for_pure_diffusion():
     field, res = TransportSolver(mesh, still_field(mesh), cfg, bd).solve()
     assert res.converged
     blood = mesh.vertices[:, 1] <= GEOM.R1 + 1e-12
+    rows = species_rows(field)
     for s, expected in ((0, 2.0), (3, 2.0), (4, 2.0)):
-        assert np.max(np.abs(field.values[s] - expected)) < 1e-10
-    assert np.max(np.abs(field.values[1, blood] - 1.5)) < 1e-10
-    assert np.max(np.abs(field.values[2])) < 1e-10
+        assert np.max(np.abs(rows[s] - expected)) < 1e-10
+    assert np.max(np.abs(rows[1, blood] - 1.5)) < 1e-10
+    assert np.max(np.abs(rows[2])) < 1e-10
 
 
 def test_newton_converges_monotonically_on_physical_data():
@@ -382,7 +387,7 @@ def test_solver_is_deterministic():
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
     f1, _ = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
     f2, _ = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
-    assert np.array_equal(f1.values, f2.values)
+    assert np.array_equal(f1, f2)
 
 
 # -- one factorization per solve ------------------------------------------------------
@@ -403,7 +408,7 @@ def _one_lu_per_step_newton(solver, c0):
     """``solve``'s Newton loop with each step a direct solve of the full
     system: (final flat field, trace)."""
     cfg = solver.cfg
-    c, trace = solver.project_dirichlet(c0.flat()), []
+    c, trace = solver.project_dirichlet(c0), []
     while not trace or (len(trace) <= cfg.newton_max_iter + 1 and trace[-1] > cfg.newton_tol):
         J = solver.jacobian(c).tocsc()
         c_next = spla.spsolve(J, J @ c - solver.residual(c))
@@ -437,7 +442,7 @@ def test_solve_matches_one_lu_per_step_newton(res, warm, lu_count):
     expected, trace = _one_lu_per_step_newton(solver, c0)
     assert len(result.trace) == len(trace) >= 3
     assert lus < len(trace)
-    assert np.linalg.norm(field.flat() - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.linalg.norm(field - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_two_step_warm_solve_factorizes_once(lu_count):
@@ -487,8 +492,8 @@ def test_in_solve_tangents_match_a_direct_solve(res, warm, lu_count):
     lus = lu_count() - before
     field, result = solver.solve(c0, tangents=True)
     assert lu_count() - before == 2 * lus
-    assert np.array_equal(field.values, plain.values)
-    c, p = field.flat(), solver.pattern
+    assert np.array_equal(field, plain)
+    c, p = field, solver.pattern
     A = p.free_block(solver.jacobian(c)).to_csc()
     for k in range(2):
         shifted = list(beta)
@@ -540,16 +545,16 @@ def test_solve_without_tangents_returns_none():
 
 def test_outlet_of_constant_field():
     mesh = build_structured_mesh(GEOM, 3, 2, 1, 2)
-    vals = np.tile(np.array([1.0, 2.0, 3.0, 4.0, 5.0])[:, None], (1, mesh.n_vertices))
-    out = outlet_concentration(ConcentrationField(mesh, vals), mesh, GEOM)
+    field = np.tile([1.0, 2.0, 3.0, 4.0, 5.0], mesh.n_vertices)
+    out = outlet_concentration(field, mesh, GEOM)
     assert np.allclose(out, [1, 2, 3, 4, 5], rtol=1e-13)
 
 
 def test_outlet_of_linear_trace_closed_form():
     geom = AxiGeometry(L=1.0, R1=0.5, R2=0.7, R=1.0)
     mesh = build_structured_mesh(geom, 3, 4, 1, 2)
-    vals = np.tile(mesh.vertices[:, 1][None, :], (5, 1))  # c_i(r) = r
-    out = outlet_concentration(ConcentrationField(mesh, vals), mesh, geom)
+    field = np.repeat(mesh.vertices[:, 1], 5)  # c_i(r) = r
+    out = outlet_concentration(field, mesh, geom)
     # (2 / 0.25) * int_0^0.5 r^2 dr = 8 * (0.125 / 3) = 1/3, exact for P1 traces
     assert np.allclose(out, 1.0 / 3.0, rtol=1e-13)
 
@@ -558,22 +563,25 @@ def test_outlet_linearity():
     mesh = build_structured_mesh(GEOM, 3, 2, 1, 2)
     rng = np.random.default_rng(10)
     a, b = 1.7, -0.4
-    c1 = ConcentrationField(mesh, rng.uniform(0, 1, (5, mesh.n_vertices)))
-    c2 = ConcentrationField(mesh, rng.uniform(0, 1, (5, mesh.n_vertices)))
-    combo = ConcentrationField(mesh, a * c1.values + b * c2.values)
-    lhs = outlet_concentration(combo, mesh, GEOM)
+    c1 = rng.uniform(0, 1, 5 * mesh.n_vertices)
+    c2 = rng.uniform(0, 1, 5 * mesh.n_vertices)
+    lhs = outlet_concentration(a * c1 + b * c2, mesh, GEOM)
     rhs = a * outlet_concentration(c1, mesh, GEOM) + b * outlet_concentration(c2, mesh, GEOM)
     assert np.allclose(lhs, rhs, atol=1e-14)
 
 
 def test_field_export(tmp_path):
+    # entry (vertex k, species s) of the dof vector is 5 k + s, and row k of
+    # the table lists vertex k's five species in order
     mesh = build_structured_mesh(GEOM, 2, 1, 1, 1)
-    field = ConcentrationField(mesh, np.ones((5, mesh.n_vertices)))
+    field = np.arange(5.0 * mesh.n_vertices)
     path = tmp_path / "field.csv"
     export_field_csv(field, mesh, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,r,c1,c2,c3,c4,c5"
     assert len(lines) == 1 + mesh.n_vertices
+    for k, line in enumerate(lines[1:]):
+        assert [float(v) for v in line.split(",")[2:]] == [5.0 * k + s for s in range(5)]
 
 
 def _total_calcium_boundary_flux(mesh, U, field, tag, sign):
@@ -582,7 +590,8 @@ def _total_calcium_boundary_flux(mesh, U, field, tag, sign):
     from fiberdialysis.mesh import boundary_vertices
 
     idx = boundary_vertices(mesh, tag)
-    total = field.values[0] + field.values[2] + field.values[4]
+    rows = species_rows(field)
+    total = rows[0] + rows[2] + rows[4]
     r = mesh.vertices[idx, 1]
     ux = U.u_x[idx]
     ct = total[idx]
@@ -699,11 +708,10 @@ def test_manufactured_solution_second_order_convergence():
                              K_over_mu=0.0, Q_b=0.3, Q_d=0.4)
         velocity = compute_velocity_field(mesh, geom, hyd)
         x, r = mesh.vertices[:, 0], mesh.vertices[:, 1]
-        override = man.exact_all(x, r)
+        override = man.exact_all(x, r).T.ravel()
         solver = TransportSolver(mesh, velocity, cfg, bd, dirichlet_override=override)
         field, res = solver.solve(source_nodal=man.forcing(mesh, velocity))
         assert res.converged
-        diff = (field.values - override).T.reshape(-1)
-        errs.append(solver.newton_norm(diff))
+        errs.append(solver.newton_norm(field - override))
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
     assert orders[-1] >= 1.8, f"errors {errs}, orders {orders}"
