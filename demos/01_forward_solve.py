@@ -19,7 +19,7 @@ print(f"mesh: {mesh.n_vertices} vertices, {mesh.n_triangles} triangles")
 
 # velocity from the default hydraulics: counter-current, small ultrafiltration
 hyd = profile.base_hydraulics()
-velocity = compute_velocity_field(mesh, geom, hyd)
+velocity = compute_velocity_field(mesh, hyd)
 print(f"velocity: max |U_x| = {velocity.max_abs_ux:.3f}, "
       f"divergence residual = {velocity.div_residual:.2e}")
 print(f"net transmembrane flux = {transmembrane_flux(velocity.model):.4f} "
@@ -35,7 +35,7 @@ field, result = TransportSolver(mesh, velocity, cfg, bd).solve()
 print(f"Newton: {result.n_solves} solves, update norms "
       f"{['%.2e' % v for v in result.trace]}")
 
-outlet = outlet_concentration(field, mesh, geom)
+outlet = outlet_concentration(field, mesh)
 names = ["Ca", "Alb", "Ca-Alb", "Cit", "Ca-Cit"]
 print("\nblood outlet averages (flow-section weighted):")
 for name, inlet, out in zip(names, patient.inlet_blood, outlet):

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -142,6 +143,8 @@ class PatientRecord:
         if missing:
             raise ConfigurationError(f"patient record {d.get('id', '')!r} is missing "
                                      f"{', '.join(missing)}")
+        if not isinstance(d["id"], str):
+            raise ConfigurationError(f"patient record id {d['id']!r} is not a string")
         hyd = None
         if d.get("hydraulics") is not None:
             hyd = HydraulicState(**d["hydraulics"])
@@ -170,7 +173,11 @@ def load_records(path):
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ConfigurationError(f"{path}: patient records must be a JSON list")
-    return [PatientRecord.from_dict(d) for d in raw]
+    records = [PatientRecord.from_dict(d) for d in raw]
+    repeated = sorted(i for i, n in Counter(r.id for r in records).items() if n > 1)
+    if repeated:
+        raise ConfigurationError(f"{path}: repeated patient ids: {', '.join(repeated)}")
+    return records
 
 
 # -- generation -------------------------------------------------------------------

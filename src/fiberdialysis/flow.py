@@ -195,31 +195,30 @@ class _ReducedFlow:
         raise ConfigurationError(f"unknown region {region!r}")
 
 
-def compute_velocity_field(mesh: Mesh, geom: AxiGeometry, hyd: HydraulicState) -> VelocityField:
-    """Divergence-consistent velocity from the reduced model.
+def compute_velocity_field(mesh: Mesh, hyd: HydraulicState) -> VelocityField:
+    """Divergence-consistent velocity from the reduced model on ``mesh`` and
+    its geometry ``mesh.geom``.
 
     Axial profiles are Poiseuille-type scaled so the cross-sectional flux of
     blood matches Q_b (+x) and of dialysate matches Q_d (-x, counter-current);
     the membrane Darcy radial flux follows the interface pressure difference,
     and the channel radial velocities close the continuity equation, so the
-    per-triangle divergence residual is at roundoff level.
+    per-triangle divergence residual is at roundoff level.  Each node takes
+    the model of its region by radial level (``Mesh.r_index``): interface
+    nodes that of their channel.
     """
-    flow = _ReducedFlow(geom, hyd)
-    x = mesh.vertices[:, 0]
-    r = mesh.vertices[:, 1]
-    R1, R2 = geom.R1, geom.R2
+    flow = _ReducedFlow(mesh.geom, hyd)
+    x, r = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    j, jb, jm = mesh.r_index, mesh.nr_b, mesh.nr_b + mesh.nr_m
     u_x = np.zeros(mesh.n_vertices)
     u_r = np.zeros(mesh.n_vertices)
 
-    for region, at in ((Subdomain.BLOOD, r <= R1 + 1e-14),
-                       (Subdomain.MEMBRANE, (r > R1 + 1e-14) & (r < R2 - 1e-14)),
-                       (Subdomain.DIALYSATE, r >= R2 - 1e-14)):
+    for region, at in ((Subdomain.BLOOD, j <= jb), (Subdomain.MEMBRANE, (j > jb) & (j < jm)),
+                       (Subdomain.DIALYSATE, j >= jm)):
         u_x[at], u_r[at] = flow(x[at], r[at], region)
     # interface nodes keep the no-slip channel value u_x = 0; u_r is continuous
-    u_x[np.abs(r - R1) <= 1e-14] = 0.0
-    u_x[np.abs(r - R2) <= 1e-14] = 0.0
-    u_r[np.abs(r) <= 1e-14] = 0.0
-    u_r[np.abs(r - geom.R) <= 1e-14] = 0.0
+    u_x[(j == jb) | (j == jm)] = 0.0
+    u_r[(j == 0) | (j == mesh.nr)] = 0.0
 
     return VelocityField(mesh, u_x, u_r, model=flow)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cohort import PatientRecord
+from .cohort import PatientRecord, derive_seed, perturb_coefficients
 from .exceptions import ConfigurationError, NewtonError, SolverError, UsageError
 from .flow import HydraulicState, calibrate_hydraulics, compute_velocity_field
 from .mesh import AxiGeometry, build_structured_mesh, prolongation
@@ -80,8 +80,8 @@ def default_weights(patients) -> np.ndarray:
 # -- forward context ---------------------------------------------------------------
 
 class ForwardSolver:
-    """The per-patient forward solve of one process: geometry, mesh and
-    config template, plus, for the patients it has seen, their velocity
+    """The per-patient forward solve of one process: mesh (with its geometry)
+    and config template, plus, for the patients it has seen, their velocity
     fields, keyed by (patient id, hydraulics), and the warm-start state of
     each one's last warm task.
 
@@ -92,7 +92,6 @@ class ForwardSolver:
     its counts stay even."""
 
     def __init__(self, geom: AxiGeometry, mesh_res, cfg_template: TransportConfig):
-        self.geom = geom
         self.mesh = build_structured_mesh(geom, *mesh_res)
         self.cfg_template = cfg_template
         self._velocity: dict = {}
@@ -107,13 +106,13 @@ class ForwardSolver:
         ``c0`` if given; returns (outlet, field, NewtonResult), whose
         ``tangents`` hold dc/dbeta when ``tangents`` is set."""
         fld, result = self._newton(rec, beta, c0, tangents)
-        return outlet_concentration(fld, self.mesh, self.geom), fld, result
+        return outlet_concentration(fld, self.mesh), fld, result
 
     def _transport(self, rec: PatientRecord, beta) -> TransportSolver:
         """The assembled transport system of patient ``rec`` at beta."""
         key = (rec.id, rec.hydraulics)
         if key not in self._velocity:
-            self._velocity[key] = compute_velocity_field(self.mesh, self.geom, rec.hydraulics)
+            self._velocity[key] = compute_velocity_field(self.mesh, rec.hydraulics)
         cfg = replace(self.cfg_template,
                       species=self.cfg_template.species.with_beta(beta[0], beta[1]))
         bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
@@ -169,7 +168,7 @@ class ForwardSolver:
         if warm:
             self._warm[rec.id] = beta, fld, result.tangents
         if tangents:
-            outlet = np.column_stack([outlet] + [outlet_concentration(col, self.mesh, self.geom)
+            outlet = np.column_stack([outlet] + [outlet_concentration(col, self.mesh)
                                                  for col in result.tangents.T])
         return outlet, None
 
@@ -573,8 +572,6 @@ def sensitivity_study(patients, ctx: ForwardContext, beta_star, sigmas,
     relative output errors per noise level, per patient and per species.
     Patients whose perturbed solve fails are excluded from that level and
     reported."""
-    from .cohort import derive_seed, perturb_coefficients
-
     beta_star = np.asarray(beta_star, dtype=float)
     refs = {}
     ref_out = ctx.forward_pairs([(rec, beta_star) for rec in patients], use_warm=False)

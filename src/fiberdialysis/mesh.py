@@ -5,6 +5,8 @@ coordinates, split radially into the blood channel (0, R1), the porous
 membrane (R1, R2) and the dialysate channel (R2, R).  Grid lines are placed
 exactly on r = R1 and r = R2 so that no triangle straddles an interface, and
 each rectangular cell is split along its bottom-left to top-right diagonal.
+Radial level nr_b is r = R1 and nr_b + nr_m is r = R2, so this module places
+every vertex, boundary segment and triangle by grid index alone.
 
 Orientation is counter-current: blood enters at x = 0, dialysate at x = L.
 """
@@ -71,7 +73,8 @@ class Mesh:
     """Immutable structured triangulation with subdomain and boundary tags.
 
     Vertices lie on the tensor grid of ``x_levels`` x ``r_levels`` and are
-    numbered row-major by radial level: ``index = j * (nx + 1) + i``.
+    numbered row-major by radial level: ``index = j * (nx + 1) + i``;
+    ``r_index`` holds each vertex's level j.
     """
 
     def __init__(self, geom: AxiGeometry, nx: int, nr_b: int, nr_m: int, nr_d: int):
@@ -99,11 +102,11 @@ class Mesh:
         self.triangles = self._build_triangles()
         self.n_triangles = self.triangles.shape[0]
         self.subdomain_of_triangle = self._label_subdomains()
-        self.boundary_edges, self.edge_tags = self._tag_edges()
+        self.r_index = np.repeat(np.arange(self.nr + 1), self.nx + 1)
 
         # read-only views; the mesh is shared across concurrent solves
         for arr in (self.vertices, self.triangles, self.subdomain_of_triangle,
-                    self.boundary_edges, self.edge_tags, self.x_levels, self.r_levels):
+                    self.r_index, self.x_levels, self.r_levels):
             arr.flags.writeable = False
 
     # -- construction helpers -------------------------------------------------
@@ -125,41 +128,12 @@ class Mesh:
         return np.vstack([lower, upper]).astype(np.int64)
 
     def _label_subdomains(self):
-        r_c = self.vertices[self.triangles, 1].mean(axis=1)
-        labels = np.full(self.n_triangles, Subdomain.DIALYSATE, dtype=np.int64)
-        labels[r_c < self.geom.R2] = Subdomain.MEMBRANE
-        labels[r_c < self.geom.R1] = Subdomain.BLOOD
-        return labels
-
-    def _tag_edges(self):
-        geom = self.geom
-        nx, J = self.nx, self.nr
-        jb = self.nr_b            # r-level index of R1
-        jm = self.nr_b + self.nr_m  # r-level index of R2
-        edges, tags = [], []
-
-        def add(v0, v1, tag):
-            edges.append((v0, v1))
-            tags.append(tag)
-
-        for i in range(nx):  # horizontal runs
-            add(self.node_index(i, 0), self.node_index(i + 1, 0), Boundary.AXIS)
-            add(self.node_index(i, J), self.node_index(i + 1, J), Boundary.OUTER)
-            add(self.node_index(i, jb), self.node_index(i + 1, jb), Boundary.BLOOD_MEMBRANE)
-            add(self.node_index(i, jm), self.node_index(i + 1, jm), Boundary.DIALYSATE_MEMBRANE)
-        for j in range(J):  # vertical runs on x = 0 and x = L
-            if j < jb:
-                left, right = Boundary.INLET_BLOOD, Boundary.OUTLET_BLOOD
-            elif j < jm:
-                left, right = Boundary.MEMBRANE_LEFT, Boundary.MEMBRANE_RIGHT
-            else:
-                left, right = Boundary.OUTLET_DIALYSATE, Boundary.INLET_DIALYSATE
-            add(self.node_index(0, j), self.node_index(0, j + 1), left)
-            add(self.node_index(nx, j), self.node_index(nx, j + 1), right)
-
-        edge_arr = np.array(edges, dtype=np.int64)
-        tag_arr = np.array([t.value for t in tags], dtype=object)
-        return edge_arr, tag_arr
+        # cell row j (levels j to j + 1) is blood for j < nr_b, membrane for
+        # j < nr_b + nr_m; lower and upper triangles list the cells alike
+        row_label = np.repeat(np.array([Subdomain.BLOOD, Subdomain.MEMBRANE,
+                                        Subdomain.DIALYSATE], dtype=np.int64),
+                              [self.nr_b, self.nr_m, self.nr_d])
+        return np.tile(np.repeat(row_label, self.nx), 2)
 
     # -- per-mesh data ---------------------------------------------------------
 
@@ -178,9 +152,10 @@ class Mesh:
     # -- queries ---------------------------------------------------------------
 
     def edges_with_tag(self, tag: Boundary):
-        """(E, 2) vertex-index pairs of all edges carrying ``tag``."""
-        mask = self.edge_tags == tag.value
-        return self.boundary_edges[mask]
+        """(E, 2) vertex-index pairs of the edges of segment ``tag``: its
+        consecutive vertices, in ``boundary_vertices`` order."""
+        v = boundary_vertices(self, tag)
+        return np.column_stack([v[:-1], v[1:]])
 
 
 class FemData:
@@ -256,4 +231,19 @@ def boundary_vertices(mesh: Mesh, tag: Boundary) -> np.ndarray:
     in the row-major numbering.  Segment endpoints are included."""
     if not isinstance(tag, Boundary):
         raise UsageError(f"unknown boundary tag: {tag!r}")
-    return np.unique(mesh.edges_with_tag(tag))
+    nx, jb, jm, J = mesh.nx, mesh.nr_b, mesh.nr_b + mesh.nr_m, mesh.nr
+    # (x index range, r index range) of each segment, both inclusive
+    (i0, i1), (j0, j1) = {
+        Boundary.INLET_BLOOD: ((0, 0), (0, jb)),
+        Boundary.OUTLET_BLOOD: ((nx, nx), (0, jb)),
+        Boundary.INLET_DIALYSATE: ((nx, nx), (jm, J)),
+        Boundary.OUTLET_DIALYSATE: ((0, 0), (jm, J)),
+        Boundary.AXIS: ((0, nx), (0, 0)),
+        Boundary.OUTER: ((0, nx), (J, J)),
+        Boundary.MEMBRANE_LEFT: ((0, 0), (jb, jm)),
+        Boundary.MEMBRANE_RIGHT: ((nx, nx), (jb, jm)),
+        Boundary.BLOOD_MEMBRANE: ((0, nx), (jb, jb)),
+        Boundary.DIALYSATE_MEMBRANE: ((0, nx), (jm, jm)),
+    }[tag]
+    # one of the two ranges is a single index, so the grid is one run
+    return mesh.node_index(np.arange(i0, i1 + 1), np.arange(j0, j1 + 1)[:, None]).ravel()

@@ -52,7 +52,7 @@ import scipy.sparse as sp
 from .exceptions import ConfigurationError, NewtonError, SolverError
 from .flow import VelocityField
 from .linalg import SparseMatrix, fill_reducing_order, solve_linear
-from .mesh import AxiGeometry, Boundary, Mesh, boundary_vertices
+from .mesh import Boundary, Mesh, boundary_vertices
 
 N_SPECIES = 5
 CROSSES_MEMBRANE = (True, False, False, True, True)
@@ -283,10 +283,9 @@ class NewtonPattern:
                 arr.flags.writeable = False
 
     def _build_dirichlet(self, mesh: Mesh):
-        r = mesh.vertices[:, 1]
         inlet_b = boundary_vertices(mesh, Boundary.INLET_BLOOD)
         inlet_d = boundary_vertices(mesh, Boundary.INLET_DIALYSATE)
-        non_blood = np.flatnonzero(r > mesh.geom.R1 + 1e-14)
+        non_blood = np.flatnonzero(mesh.r_index > mesh.nr_b)
 
         # a dof takes entry `source` of inlet_blood + inlet_dialysate + (0.0,)
         dofs, source = [], []
@@ -461,10 +460,9 @@ class TransportSolver:
     def initial_field(self) -> np.ndarray:
         """Constant extension of inlet blood values (dialysate inlet values on
         the dialysate channel for the crossing species)."""
-        geom = self.mesh.geom
-        r = self.mesh.vertices[:, 1]
-        in_dialysate = r > geom.R2 + 1e-14
-        in_blood = r <= geom.R1 + 1e-14
+        mesh = self.mesh
+        in_dialysate = mesh.r_index > mesh.nr_b + mesh.nr_m
+        in_blood = mesh.r_index <= mesh.nr_b
         c = np.zeros(self.n_dof)
         for s in range(N_SPECIES):
             species = c[s::N_SPECIES]   # entries N_SPECIES * node + s
@@ -545,10 +543,10 @@ class TransportSolver:
 
 # -- observable ---------------------------------------------------------------------
 
-def outlet_concentration(c: np.ndarray, mesh: Mesh, geom: AxiGeometry) -> np.ndarray:
+def outlet_concentration(c: np.ndarray, mesh: Mesh) -> np.ndarray:
     """Flow-section average of the field ``c`` at the blood outlet:
-    (2 R^2 / R1^2) int r c_i dr over x = L, 0 <= r <= R1, integrated exactly
-    for P1 traces."""
+    (2 R^2 / R1^2) int r c_i dr over x = L, 0 <= r <= R1, with the radii of
+    ``mesh.geom``, integrated exactly for P1 traces."""
     idx = boundary_vertices(mesh, Boundary.OUTLET_BLOOD)
     r = mesh.vertices[idx, 1]
     ra, rb = r[:-1], r[1:]
@@ -559,7 +557,7 @@ def outlet_concentration(c: np.ndarray, mesh: Mesh, geom: AxiGeometry) -> np.nda
         cb = c[N_SPECIES * idx[1:] + s]
         # exact integral of r * (linear c) over each edge
         out[s] = np.sum(h * ((2 * ra + rb) * ca + (ra + 2 * rb) * cb) / 6.0)
-    return out * 2.0 * geom.R**2 / geom.R1**2
+    return out * 2.0 * mesh.geom.R**2 / mesh.geom.R1**2
 
 
 def export_field_csv(c: np.ndarray, mesh: Mesh, path):
@@ -567,6 +565,5 @@ def export_field_csv(c: np.ndarray, mesh: Mesh, path):
     with open(path, "w") as fh:
         fh.write("x,r,c1,c2,c3,c4,c5\n")
         for k in range(mesh.n_vertices):
-            x, r = mesh.vertices[k]
-            row = ",".join(repr(float(v)) for v in c[N_SPECIES * k:N_SPECIES * (k + 1)])
-            fh.write(f"{x!r},{r!r},{row}\n")
+            row = np.concatenate([mesh.vertices[k], c[N_SPECIES * k:N_SPECIES * (k + 1)]])
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")

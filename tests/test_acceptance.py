@@ -180,7 +180,7 @@ def test_criterion_5_newton_solver(profile):
     # <= 5 s per solve
     geom = profile.geometry
     mesh_d = build_structured_mesh(geom, *profile.mesh_resolution)
-    velocity = compute_velocity_field(mesh_d, geom, profile.base_hydraulics())
+    velocity = compute_velocity_field(mesh_d, profile.base_hydraulics())
     from dataclasses import replace
     cfg_b = profile.transport_config()
     cfg_b = replace(cfg_b, species=cfg_b.species.with_beta(0.2, 0.2))
@@ -206,7 +206,7 @@ def test_criterion_5_newton_solver(profile):
         from fiberdialysis.flow import HydraulicState
         hyd = HydraulicState(p_in_b=1.0, p_out_b=1.0, p_in_d=1.0, p_out_d=1.0,
                              K_over_mu=0.0, Q_b=0.3, Q_d=0.4)
-        vel = compute_velocity_field(m, tt.GEOM, hyd)
+        vel = compute_velocity_field(m, hyd)
         override = man.exact_all(m.vertices[:, 0], m.vertices[:, 1]).T.ravel()
         solver = TransportSolver(m, vel, man_cfg, bd_m, dirichlet_override=override)
         fld, _ = solver.solve(source_nodal=man.forcing(m, vel))

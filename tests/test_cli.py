@@ -342,6 +342,31 @@ def test_malformed_patient_record_exits_3(workdir, synth_bundle, capsys, key, va
         assert not (workdir / "out_malformed").exists()
 
 
+@pytest.mark.parametrize("ids, selected, message", [
+    ((5, "s2", "s3", "s4"), None, "patient record id 5 is not a string"),
+    (("s1", "s1", "s3", "s4"), None, "repeated patient ids: s1"),
+    (("s1", "s2", "s3", "s1"), "s1,s3", "repeated patient ids: s1"),
+], ids=["integer-id", "repeated-id", "repeated-id-selected"])
+def test_malformed_patient_id_exits_3(workdir, synth_bundle, capsys, ids, selected, message):
+    # a repeated id would let one patient warm-start from another's field
+    records = json.loads((workdir / "synth" / "targets.json").read_text())
+    for rec, pid in zip(records, ids):
+        rec["id"] = pid
+    bundle = _corrupt_bundle(workdir, "malformed_id", targets=json.dumps(records))
+    if selected:
+        commands = [("invert-multi", "--patients", selected),
+                    ("grid", "--patients", selected, "--n", "2")]
+    else:
+        commands = [("invert-multi",), ("grid", "--n", "2"), ("noise-study",), ("sensitivity",)]
+    for command in commands:
+        capsys.readouterr()
+        assert run(workdir, *command, "--config", "cfg.json", "--targets", bundle,
+                   "--out", "out_malformed_id") == 3, command
+        err = capsys.readouterr().err
+        assert "targets.json does not hold patient records" in err and message in err
+        assert not (workdir / "out_malformed_id").exists()
+
+
 def test_ragged_real_cohort_exits_2(workdir, capsys):
     lines = packaged_data_path("sample_cohort.csv").read_text().splitlines()
     lines[3] = lines[3].rsplit(",", 1)[0]

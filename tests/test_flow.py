@@ -27,7 +27,7 @@ def test_no_driving_force_limit():
     m = mesh()
     hyd = HydraulicState(p_in_b=1.0, p_out_b=1.0, p_in_d=1.0, p_out_d=1.0,
                          K_over_mu=0.0, Q_b=1e-12, Q_d=1e-12)
-    U = compute_velocity_field(m, GEOM, hyd)
+    U = compute_velocity_field(m, hyd)
     assert np.max(np.abs(U.u_x)) < 1e-11
     assert np.max(np.abs(U.u_r)) < 1e-11
 
@@ -37,7 +37,7 @@ def test_blood_flux_matches_prescription_at_every_station():
     m = mesh()
     hyd = HydraulicState(p_in_b=1.0, p_out_b=1.0, p_in_d=1.0, p_out_d=1.0,
                          K_over_mu=0.0, Q_b=1.0, Q_d=0.5)
-    U = compute_velocity_field(m, GEOM, hyd)
+    U = compute_velocity_field(m, hyd)
     t, w = np.polynomial.legendre.leggauss(12)
     r = 0.5 * GEOM.R1 * (t + 1.0)
     for x in (0.0, 0.31, 0.77, GEOM.L):
@@ -50,7 +50,7 @@ def test_dialysate_flux_counter_current():
     m = mesh()
     hyd = HydraulicState(p_in_b=1.0, p_out_b=1.0, p_in_d=1.0, p_out_d=1.0,
                          K_over_mu=0.0, Q_b=1.0, Q_d=0.5)
-    U = compute_velocity_field(m, GEOM, hyd)
+    U = compute_velocity_field(m, hyd)
     t, w = np.polynomial.legendre.leggauss(12)
     r = GEOM.R2 + 0.5 * (GEOM.R - GEOM.R2) * (t + 1.0)
     ux, _ = U.model(np.full_like(r, 0.4), r, Subdomain.DIALYSATE)
@@ -60,21 +60,21 @@ def test_dialysate_flux_counter_current():
 
 def test_ultrafiltration_sign():
     m = mesh()
-    U = compute_velocity_field(m, GEOM, HYD)  # blood pressure above dialysate
+    U = compute_velocity_field(m, HYD)  # blood pressure above dialysate
     mem = (m.vertices[:, 1] > GEOM.R1 - 1e-12) & (m.vertices[:, 1] < GEOM.R2 + 1e-12)
     assert np.all(U.u_r[mem] >= 0.0)
 
 
 def test_divergence_invariant():
     m = mesh(nx=12, nr=(4, 4, 4))
-    U = compute_velocity_field(m, GEOM, HYD)
+    U = compute_velocity_field(m, HYD)
     assert U.div_residual <= 1e-8 * U.max_abs_ux
     assert U.div_residual < 1e-10  # construction is pointwise divergence-free
 
 
 def test_radial_velocity_vanishes_on_axis_and_outer():
     m = mesh()
-    U = compute_velocity_field(m, GEOM, HYD)
+    U = compute_velocity_field(m, HYD)
     on_axis = m.vertices[:, 1] == 0.0
     on_outer = m.vertices[:, 1] == GEOM.R
     assert np.all(U.u_x[on_axis] != 0)  # axis carries the peak axial speed
@@ -84,7 +84,7 @@ def test_radial_velocity_vanishes_on_axis_and_outer():
 
 def test_global_fluid_mass_conservation():
     m = mesh()
-    U = compute_velocity_field(m, GEOM, HYD)
+    U = compute_velocity_field(m, HYD)
     model = U.model
     flux_in = model.flux_blood(0.0)
     flux_out = model.flux_blood(GEOM.L)
@@ -94,8 +94,8 @@ def test_global_fluid_mass_conservation():
 
 def test_velocity_bit_reproducible():
     m = mesh()
-    U1 = compute_velocity_field(m, GEOM, HYD)
-    U2 = compute_velocity_field(m, GEOM, HYD)
+    U1 = compute_velocity_field(m, HYD)
+    U2 = compute_velocity_field(m, HYD)
     assert np.array_equal(U1.u_x, U2.u_x)
     assert np.array_equal(U1.u_r, U2.u_r)
 
@@ -180,7 +180,7 @@ def test_secant_matches_two_probe_closed_form():
     assert model_flux(hyd) == pytest.approx(target, rel=1e-6)
     # the field's model is the one calibration worked on
     m = mesh()
-    assert transmembrane_flux(compute_velocity_field(m, GEOM, hyd).model) == model_flux(hyd)
+    assert transmembrane_flux(compute_velocity_field(m, hyd).model) == model_flux(hyd)
 
 
 def test_calibration_monotonicity():

@@ -543,9 +543,9 @@ def _cold_oracle(solver, rec, beta):
     cfg = replace(tmpl, species=tmpl.species.with_beta(*beta))
     bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
                       inlet_dialysate=tuple(rec.inlet_dialysate))
-    velocity = compute_velocity_field(solver.mesh, solver.geom, rec.hydraulics)
+    velocity = compute_velocity_field(solver.mesh, rec.hydraulics)
     fld, result = TransportSolver(solver.mesh, velocity, cfg, bd).solve()
-    return outlet_concentration(fld, solver.mesh, solver.geom), result
+    return outlet_concentration(fld, solver.mesh), result
 
 
 def test_nested_cold_start_keeps_outlets_within_documented_precision(exact_patients):

@@ -78,15 +78,22 @@ def test_interface_vertices_touch_two_subdomains():
 def test_boundary_cover_is_exact():
     mesh = build_structured_mesh(GEOM, 3, 2, 1, 2)
     # every domain-boundary edge of the triangulation carries exactly one tag
-    exterior_tags = {Boundary.INLET_BLOOD.value, Boundary.OUTLET_BLOOD.value,
-                     Boundary.INLET_DIALYSATE.value, Boundary.OUTLET_DIALYSATE.value,
-                     Boundary.AXIS.value, Boundary.OUTER.value,
-                     Boundary.MEMBRANE_LEFT.value, Boundary.MEMBRANE_RIGHT.value}
-    tagged = [tuple(sorted(e)) for e, t in zip(mesh.boundary_edges, mesh.edge_tags)
-              if t in exterior_tags]
+    exterior = [Boundary.INLET_BLOOD, Boundary.OUTLET_BLOOD, Boundary.INLET_DIALYSATE,
+                Boundary.OUTLET_DIALYSATE, Boundary.AXIS, Boundary.OUTER,
+                Boundary.MEMBRANE_LEFT, Boundary.MEMBRANE_RIGHT]
+    tagged = [tuple(sorted(e)) for tag in exterior for e in mesh.edges_with_tag(tag).tolist()]
     assert len(tagged) == len(set(tagged))
-    # count exterior edges geometrically: 2*nx horizontal + 2*nr vertical runs
+    # the domain boundary: the edges of exactly one triangle
+    count = {}
+    for t in mesh.triangles.tolist():
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            key = tuple(sorted((t[a], t[b])))
+            count[key] = count.get(key, 0) + 1
+    assert set(tagged) == {e for e, n in count.items() if n == 1}
     assert len(tagged) == 2 * mesh.nx + 2 * mesh.nr
+    # the two interfaces run along edges shared by two triangles
+    for tag in (Boundary.BLOOD_MEMBRANE, Boundary.DIALYSATE_MEMBRANE):
+        assert all(count[tuple(sorted(e))] == 2 for e in mesh.edges_with_tag(tag).tolist())
 
 
 def test_outlet_blood_vertices_minimal():
@@ -146,6 +153,26 @@ def test_boundary_vertices_match_coordinate_selection(geom, res):
                               _vertices_by_coordinates(mesh, tag))
 
 
+@pytest.mark.parametrize("geom", [GEOM, AxiGeometry(L=3.0, R1=0.35, R2=0.5, R=1.2)])
+@pytest.mark.parametrize("res", [(1, 1, 1, 1), (24, 4, 3, 4), (40, 6, 4, 5),
+                                 (80, 12, 8, 10), (7, 3, 2, 5)])
+def test_subdomains_and_levels_match_coordinate_rules(geom, res):
+    """Grid-index answers against the coordinate rules they replace: a
+    triangle's subdomain from its centroid radius, a vertex's radial level
+    as the level its r coordinate equals."""
+    mesh = build_structured_mesh(geom, *res)
+    r_c = mesh.vertices[mesh.triangles, 1].mean(axis=1)
+    by_centroid = np.full(mesh.n_triangles, Subdomain.DIALYSATE, dtype=np.int64)
+    by_centroid[r_c < geom.R2] = Subdomain.MEMBRANE
+    by_centroid[r_c < geom.R1] = Subdomain.BLOOD
+    assert mesh.subdomain_of_triangle.dtype == by_centroid.dtype
+    assert np.array_equal(mesh.subdomain_of_triangle, by_centroid)
+    r = mesh.vertices[:, 1]
+    level = np.searchsorted(mesh.r_levels, r)
+    assert np.array_equal(mesh.r_levels[level], r)
+    assert np.array_equal(mesh.r_index, level)
+
+
 def test_invalid_geometry_rejected():
     with pytest.raises(ConfigurationError):
         AxiGeometry(L=1.0, R1=0.7, R2=0.6, R=1.0)
@@ -168,6 +195,8 @@ def test_mesh_is_immutable():
     mesh = build_structured_mesh(GEOM, 2, 1, 1, 1)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        mesh.r_index[0] = 1
 
 
 

@@ -42,7 +42,7 @@ def still_field(mesh):
 def flow_field(mesh, Q_b=0.25, Q_d=0.5, K=1e-3):
     hyd = HydraulicState(p_in_b=2.0, p_out_b=1.6, p_in_d=0.6, p_out_d=0.4,
                          K_over_mu=K, Q_b=Q_b, Q_d=Q_d)
-    return compute_velocity_field(mesh, GEOM, hyd)
+    return compute_velocity_field(mesh, hyd)
 
 
 # -- reaction kinetics ----------------------------------------------------------
@@ -161,7 +161,7 @@ def test_cold_solve_independent_of_earlier_solves_on_the_mesh():
     def outlet(mesh, velocity, beta, data):
         cfg = transport_cfg(species=species_cfg(alpha=(beta[0], 0, 0, beta[1], beta[1])))
         field, _ = TransportSolver(mesh, velocity, cfg, data).solve()
-        return outlet_concentration(field, mesh, GEOM)
+        return outlet_concentration(field, mesh)
 
     first_mesh = build_structured_mesh(GEOM, 10, 4, 2, 4)
     first = outlet(first_mesh, flow_field(first_mesh), (0.8, 0.4), bd)
@@ -400,7 +400,7 @@ def _profile_solver(res, beta):
     cfg = replace(cfg, species=cfg.species.with_beta(*beta))
     bd = BoundaryData(inlet_blood=(0.11, 3.71602, 0.0577928, 5.03048, 1.37152),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
-    velocity = compute_velocity_field(mesh, prof.geometry, prof.base_hydraulics())
+    velocity = compute_velocity_field(mesh, prof.base_hydraulics())
     return TransportSolver(mesh, velocity, cfg, bd)
 
 
@@ -546,7 +546,7 @@ def test_solve_without_tangents_returns_none():
 def test_outlet_of_constant_field():
     mesh = build_structured_mesh(GEOM, 3, 2, 1, 2)
     field = np.tile([1.0, 2.0, 3.0, 4.0, 5.0], mesh.n_vertices)
-    out = outlet_concentration(field, mesh, GEOM)
+    out = outlet_concentration(field, mesh)
     assert np.allclose(out, [1, 2, 3, 4, 5], rtol=1e-13)
 
 
@@ -554,7 +554,7 @@ def test_outlet_of_linear_trace_closed_form():
     geom = AxiGeometry(L=1.0, R1=0.5, R2=0.7, R=1.0)
     mesh = build_structured_mesh(geom, 3, 4, 1, 2)
     field = np.repeat(mesh.vertices[:, 1], 5)  # c_i(r) = r
-    out = outlet_concentration(field, mesh, geom)
+    out = outlet_concentration(field, mesh)
     # (2 / 0.25) * int_0^0.5 r^2 dr = 8 * (0.125 / 3) = 1/3, exact for P1 traces
     assert np.allclose(out, 1.0 / 3.0, rtol=1e-13)
 
@@ -565,8 +565,8 @@ def test_outlet_linearity():
     a, b = 1.7, -0.4
     c1 = rng.uniform(0, 1, 5 * mesh.n_vertices)
     c2 = rng.uniform(0, 1, 5 * mesh.n_vertices)
-    lhs = outlet_concentration(a * c1 + b * c2, mesh, GEOM)
-    rhs = a * outlet_concentration(c1, mesh, GEOM) + b * outlet_concentration(c2, mesh, GEOM)
+    lhs = outlet_concentration(a * c1 + b * c2, mesh)
+    rhs = a * outlet_concentration(c1, mesh) + b * outlet_concentration(c2, mesh)
     assert np.allclose(lhs, rhs, atol=1e-14)
 
 
@@ -581,7 +581,9 @@ def test_field_export(tmp_path):
     assert lines[0] == "x,r,c1,c2,c3,c4,c5"
     assert len(lines) == 1 + mesh.n_vertices
     for k, line in enumerate(lines[1:]):
-        assert [float(v) for v in line.split(",")[2:]] == [5.0 * k + s for s in range(5)]
+        cells = [float(v) for v in line.split(",")]
+        assert cells[:2] == mesh.vertices[k].tolist()
+        assert cells[2:] == [5.0 * k + s for s in range(5)]
 
 
 def _total_calcium_boundary_flux(mesh, U, field, tag, sign):
@@ -706,7 +708,7 @@ def test_manufactured_solution_second_order_convergence():
         mesh = build_structured_mesh(geom, nx, nb, nm, nd)
         hyd = HydraulicState(p_in_b=1.0, p_out_b=1.0, p_in_d=1.0, p_out_d=1.0,
                              K_over_mu=0.0, Q_b=0.3, Q_d=0.4)
-        velocity = compute_velocity_field(mesh, geom, hyd)
+        velocity = compute_velocity_field(mesh, hyd)
         x, r = mesh.vertices[:, 0], mesh.vertices[:, 1]
         override = man.exact_all(x, r).T.ravel()
         solver = TransportSolver(mesh, velocity, cfg, bd, dirichlet_override=override)
