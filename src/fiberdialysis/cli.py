@@ -498,8 +498,7 @@ def cmd_report(args) -> int:
         return EXIT_INCOMPLETE
     lines = [f"bundle: {os.path.basename(os.path.normpath(bundle))}"]
     if os.path.exists(os.path.join(bundle, "manifest.json")):
-        manifest = _require_fields(bundle, "manifest.json",
-                                   _read_bundle_json(bundle, "manifest.json"), {})
+        manifest = _check_bundle(bundle, ())
         lines.append(f"command: {manifest.get('command')}")
         lines.append(f"profile: {manifest.get('profile_name')} "
                      f"({str(manifest.get('profile_sha256', ''))[:12]})")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import ConfigurationError, UsageError
+from .exceptions import ConfigurationError, FiberDialysisError, UsageError
 from .flow import HydraulicState
 from .transport import N_SPECIES
 
@@ -255,15 +255,15 @@ def make_reference_targets(cohort: CohortTable, ctx, beta_star) -> list:
     ground-truth diffusion pair as its exact reference target.
 
     ``ctx`` is a forward context (see ``inverse.ForwardContext``); patients
-    whose calibration or forward solve fails are excluded with a logged
-    reason rather than aborting the cohort.
+    whose calibration or forward solve fails with a ``FiberDialysisError``
+    are excluded with a logged reason rather than aborting the cohort.
     """
     records = records_from_cohort(cohort, ctx.base_hydraulics)
     calibrated = []
     for rec in records:
         try:
             calibrated.append(ctx.calibrate_record(rec))
-        except Exception as exc:
+        except FiberDialysisError as exc:
             log.warning("patient %s excluded at calibration: %s", rec.id, exc)
     beta = np.asarray(beta_star, dtype=float)
     outcome = ctx.forward_pairs([(rec, beta) for rec in calibrated])

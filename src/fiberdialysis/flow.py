@@ -21,8 +21,10 @@ from .exceptions import CalibrationError, ConfigurationError
 from .linalg import solve_linear  # noqa: F401  (bench/tracing.py wraps flow.solve_linear)
 from .mesh import AxiGeometry, Mesh, Subdomain
 
-_GAUSS4_T, _GAUSS4_W = np.polynomial.legendre.leggauss(4)   # divergence edge integrals
-_GAUSS8_T, _GAUSS8_W = np.polynomial.legendre.leggauss(8)   # transmembrane flux
+# Gauss rule of the divergence edge integrals and the transmembrane flux.  The
+# model's log terms need 8 points: on one-cell meshes 4 points miss them by up
+# to about 6e-8 * max|U_x|, past _DIV_TOL.
+_GAUSS8_T, _GAUSS8_W = np.polynomial.legendre.leggauss(8)
 _DIV_TOL = 1e-8   # divergence residual allowed, relative to max|U_x|
 _REL_TOL = 1e-6   # calibrated flux error allowed, relative to the flux scale
 
@@ -52,28 +54,36 @@ class HydraulicState:
 
 
 class VelocityField:
-    """Nodal velocity (u_x, u_r) plus, in ``model``, the closed-form model the
-    nodes sample (``None`` for nodal-only fields).
+    """The closed-form velocity ``model`` sampled at the nodes of ``mesh``:
+    nodal (u_x, u_r), with the model kept in ``model``.
 
-    The divergence residual reported by the constructor is the largest
-    per-triangle axisymmetric divergence integral
+    ``model(x, r, region)`` returns (U_x, U_r) at points of one ``Subdomain``.
+    Each node takes the model of its region by radial level
+    (``Mesh.r_index``), interface nodes that of their channel with its
+    no-slip u_x = 0; u_r = 0 on the axis and the outer wall.
+
+    The divergence residual checked by the constructor is the largest
+    per-triangle axisymmetric divergence integral of the model
 
         | oint_{dT} r U . n ds | / (area_T * rbar_T)
 
     i.e. a local mean of  d_x U_x + (1/r) d_r (r U_r),  evaluated with
-    4-point Gauss quadrature on each edge of every triangle.  When the
-    closed-form model is available it is used; otherwise the P1 interpolant
-    is integrated, which is exact for it.
+    8-point Gauss quadrature on each edge of every triangle.
     """
 
-    def __init__(self, mesh: Mesh, u_x, u_r, model=None):
+    def __init__(self, mesh: Mesh, model):
         self.mesh = mesh
-        self.u_x = np.asarray(u_x, dtype=float)
-        self.u_r = np.asarray(u_r, dtype=float)
-        if self.u_x.shape != (mesh.n_vertices,) or self.u_r.shape != (mesh.n_vertices,):
-            raise ConfigurationError("velocity arrays must be nodal on the given mesh")
         self.model = model
-        self.max_abs_ux = float(np.max(np.abs(self.u_x))) if self.u_x.size else 0.0
+        x, r = mesh.vertices[:, 0], mesh.vertices[:, 1]
+        j, jb, jm = mesh.r_index, mesh.nr_b, mesh.nr_b + mesh.nr_m
+        self.u_x = np.zeros(mesh.n_vertices)
+        self.u_r = np.zeros(mesh.n_vertices)
+        for region, at in ((Subdomain.BLOOD, j <= jb), (Subdomain.MEMBRANE, (j > jb) & (j < jm)),
+                           (Subdomain.DIALYSATE, j >= jm)):
+            self.u_x[at], self.u_r[at] = model(x[at], r[at], region)
+        self.u_x[(j == jb) | (j == jm)] = 0.0
+        self.u_r[(j == 0) | (j == mesh.nr)] = 0.0
+        self.max_abs_ux = float(np.max(np.abs(self.u_x)))
         self.div_residual = self._divergence_residual()
         scale = self.max_abs_ux if self.max_abs_ux > 0 else 1.0
         if self.div_residual > _DIV_TOL * scale:
@@ -82,8 +92,8 @@ class VelocityField:
                 f"residual {self.div_residual:.3e} > {_DIV_TOL:.1e} * max|U_x|={scale:.3e}")
 
     def _edge_flux(self, pa, pb, region):
-        # int_edge r U.n ds with 4-point Gauss; n is the -90deg rotation of (pb-pa)
-        t = 0.5 * (_GAUSS4_T + 1.0)
+        # int_edge r U.n ds with 8-point Gauss; n is the -90deg rotation of (pb-pa)
+        t = 0.5 * (_GAUSS8_T + 1.0)
         xs = pa[:, 0, None] + t[None, :] * (pb[:, 0] - pa[:, 0])[:, None]
         rs = pa[:, 1, None] + t[None, :] * (pb[:, 1] - pa[:, 1])[:, None]
         ux, ur = np.empty_like(xs), np.empty_like(xs)
@@ -95,32 +105,18 @@ class VelocityField:
         er = pb[:, 1] - pa[:, 1]
         nx, nr = er, -ex  # length-scaled outward normal for CCW triangles
         fluxdens = rs * (ux * nx[:, None] + ur * nr[:, None])
-        return 0.5 * fluxdens @ _GAUSS4_W
+        return 0.5 * fluxdens @ _GAUSS8_W
 
     def _divergence_residual(self):
         mesh = self.mesh
-        fem = mesh.fem
         tri = mesh.triangles
         verts = mesh.vertices
-        region = mesh.subdomain_of_triangle
-        areas = fem.area
-        rbar = np.maximum(fem.rbar, 1e-30)
         total = np.zeros(mesh.n_triangles)
-        if self.model is not None:
-            for a, b in ((0, 1), (1, 2), (2, 0)):
-                pa = verts[tri[:, a]]
-                pb = verts[tri[:, b]]
-                total += self._edge_flux(pa, pb, region)
-        else:
-            # exact per-triangle integral of r*d_x(U_x) + d_r(r*U_r) for the
-            # P1 interpolant: the integrand is linear, centroid rule is exact
-            ux = self.u_x[tri]
-            ur = self.u_r[tri]
-            dux_dx = (fem.bx * ux).sum(axis=1)
-            dur_dr = (fem.br * ur).sum(axis=1)
-            ur_c = ur.mean(axis=1)
-            total = areas * (rbar * dux_dx + ur_c + rbar * dur_dr)
-        return float(np.max(np.abs(total) / (areas * rbar)))
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            total += self._edge_flux(verts[tri[:, a]], verts[tri[:, b]],
+                                     mesh.subdomain_of_triangle)
+        rbar = np.maximum(mesh.fem.rbar, 1e-30)
+        return float(np.max(np.abs(total) / (mesh.fem.area * rbar)))
 
 
 # -- reduced consistent velocity model -----------------------------------------
@@ -196,31 +192,17 @@ class _ReducedFlow:
 
 
 def compute_velocity_field(mesh: Mesh, hyd: HydraulicState) -> VelocityField:
-    """Divergence-consistent velocity from the reduced model on ``mesh`` and
-    its geometry ``mesh.geom``.
+    """The reduced model of ``hyd`` on the geometry ``mesh.geom``, sampled at
+    the nodes of ``mesh`` (see ``VelocityField``).
 
     Axial profiles are Poiseuille-type scaled so the cross-sectional flux of
     blood matches Q_b (+x) and of dialysate matches Q_d (-x, counter-current);
     the membrane Darcy radial flux follows the interface pressure difference,
     and the channel radial velocities close the continuity equation, so the
-    per-triangle divergence residual is at roundoff level.  Each node takes
-    the model of its region by radial level (``Mesh.r_index``): interface
-    nodes that of their channel.
+    model is pointwise divergence-free and its per-triangle residual stays
+    far below ``_DIV_TOL`` down to one cell per region.
     """
-    flow = _ReducedFlow(mesh.geom, hyd)
-    x, r = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    j, jb, jm = mesh.r_index, mesh.nr_b, mesh.nr_b + mesh.nr_m
-    u_x = np.zeros(mesh.n_vertices)
-    u_r = np.zeros(mesh.n_vertices)
-
-    for region, at in ((Subdomain.BLOOD, j <= jb), (Subdomain.MEMBRANE, (j > jb) & (j < jm)),
-                       (Subdomain.DIALYSATE, j >= jm)):
-        u_x[at], u_r[at] = flow(x[at], r[at], region)
-    # interface nodes keep the no-slip channel value u_x = 0; u_r is continuous
-    u_x[(j == jb) | (j == jm)] = 0.0
-    u_r[(j == 0) | (j == mesh.nr)] = 0.0
-
-    return VelocityField(mesh, u_x, u_r, model=flow)
+    return VelocityField(mesh, _ReducedFlow(mesh.geom, hyd))
 
 
 def transmembrane_flux(model: _ReducedFlow) -> float:

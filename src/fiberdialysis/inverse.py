@@ -36,7 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cohort import PatientRecord, derive_seed, perturb_coefficients
-from .exceptions import ConfigurationError, NewtonError, SolverError, UsageError
+from .exceptions import (ConfigurationError, FiberDialysisError, NewtonError, SolverError,
+                         UsageError)
 from .flow import HydraulicState, calibrate_hydraulics, compute_velocity_field
 from .mesh import AxiGeometry, build_structured_mesh, prolongation
 from .optim import (GridResult, OptimResult, grid_axes, grid_search,
@@ -144,11 +145,13 @@ class ForwardSolver:
 
     def task(self, rec: PatientRecord, beta, warm: bool, tangents: bool = False):
         """``solve`` as one task of ``ForwardContext.forward_pairs``: (outlet,
-        None), or (None, exception) when the solve raises.  With ``tangents``
-        the outlet is the (5, 3) array [outlet, d outlet / d beta]; the
-        outlet functional is linear in c, so it maps each column of dc/dbeta
-        to one of d outlet / d beta.  Exceptions pickle with their attributes
-        (``NewtonError.trace``, ``SolverError.residual``).
+        None), or (None, exception) when the solve raises a
+        ``FiberDialysisError``; any other exception is a fault and
+        propagates.  With ``tangents`` the outlet is the (5, 3) array
+        [outlet, d outlet / d beta]; the outlet functional is linear in c, so
+        it maps each column of dc/dbeta to one of d outlet / d beta.
+        Exceptions pickle with their attributes (``NewtonError.trace``,
+        ``SolverError.residual``).
 
         A warm task starts from the patient's last warm-converged field
         here, if there is one, moved to this beta by its dc/dbeta if that
@@ -163,7 +166,7 @@ class ForwardSolver:
                 c0 = c0 + dc @ (beta - beta_old)
         try:
             outlet, fld, result = self.solve(rec, beta, c0, tangents)
-        except Exception as exc:
+        except FiberDialysisError as exc:
             return None, exc
         if warm:
             self._warm[rec.id] = beta, fld, result.tangents

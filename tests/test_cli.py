@@ -273,6 +273,19 @@ def test_version_mismatch_exits_3(workdir, synth_bundle):
     assert rc == 3
 
 
+def test_report_version_mismatch_exits_3(workdir, synth_bundle, capsys):
+    bad = workdir / "report_bad_version"
+    bad.mkdir(exist_ok=True)
+    manifest = json.loads((workdir / "synth" / "manifest.json").read_text())
+    manifest["bundle_version"] = 99
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    (bad / "targets.json").write_text((workdir / "synth" / "targets.json").read_text())
+    capsys.readouterr()
+    assert run(workdir, "report", str(bad)) == 3
+    assert f"has version 99, expected {config.BUNDLE_VERSION}" in capsys.readouterr().err
+    assert not (bad / "summary.txt").exists()
+
+
 def _corrupt_bundle(workdir, name, manifest=None, targets=None):
     """A copy of the synth bundle with manifest.json or targets.json replaced."""
     bad = workdir / name

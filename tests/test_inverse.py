@@ -17,6 +17,7 @@ from fiberdialysis.inverse import (ForwardContext, ForwardSolver, MultiCostConfi
                                    identify_single, landscape_scan, multi_patient_cost,
                                    multi_patient_residual_jacobian, multi_patient_residuals,
                                    sensitivity_study, single_patient_cost)
+from fiberdialysis.mesh import AxiGeometry
 from fiberdialysis.optim import powell_minimize
 from fiberdialysis.transport import BoundaryData, TransportSolver, outlet_concentration
 
@@ -157,6 +158,44 @@ def test_forward_failures_are_typed_and_keep_the_newton_trace(exact_patients):
     for serial, pooled in zip(*errors):
         assert str(serial) == str(pooled)
         assert serial.trace and serial.trace == pooled.trace
+
+
+def test_cold_solve_nests_down_to_one_cell_per_region(exact_patients):
+    # (8, 4, 4, 4) nests to (4, 2, 2, 2) and (2, 1, 1, 1); each level builds
+    # its velocity field, whose divergence check must accept the geometry
+    profile = load_profile()
+    with ForwardContext(AxiGeometry(3.0, 0.35, 0.5, 1.2), (8, 4, 4, 4),
+                        profile.transport_config(), profile.base_hydraulics()) as context:
+        [(outlet, err)] = context.forward_pairs([(exact_patients[0], np.array([0.8, 0.4]))],
+                                                use_warm=False)
+    assert err is None
+    assert np.all(np.isfinite(outlet))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_fault_in_the_forward_map_is_not_folded_into_a_failure(exact_patients, monkeypatch,
+                                                                 jobs):
+    # only FiberDialysisError is a forward failure; any other exception is a
+    # fault: it propagates at jobs 1 and ends the home slot at jobs 2
+    def broken_solve(self, *args, **kwargs):
+        raise TypeError("a fault in the solver")
+
+    monkeypatch.setattr(TransportSolver, "solve", broken_solve)
+    pairs = [(rec, np.array([0.8, 0.4])) for rec in exact_patients]
+    expected = (TypeError, "a fault") if jobs == 1 else (RuntimeError, "home slot")
+    with context_from_profile(load_profile(), jobs=jobs, mesh_res=MESH) as context:
+        with pytest.raises(expected[0], match=expected[1]):
+            context.forward_pairs(pairs)
+
+
+def test_a_fault_in_calibration_is_not_an_excluded_patient(ctx, monkeypatch):
+    def broken_calibration(*args):
+        raise TypeError("a fault in calibration")
+
+    monkeypatch.setattr(inverse, "calibrate_hydraulics", broken_calibration)
+    real = CohortTable.from_csv(packaged_data_path("sample_cohort.csv"))
+    with pytest.raises(TypeError, match="a fault"):
+        make_reference_targets(generate_cohort(real, ns=2, seed=11), ctx, (0.8, 0.4))
 
 
 def test_landscape_on_constant_failure_objective(ctx, exact_patients, caplog):

@@ -35,8 +35,7 @@ def species_rows(field):
 
 
 def still_field(mesh):
-    z = np.zeros(mesh.n_vertices)
-    return VelocityField(mesh, z, z.copy())
+    return VelocityField(mesh, lambda x, r, region: (0.0 * x, 0.0 * x))
 
 
 def flow_field(mesh, Q_b=0.25, Q_d=0.5, K=1e-3):
