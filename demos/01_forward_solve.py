@@ -5,8 +5,6 @@ from the default hydraulics, solves the five-species stationary system for
 the shipped example patient, and prints the outlet observables.
 """
 
-from dataclasses import replace
-
 from fiberdialysis import (BoundaryData, TransportSolver, build_structured_mesh,
                            compute_velocity_field, outlet_concentration,
                            transmembrane_flux)
@@ -27,11 +25,10 @@ print(f"net transmembrane flux = {transmembrane_flux(velocity.model):.4f} "
 
 # stationary transport for the example patient at beta = (d_Ca, d_Ci) = (0.5, 0.5)
 patient = load_patient_csv(packaged_data_path("patient1.csv"), hyd)
-cfg = profile.transport_config()
-cfg = replace(cfg, species=cfg.species.with_beta(0.5, 0.5))
 bd = BoundaryData(inlet_blood=tuple(patient.inlet_blood),
                   inlet_dialysate=tuple(patient.inlet_dialysate))
-field, result = TransportSolver(mesh, velocity, cfg, bd).solve()
+field, result = TransportSolver(mesh, velocity, profile.transport_config(), bd,
+                                (0.5, 0.5)).solve()
 print(f"Newton: {result.n_solves} solves, update norms "
       f"{['%.2e' % v for v in result.trace]}")
 

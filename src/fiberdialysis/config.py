@@ -67,7 +67,6 @@ class ConstantsProfile:
         t = self.raw["transport"]
         species = SpeciesConfig(D_blood=tuple(t["D_blood"]),
                                 D_dialysate=tuple(t["D_dialysate"]),
-                                alpha=(1.0, 0.0, 0.0, 1.0, 1.0),
                                 sieving=tuple(t["sieving"]))
         reactions = ReactionParams(delta1=t["delta1"], delta2=t["delta2"],
                                    delta3=t["delta3"], Fd=t["Fd"])

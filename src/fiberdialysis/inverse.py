@@ -1,14 +1,17 @@
 """Cost functionals and identification drivers.
 
-The forward map per patient embeds the two identifiable membrane fractions
-as alpha = (d_Ca, 0, 0, d_Ci, d_Ci), runs the stationary transport solve with
-the patient's frozen calibrated hydraulics, and observes the blood outlet
+The forward map per patient passes the two identifiable membrane diffusion
+coefficients beta = (d_Ca, d_Ci) to the stationary transport solve as they
+are (``transport.MEMBRANE_BETA`` names the species each one scales), with the
+patient's frozen calibrated hydraulics, and observes the blood outlet
 averages.  Identification minimizes the weighted multi-patient least squares
 in log-parameters, by Levenberg-Marquardt on exact tangent outlet Jacobians,
 or the single-patient relative misfit (projected gradient), with forward
-failures folded into a large objective value.  A forward solve asked for
-tangents returns the outlet Jacobian d outlet / d beta next to the outlet,
-taken inside that solve on the factors it already holds.
+failures (package errors, a beta below 0 among them) folded into a large
+objective value; any other exception is a fault and reaches the caller with
+its own type, from a home slot too.  A forward solve asked for tangents
+returns the outlet Jacobian d outlet / d beta next to the outlet, taken
+inside that solve on the factors it already holds.
 
 Per-patient forward solves are independent.  Each process runs them through
 one ``ForwardSolver``, which also keeps each patient's warm-start state: the
@@ -30,6 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import multiprocessing
+import traceback
 import weakref
 from dataclasses import dataclass, replace
 
@@ -82,9 +86,9 @@ def default_weights(patients) -> np.ndarray:
 
 class ForwardSolver:
     """The per-patient forward solve of one process: mesh (with its geometry)
-    and config template, plus, for the patients it has seen, their velocity
-    fields, keyed by (patient id, hydraulics), and the warm-start state of
-    each one's last warm task.
+    and the profile's transport config, plus, for the patients it has seen,
+    their velocity fields, keyed by (patient id, hydraulics), and the
+    warm-start state of each one's last warm task.
 
     A cold solve on a mesh whose four resolution counts are all even starts
     Newton from the same solve on the mesh with half of each count (nested
@@ -92,14 +96,14 @@ class ForwardSolver:
     ``ForwardSolver`` of its own, built with this one, and nests again while
     its counts stay even."""
 
-    def __init__(self, geom: AxiGeometry, mesh_res, cfg_template: TransportConfig):
+    def __init__(self, geom: AxiGeometry, mesh_res, cfg: TransportConfig):
         self.mesh = build_structured_mesh(geom, *mesh_res)
-        self.cfg_template = cfg_template
+        self.cfg = cfg
         self._velocity: dict = {}
         self._warm: dict = {}     # patient id -> (beta, field, dc/dbeta or None)
         self._coarse = None       # (coarse ForwardSolver, prolongation) if the mesh nests
         if not any(n % 2 for n in mesh_res):
-            coarse = ForwardSolver(geom, [n // 2 for n in mesh_res], cfg_template)
+            coarse = ForwardSolver(geom, [n // 2 for n in mesh_res], cfg)
             self._coarse = coarse, prolongation(coarse.mesh, self.mesh)
 
     def solve(self, rec: PatientRecord, beta, c0=None, tangents: bool = False):
@@ -109,22 +113,17 @@ class ForwardSolver:
         fld, result = self._newton(rec, beta, c0, tangents)
         return outlet_concentration(fld, self.mesh), fld, result
 
-    def _transport(self, rec: PatientRecord, beta) -> TransportSolver:
-        """The assembled transport system of patient ``rec`` at beta."""
-        key = (rec.id, rec.hydraulics)
-        if key not in self._velocity:
-            self._velocity[key] = compute_velocity_field(self.mesh, rec.hydraulics)
-        cfg = replace(self.cfg_template,
-                      species=self.cfg_template.species.with_beta(beta[0], beta[1]))
-        bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
-                          inlet_dialysate=tuple(rec.inlet_dialysate))
-        return TransportSolver(self.mesh, self._velocity[key], cfg, bd)
-
     def _newton(self, rec: PatientRecord, beta, c0, tangents=False):
         """``solve`` without the outlet: (field, NewtonResult)."""
         if c0 is None:
             c0 = self._nested_start(rec, beta)
-        return self._transport(rec, beta).solve(c0=c0, tangents=tangents)
+        key = (rec.id, rec.hydraulics)
+        if key not in self._velocity:
+            self._velocity[key] = compute_velocity_field(self.mesh, rec.hydraulics)
+        bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
+                          inlet_dialysate=tuple(rec.inlet_dialysate))
+        solver = TransportSolver(self.mesh, self._velocity[key], self.cfg, bd, beta)
+        return solver.solve(c0=c0, tangents=tangents)
 
     def _nested_start(self, rec: PatientRecord, beta):
         """The cold solve on the half-resolution mesh, prolonged to this
@@ -192,18 +191,24 @@ def _worker_forward(task):
 
 def _slot_main(conn, inherited, solver):
     """Body of a home slot's process: for each batch of ``_worker_forward``
-    tasks received, the list of their results, in order, until None arrives
-    or the main process goes away.  ``solver`` is the fork's copy of the
-    context's ``ForwardSolver``; with jobs > 1 the main process runs no task,
-    so it holds no warm state.  ``inherited`` are the main process's pipe
-    ends that the fork copied; closing them lets the slot see its own pipe
-    close."""
+    tasks received, the list of their results, in order, or the exception
+    that is not a package error (a fault) if a task raised one, with the
+    slot's traceback as a note; until None arrives or the main process goes
+    away.  ``solver`` is the fork's copy of the context's ``ForwardSolver``;
+    with jobs > 1 the main process runs no task, so it holds no warm state.
+    ``inherited`` are the main process's pipe ends that the fork copied;
+    closing them lets the slot see its own pipe close."""
     for end in inherited:
         end.close()
     _WORKER["solver"] = solver
     try:
         while (tasks := conn.recv()) is not None:
-            conn.send([_worker_forward(task) for task in tasks])
+            try:
+                reply = [_worker_forward(task) for task in tasks]
+            except Exception as exc:
+                exc.add_note(traceback.format_exc())
+                reply = exc
+            conn.send(reply)
     except (EOFError, BrokenPipeError):
         pass  # the main process has gone
 
@@ -232,14 +237,14 @@ class ForwardContext:
     its solves run in the order they were asked for, as in this process.
     The mutable state here is that assignment."""
 
-    def __init__(self, geom: AxiGeometry, mesh_res, cfg_template: TransportConfig,
+    def __init__(self, geom: AxiGeometry, mesh_res, cfg: TransportConfig,
                  base_hydraulics: HydraulicState, jobs: int = 1):
         self.geom = geom
         self.base_hydraulics = base_hydraulics
         self.jobs = int(jobs)
         if self.jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        self._solver = ForwardSolver(geom, tuple(int(n) for n in mesh_res), cfg_template)
+        self._solver = ForwardSolver(geom, tuple(int(n) for n in mesh_res), cfg)
         self.mesh = self._solver.mesh
         # in-process forward solve: (record, beta, c0=None, tangents=False)
         #   -> (outlet, field, NewtonResult)
@@ -296,24 +301,29 @@ class ForwardContext:
         """``_worker_forward(task)`` for each task in its patient's home
         slot; results in task order.  Each slot receives its tasks as one
         batch and runs them in the order given, so no slot waits on
-        another."""
+        another.  A fault in a slot closes the slots and is raised here with
+        its own type."""
         slots = self._ensure_slots()
         batches: dict = {}
         for k, home in enumerate(self._homes([task[0].id for task in tasks])):
             batches.setdefault(home, []).append(k)
-        out = [None] * len(tasks)
         try:
             for home, index in batches.items():
                 slots[home][0].send([tasks[k] for k in index])
-            for home, index in batches.items():
-                for k, result in zip(index, slots[home][0].recv()):
-                    out[k] = result
+            replies = [(index, slots[home][0].recv()) for home, index in batches.items()]
         except (EOFError, OSError) as exc:
             self.close()
             raise RuntimeError("a home slot of the forward pool exited") from exc
         except BaseException:
             self.close()  # the slots may hold batches or results not yet read
             raise
+        out = [None] * len(tasks)
+        for index, reply in replies:
+            if isinstance(reply, Exception):
+                self.close()  # the slot's warm state stopped partway through its batch
+                raise reply
+            for k, result in zip(index, reply):
+                out[k] = result
         return out
 
     # .. calibration ..

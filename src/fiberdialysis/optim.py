@@ -6,9 +6,11 @@ step halving, exhaustive grid scanning, and Powell's direction-set method
 (scipy's, kept as the oracle the Levenberg-Marquardt identification is
 tested against); and Levenberg-Marquardt for a sum of squares whose one
 evaluation returns the residuals and their Jacobian together.  All methods
-are deterministic for a deterministic objective, and a failing objective
-evaluation is folded into the search (treated as non-decrease / +inf)
-rather than aborting, except at the starting point.
+are deterministic for a deterministic objective.  An objective evaluation
+that fails with a package error (``FiberDialysisError``: a forward solve that
+did not converge, a rejected beta) is folded into the search (treated as
+non-decrease / +inf) rather than aborting, except at the starting point; any
+other exception is a fault and propagates.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import UsageError
+from .exceptions import FiberDialysisError, UsageError
 
 _STEP_FLOOR = 1e-12
 _LM_TAU = 1e-3  # initial damping relative to the largest diagonal entry of J^T J
@@ -45,10 +47,10 @@ class _CountedObjective:
         return float(self.f(np.asarray(x, dtype=float)))
 
     def safe(self, x):
-        """Evaluation with failures mapped to +inf."""
+        """Evaluation with package failures mapped to +inf."""
         try:
             v = self(x)
-        except Exception:
+        except FiberDialysisError:
             return math.inf
         return v if np.isfinite(v) else math.inf
 
@@ -65,10 +67,6 @@ def fd_gradient(f, beta, h: float) -> np.ndarray:
         bk[k] += h
         grad[k] = (float(f(bk)) - f0) / h
     return grad
-
-
-def project_box(beta, lo=0.0, hi=1.0):
-    return np.clip(np.asarray(beta, dtype=float), lo, hi)
 
 
 def projected_gradient(f, beta0, initial_step: float, tol: float, n_max: int,
@@ -93,7 +91,7 @@ def projected_gradient(f, beta0, initial_step: float, tol: float, n_max: int,
         return fd_gradient(obj, b, fd_step)
 
     def trial(b, s, g):
-        return project_box(b - s * g, lo, hi)
+        return np.clip(b - s * g, lo, hi)
 
     g = grad_at(beta)
     s = float(initial_step)

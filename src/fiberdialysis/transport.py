@@ -2,10 +2,11 @@
 
 Species ordering (0-based indices in code, 1-based in formulas): free calcium,
 free albumin binding sites, calcium-albumin, citrate, calcium-citrate.
-Species 1 and 2 (albumin-related) do not cross the membrane and live on the
-blood channel only; the other three are posed on the whole section with a
-piecewise membrane diffusivity alpha_i * D_blood_i and a sieving factor on
-membrane convection.
+``MEMBRANE_BETA`` is the one table of the species' membrane roles: the two
+albumin species (entry None) do not cross the membrane and live on the blood
+channel only; the other three are posed on the whole section with membrane
+diffusivity beta_k * D_blood_s, k their entry in the table, and a sieving
+factor on membrane convection.
 
 A concentration field is one flat vector of P1 dofs, entry 5*node + species:
 the Newton unknown, the start a solve takes, the field it returns and each
@@ -32,11 +33,12 @@ when refinement stalls short of it.  The Newton iterates are those of one LU
 per step, up to roundoff.
 
 The linear operator L is assembled in one pass over all triangles.  beta =
-(d_Ca, d_Ci) enters it at one place: ``SpeciesConfig.with_beta`` maps beta to
-the membrane fractions alpha, and alpha_s scales only the membrane diffusion
-of species s (species 1, and 4 and 5), so L is affine in beta.  The assembly
-keeps that membrane block.  Asked for tangents, a solve also returns dc/dbeta
-at its converged field: the two columns of J(c) dc/dbeta = -(dL/dbeta) c, the
+(d_Ca, d_Ci) is an argument of the solve (``TransportSolver(..., beta)``)
+and enters L at one place: beta_k scales only the membrane diffusion of the
+species ``MEMBRANE_BETA`` maps to k (free calcium to d_Ca, citrate and
+calcium-citrate to d_Ci), so L is affine in beta.  The assembly keeps that
+membrane block.  Asked for tangents, a solve also returns dc/dbeta at its
+converged field: the two columns of J(c) dc/dbeta = -(dL/dbeta) c, the
 right-hand side taken from the kept block, refined on the factors the solve
 still holds before it releases them, so they cost no factorization of their
 own unless that refinement stalls.
@@ -44,7 +46,7 @@ own unless that refinement stalls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,7 +57,7 @@ from .linalg import SparseMatrix, fill_reducing_order, solve_linear
 from .mesh import Boundary, Mesh, boundary_vertices
 
 N_SPECIES = 5
-CROSSES_MEMBRANE = (True, False, False, True, True)
+MEMBRANE_BETA = (0, None, None, 1, 1)  # per species: the beta entry, None: stays in blood
 
 
 # -- configuration types --------------------------------------------------------
@@ -83,36 +85,21 @@ class ReactionParams:
 
 @dataclass(frozen=True)
 class SpeciesConfig:
-    """Per-species diffusion, membrane fraction and sieving data.
-
-    ``alpha`` holds the membrane diffusivity as a fraction of the blood-phase
-    one; alpha_2 = alpha_3 = 0 (albumin species stay in blood) and
-    alpha_4 = alpha_5 (citrate and calcium-citrate diffuse alike).
-    """
+    """Per-species diffusion and sieving data.  The membrane diffusivity is
+    not here: it is beta's (see ``MEMBRANE_BETA``)."""
 
     D_blood: tuple
     D_dialysate: tuple
-    alpha: tuple
     sieving: tuple
 
     def __post_init__(self):
-        for name in ("D_blood", "D_dialysate", "alpha", "sieving"):
+        for name in ("D_blood", "D_dialysate", "sieving"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (N_SPECIES,):
                 raise ConfigurationError(f"{name} must have {N_SPECIES} entries")
             object.__setattr__(self, name, tuple(v))
-        if self.alpha[1] != 0.0 or self.alpha[2] != 0.0:
-            raise ConfigurationError("albumin species must have alpha_2 = alpha_3 = 0")
-        if self.alpha[3] != self.alpha[4]:
-            raise ConfigurationError("citrate species must share alpha_4 = alpha_5")
-        if any(a < 0 for a in self.alpha):
-            raise ConfigurationError("membrane fractions must be nonnegative")
         if any(not (0.0 <= s <= 1.0) for s in self.sieving):
             raise ConfigurationError("sieving factors must lie in [0, 1]")
-
-    def with_beta(self, beta1: float, beta2: float) -> "SpeciesConfig":
-        """Embed the identifiable pair as alpha = (beta1, 0, 0, beta2, beta2)."""
-        return replace(self, alpha=(float(beta1), 0.0, 0.0, float(beta2), float(beta2)))
 
 
 @dataclass(frozen=True)
@@ -207,12 +194,12 @@ def _operator_dofs(mesh: Mesh):
     tri = mesh.triangles
     ends = mesh.edges_with_tag(Boundary.BLOOD_MEMBRANE).T  # (2, E)
     rows, cols = [], []
-    for s in range(N_SPECIES):
-        a_tri = tri if CROSSES_MEMBRANE[s] else tri[mesh.fem.is_blood]
+    for s, k in enumerate(MEMBRANE_BETA):
+        a_tri = tri[mesh.fem.is_blood] if k is None else tri
         rows.append(N_SPECIES * np.repeat(a_tri, 3, axis=1).ravel() + s)
         cols.append(N_SPECIES * np.tile(a_tri, (1, 3)).ravel() + s)
-    for s in range(N_SPECIES):
-        if not CROSSES_MEMBRANE[s]:
+    for s, k in enumerate(MEMBRANE_BETA):
+        if k is None:
             rows.append(N_SPECIES * np.repeat(ends, 2, axis=0).ravel() + s)
             cols.append(N_SPECIES * np.tile(ends, (2, 1)).ravel() + s)
     return np.concatenate(rows), np.concatenate(cols)
@@ -236,8 +223,8 @@ class NewtonPattern:
     def __init__(self, mesh: Mesh):
         fem = mesh.fem
         n = self.n_dof = N_SPECIES * mesh.n_vertices
-        self.mass_species = np.stack([fem.lump_all if CROSSES_MEMBRANE[s] else fem.lump_blood
-                                      for s in range(N_SPECIES)])
+        self.mass_species = np.stack([fem.lump_blood if k is None else fem.lump_all
+                                      for k in MEMBRANE_BETA])
         self.norm_mass = np.repeat(fem.lump_all, N_SPECIES)
         self._build_dirichlet(mesh)
 
@@ -289,15 +276,15 @@ class NewtonPattern:
 
         # a dof takes entry `source` of inlet_blood + inlet_dialysate + (0.0,)
         dofs, source = [], []
-        for s in range(N_SPECIES):
+        for s, k in enumerate(MEMBRANE_BETA):
             dofs.append(N_SPECIES * inlet_b + s)
             source.append(np.full(inlet_b.size, s))
-            if CROSSES_MEMBRANE[s]:
-                dofs.append(N_SPECIES * inlet_d + s)
-                source.append(np.full(inlet_d.size, N_SPECIES + s))
-            else:
+            if k is None:
                 dofs.append(N_SPECIES * non_blood + s)
                 source.append(np.full(non_blood.size, 2 * N_SPECIES))
+            else:
+                dofs.append(N_SPECIES * inlet_d + s)
+                source.append(np.full(inlet_d.size, N_SPECIES + s))
         # a dof listed twice keeps its first assignment
         self.dirichlet_dofs, first = np.unique(np.concatenate(dofs), return_index=True)
         self.dirichlet_source = np.concatenate(source)[first]
@@ -320,12 +307,15 @@ class NewtonPattern:
 
 class TransportSolver:
     """Assembles and solves the coupled stationary system for fixed velocity,
-    coefficients and boundary data."""
+    coefficients, boundary data and beta = (d_Ca, d_Ci), whose entries are >= 0."""
 
     def __init__(self, mesh: Mesh, velocity: VelocityField, cfg: TransportConfig,
-                 bd: BoundaryData, dirichlet_override=None):
+                 bd: BoundaryData, beta, dirichlet_override=None):
         if velocity.mesh is not mesh:
             raise ConfigurationError("velocity field was built on a different mesh")
+        self.beta = tuple(float(b) for b in beta)
+        if any(b < 0 for b in self.beta):
+            raise ConfigurationError(f"beta must be nonnegative, got {self.beta}")
         self.mesh = mesh
         self.velocity = velocity
         self.cfg = cfg
@@ -359,11 +349,11 @@ class TransportSolver:
     def _build_linear_operator(self):
         """L with identity Dirichlet rows, its triplet values in the order of
         ``_operator_dofs``.  Species s diffuses with D_blood_s in blood,
-        alpha_s D_blood_s in the membrane and D_dialysate_s in dialysate; its
-        membrane convection carries sieving_s.  So alpha, and through
-        ``SpeciesConfig.with_beta`` beta, enters L only as a factor of the
-        membrane block w K (r-weight times unit-diffusivity stiffness), which
-        is kept for ``_beta_tangents``."""
+        beta_k D_blood_s in the membrane, k = ``MEMBRANE_BETA[s]``, and
+        D_dialysate_s in dialysate; its membrane convection carries
+        sieving_s.  So beta enters L only as a factor of the membrane block
+        w K (r-weight times unit-diffusivity stiffness), which is kept for
+        ``_beta_tangents``."""
         fem, cfg, sc, p = self.fem, self.cfg, self.cfg.species, self.pattern
         tri, sub = self.mesh.triangles, self.mesh.subdomain_of_triangle
         # per triangle: unit-diffusivity stiffness (axial part weighted by
@@ -378,15 +368,16 @@ class TransportSolver:
         self._membrane_block = w[fem.is_membrane][:, None, None] * stiff[fem.is_membrane]
 
         vals = []
-        for s in range(N_SPECIES):
+        for s, k in enumerate(MEMBRANE_BETA):
+            d_membrane = 0.0 if k is None else self.beta[k] * sc.D_blood[s]
             # coefficients indexed by Subdomain: blood, membrane, dialysate
-            D = np.array([sc.D_blood[s], sc.alpha[s] * sc.D_blood[s], sc.D_dialysate[s]])[sub]
+            D = np.array([sc.D_blood[s], d_membrane, sc.D_dialysate[s]])[sub]
             S = np.array([1.0, sc.sieving[s], 1.0])[sub]
-            on = slice(None) if CROSSES_MEMBRANE[s] else fem.is_blood
+            on = fem.is_blood if k is None else slice(None)
             ke = (D * w)[on][:, None, None] * stiff[on]
             vals.append((ke + conv[on] * S[on][:, None, None]).ravel())
         interface = self._interface_term().ravel()
-        vals.extend(interface for crosses in CROSSES_MEMBRANE if not crosses)
+        vals.extend(interface for k in MEMBRANE_BETA if k is None)
 
         vals = np.concatenate(vals)[p.op_keep]
         self._op_data = np.bincount(p.op_pos, weights=vals, minlength=p.nnz)
@@ -435,20 +426,19 @@ class TransportSolver:
         Dirichlet dofs (their values do not depend on beta).  Both columns
         refine on the factors of the solve that converged to ``c_flat``.
 
-        L is affine in alpha: alpha_s multiplies only D_blood_s times the
-        membrane block w K of species s, which the assembly kept.  alpha is
-        linear in beta, so -(dL/dbeta_k) c applies that block to the species
-        ``SpeciesConfig.with_beta`` gives a nonzero alpha at beta = e_k.
+        L is affine in beta: beta_k multiplies only D_blood_s times the
+        membrane block w K of each species s that ``MEMBRANE_BETA`` maps to
+        k, which the assembly kept, so -(dL/dbeta_k) c applies that block to
+        those species.
         """
         p, sc = self.pattern, self.cfg.species
         tri = self.mesh.triangles[self.fem.is_membrane]
         rhs = np.zeros((self.n_dof, 2))
-        for k, e_k in enumerate(np.eye(2)):
-            alpha = sc.with_beta(*e_k).alpha
-            for s in np.flatnonzero(alpha):
+        for s, k in enumerate(MEMBRANE_BETA):
+            if k is not None:
                 dofs = N_SPECIES * tri + s
-                local = (alpha[s] * sc.D_blood[s]
-                         * np.einsum("tab,tb->ta", self._membrane_block, c_flat[dofs]))
+                local = sc.D_blood[s] * np.einsum("tab,tb->ta", self._membrane_block,
+                                                  c_flat[dofs])
                 rhs[:, k] -= np.bincount(dofs.ravel(), weights=local.ravel(),
                                          minlength=self.n_dof)
         A = p.free_block(self.jacobian(c_flat))
@@ -464,13 +454,13 @@ class TransportSolver:
         in_dialysate = mesh.r_index > mesh.nr_b + mesh.nr_m
         in_blood = mesh.r_index <= mesh.nr_b
         c = np.zeros(self.n_dof)
-        for s in range(N_SPECIES):
+        for s, k in enumerate(MEMBRANE_BETA):
             species = c[s::N_SPECIES]   # entries N_SPECIES * node + s
-            if CROSSES_MEMBRANE[s]:
+            if k is None:
+                species[in_blood] = self.bd.inlet_blood[s]
+            else:
                 species[:] = self.bd.inlet_blood[s]
                 species[in_dialysate] = self.bd.inlet_dialysate[s]
-            else:
-                species[in_blood] = self.bd.inlet_blood[s]
         return c
 
     def project_dirichlet(self, c_flat):

@@ -172,7 +172,7 @@ def test_criterion_5_newton_solver(profile):
     cfg_lin = tt.transport_cfg(deltas=(0.0, 0.0, 0.0))
     bd = BoundaryData(inlet_blood=(0.3, 2.0, 0.0, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
-    _, res_lin = TransportSolver(mesh, tt.flow_field(mesh), cfg_lin, bd).solve()
+    _, res_lin = TransportSolver(mesh, tt.flow_field(mesh), cfg_lin, bd, tt.BETA).solve()
     a_ok = res_lin.converged and len(res_lin.trace) == 2 and \
         res_lin.trace[1] <= 1e-10 * max(1.0, res_lin.trace[0])
 
@@ -181,13 +181,11 @@ def test_criterion_5_newton_solver(profile):
     geom = profile.geometry
     mesh_d = build_structured_mesh(geom, *profile.mesh_resolution)
     velocity = compute_velocity_field(mesh_d, profile.base_hydraulics())
-    from dataclasses import replace
     cfg_b = profile.transport_config()
-    cfg_b = replace(cfg_b, species=cfg_b.species.with_beta(0.2, 0.2))
     bd_t = BoundaryData(inlet_blood=(0.11, 3.71602, 0.0577928, 5.03048, 1.37152),
                         inlet_dialysate=(1.25, 0, 0, 0, 0))
     t0 = time.time()
-    _, res_t = TransportSolver(mesh_d, velocity, cfg_b, bd_t).solve()
+    _, res_t = TransportSolver(mesh_d, velocity, cfg_b, bd_t, (0.2, 0.2)).solve()
     solve_time = time.time() - t0
     monotone = all(res_t.trace[i + 1] < res_t.trace[i]
                    for i in range(len(res_t.trace) - 1))
@@ -195,7 +193,7 @@ def test_criterion_5_newton_solver(profile):
 
     # (c) manufactured-solution L2 convergence order >= 1.8
     man_cfg = TransportConfig(Pe=5.0, eps2=0.05,
-                              species=tt.species_cfg(alpha=(1.0, 0, 0, 1.0, 1.0)),
+                              species=tt.species_cfg(),
                               reactions=ReactionParams(0.8, 0.9, 1.1, 0.7),
                               newton_tol=1e-11, newton_max_iter=40)
     man = tt.Manufactured(tt.GEOM, man_cfg)
@@ -208,7 +206,7 @@ def test_criterion_5_newton_solver(profile):
                              K_over_mu=0.0, Q_b=0.3, Q_d=0.4)
         vel = compute_velocity_field(m, hyd)
         override = man.exact_all(m.vertices[:, 0], m.vertices[:, 1]).T.ravel()
-        solver = TransportSolver(m, vel, man_cfg, bd_m, dirichlet_override=override)
+        solver = TransportSolver(m, vel, man_cfg, bd_m, (1.0, 1.0), dirichlet_override=override)
         fld, _ = solver.solve(source_nodal=man.forcing(m, vel))
         errs.append(solver.newton_norm(fld - override))
     order = float(np.log2(errs[-2] / errs[-1]))

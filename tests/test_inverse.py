@@ -176,16 +176,36 @@ def test_cold_solve_nests_down_to_one_cell_per_region(exact_patients):
 def test_a_fault_in_the_forward_map_is_not_folded_into_a_failure(exact_patients, monkeypatch,
                                                                  jobs):
     # only FiberDialysisError is a forward failure; any other exception is a
-    # fault: it propagates at jobs 1 and ends the home slot at jobs 2
+    # fault and reaches the caller with its own type, from a home slot too
     def broken_solve(self, *args, **kwargs):
         raise TypeError("a fault in the solver")
 
     monkeypatch.setattr(TransportSolver, "solve", broken_solve)
     pairs = [(rec, np.array([0.8, 0.4])) for rec in exact_patients]
-    expected = (TypeError, "a fault") if jobs == 1 else (RuntimeError, "home slot")
     with context_from_profile(load_profile(), jobs=jobs, mesh_res=MESH) as context:
-        with pytest.raises(expected[0], match=expected[1]):
+        with pytest.raises(TypeError, match="a fault"):
             context.forward_pairs(pairs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_fault_during_a_single_patient_search_propagates(exact_patients, monkeypatch,
+                                                            jobs):
+    # solves 1-4 are the start and its finite-difference gradient; from the
+    # first step-halving trial on, every solve is a fault, which the
+    # optimizer must not fold in as a failed trial
+    calls = [0]
+    solve = TransportSolver.solve
+
+    def faulty_solve(self, *args, **kwargs):
+        calls[0] += 1
+        if calls[0] >= 5:
+            raise TypeError("a fault in the solver")
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(TransportSolver, "solve", faulty_solve)
+    with context_from_profile(load_profile(), jobs=jobs, mesh_res=MESH) as context:
+        with pytest.raises(TypeError, match="a fault"):
+            identify_single(exact_patients[0], np.array([0.2, 0.2]), context)
 
 
 def test_a_fault_in_calibration_is_not_an_excluded_patient(ctx, monkeypatch):
@@ -210,6 +230,21 @@ def test_landscape_on_constant_failure_objective(ctx, exact_patients, caplog):
     assert len(failures) == 4
     for (b1, b2), message in zip([(0.1, 0.1), (0.1, 0.9), (0.9, 0.1), (0.9, 0.9)], failures):
         assert message.startswith(f"beta {[b1, b2]}: patient broken failed (ConfigurationError:")
+
+
+def test_landscape_folds_in_negative_beta_as_failures(ctx, exact_patients, caplog):
+    # beta below 0 is rejected by the solve, so those points are forward
+    # failures, logged with their type
+    cfg = MultiCostConfig(weights=default_weights(exact_patients), penalty_scale=0.0)
+    with caplog.at_level("INFO", logger="fiberdialysis.inverse"):
+        grid = landscape_scan(exact_patients[:1], ((-0.2, 0.6), (0.2, 0.6)), 2, 2, cfg, ctx)
+    assert np.all(grid.values[0] == cfg.failure_value)
+    assert np.all(grid.values[1] < cfg.failure_value)
+    failures = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+    assert len(failures) == 2
+    for b2, message in zip((0.2, 0.6), failures):
+        assert message.startswith(f"beta {[-0.2, b2]}: patient {exact_patients[0].id} failed "
+                                  "(ConfigurationError:")
 
 
 def test_bound_penalty_active_outside_box(ctx, exact_patients):
@@ -578,12 +613,10 @@ BETAS = ((0.8, 0.4), (0.3, 0.6), (0.6, 0.15))
 def _cold_oracle(solver, rec, beta):
     """(outlet, NewtonResult) of the plain cold solve on ``solver``'s mesh:
     Newton from ``initial_field``, with no coarse level."""
-    tmpl = solver.cfg_template
-    cfg = replace(tmpl, species=tmpl.species.with_beta(*beta))
     bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
                       inlet_dialysate=tuple(rec.inlet_dialysate))
     velocity = compute_velocity_field(solver.mesh, rec.hydraulics)
-    fld, result = TransportSolver(solver.mesh, velocity, cfg, bd).solve()
+    fld, result = TransportSolver(solver.mesh, velocity, solver.cfg, bd, beta).solve()
     return outlet_concentration(fld, solver.mesh), result
 
 

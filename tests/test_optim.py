@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import fiberdialysis
-from fiberdialysis.exceptions import UsageError
+from fiberdialysis.exceptions import SolverError, UsageError
 from fiberdialysis.optim import (fd_gradient, grid_search, levenberg_marquardt,
                                  powell_minimize, projected_gradient)
 
@@ -94,12 +94,28 @@ def test_failures_during_search_treated_as_non_decrease():
     # objective fails off the diagonal: the search stalls instead of crashing
     def partial(b):
         if abs(b[0] - b[1]) > 0.2:
-            raise RuntimeError("outside feasible band")
+            raise SolverError("outside feasible band")
         return float(np.sum((b - 0.4) ** 2))
 
     res = projected_gradient(partial, np.array([0.5, 0.5]),
                              initial_step=0.1, tol=1e-7, n_max=100)
     assert res.best_value <= partial(np.array([0.5, 0.5]))
+
+
+def test_a_fault_during_search_propagates():
+    # only package errors are folded in; any other exception is a fault.
+    # Calls 1-4 are the start and its gradient, call 5 the first trial step
+    calls = [0]
+
+    def faulty(b):
+        calls[0] += 1
+        if calls[0] == 5:
+            raise TypeError("a fault")
+        return float(np.sum((b - 0.4) ** 2))
+
+    with pytest.raises(TypeError, match="a fault"):
+        projected_gradient(faulty, np.array([0.6, 0.5]), initial_step=0.1, tol=1e-7, n_max=100)
+    assert calls[0] == 5
 
 
 # -- Powell -------------------------------------------------------------------------
@@ -151,7 +167,7 @@ def test_never_worse_than_start():
 def test_objective_failures_treated_as_infinite():
     def guarded(x):
         if x[0] < 0:
-            raise RuntimeError("negative domain")
+            raise SolverError("negative domain")
         return float((x[0] - 2.0) ** 2 + x[1] ** 2)
 
     res = powell_minimize(guarded, np.array([1.0, 1.0]), tol=1e-10)
@@ -160,7 +176,7 @@ def test_objective_failures_treated_as_infinite():
 
 def test_start_failure_rejected():
     def bad(_):
-        raise RuntimeError("nope")
+        raise SolverError("nope")
     with pytest.raises(UsageError):
         powell_minimize(bad, np.array([0.0, 0.0]))
 
@@ -302,7 +318,7 @@ def test_endpoints_included():
 def test_failed_cells_recorded_as_infinity():
     def partial(b):
         if b[0] > 0.5:
-            raise RuntimeError("unstable")
+            raise SolverError("unstable")
         return float(b[0] + b[1])
 
     res = grid_search(partial, ((0.0, 1.0), (0.0, 1.0)), 5, 5)

@@ -1,7 +1,6 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,11 +16,11 @@ from fiberdialysis.transport import (BoundaryData, ReactionParams, SpeciesConfig
                                      outlet_concentration, reaction_jacobian, reaction_source)
 
 GEOM = AxiGeometry(L=1.0, R1=0.4, R2=0.6, R=1.0)
+BETA = (0.8, 0.4)
 
 
-def species_cfg(alpha=(0.8, 0, 0, 0.4, 0.4), D=1.0):
-    return SpeciesConfig(D_blood=(D,) * 5, D_dialysate=(D,) * 5,
-                         alpha=alpha, sieving=(1.0,) * 5)
+def species_cfg(D=1.0):
+    return SpeciesConfig(D_blood=(D,) * 5, D_dialysate=(D,) * 5, sieving=(1.0,) * 5)
 
 
 def transport_cfg(deltas=(0.3, 0.3, 0.6), Fd=2.0, Pe=10.0, eps2=0.01, **kw):
@@ -112,7 +111,7 @@ def test_dirichlet_rows_are_identity_with_imposed_rhs():
     cfg = transport_cfg()
     bd = BoundaryData(inlet_blood=(0.5, 1.0, 0.1, 2.0, 0.7),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
-    solver = TransportSolver(mesh, flow_field(mesh), cfg, bd)
+    solver = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA)
     c0 = solver.initial_field()
     csr = solver.jacobian(c0)
     c1 = solver.step(c0)
@@ -135,10 +134,10 @@ def _oracle_cases():
     override = rng.uniform(0.5, 1.5, 5 * mesh.n_vertices)
     source = rng.standard_normal((5, mesh.n_vertices))
     c = rng.uniform(0.1, 2.0, 5 * mesh.n_vertices)
-    return [(TransportSolver(mesh, velocity, transport_cfg(), bd), c, None),
-            (TransportSolver(mesh, velocity, transport_cfg(), bd,
+    return [(TransportSolver(mesh, velocity, transport_cfg(), bd, BETA), c, None),
+            (TransportSolver(mesh, velocity, transport_cfg(), bd, BETA,
                              dirichlet_override=override), c, None),
-            (TransportSolver(mesh, velocity, transport_cfg(), bd), c, source)]
+            (TransportSolver(mesh, velocity, transport_cfg(), bd, BETA), c, source)]
 
 
 @pytest.mark.parametrize("case", range(3))
@@ -158,8 +157,7 @@ def test_cold_solve_independent_of_earlier_solves_on_the_mesh():
                          inlet_dialysate=(1.0, 0, 0, 0, 0))
 
     def outlet(mesh, velocity, beta, data):
-        cfg = transport_cfg(species=species_cfg(alpha=(beta[0], 0, 0, beta[1], beta[1])))
-        field, _ = TransportSolver(mesh, velocity, cfg, data).solve()
+        field, _ = TransportSolver(mesh, velocity, transport_cfg(), data, beta).solve()
         return outlet_concentration(field, mesh)
 
     first_mesh = build_structured_mesh(GEOM, 10, 4, 2, 4)
@@ -176,7 +174,7 @@ def test_linear_regime_block_structure():
     mesh = build_structured_mesh(GEOM, 3, 2, 1, 2)
     cfg = transport_cfg(deltas=(0.0, 0.0, 0.0))
     bd = BoundaryData(inlet_blood=(1, 1, 0, 1, 1), inlet_dialysate=(1, 0, 0, 1, 1))
-    solver = TransportSolver(mesh, still_field(mesh), cfg, bd)
+    solver = TransportSolver(mesh, still_field(mesh), cfg, bd, BETA)
     A = solver.jacobian(solver.initial_field()).tocoo()
     s_row = A.row % 5
     s_col = A.col % 5
@@ -190,7 +188,7 @@ def test_operator_matches_directional_difference_quotient():
     cfg = transport_cfg()
     bd = BoundaryData(inlet_blood=(0.2, 3.0, 0.1, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
-    solver = TransportSolver(mesh, flow_field(mesh), cfg, bd)
+    solver = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA)
     rng = np.random.default_rng(8)
     c = solver.project_dirichlet(rng.uniform(0.1, 2.0, solver.n_dof))
     v = rng.standard_normal(solver.n_dof)
@@ -208,7 +206,7 @@ def test_jacobian_consistency_second_order():
     cfg = transport_cfg()
     bd = BoundaryData(inlet_blood=(0.2, 3.0, 0.1, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
-    solver = TransportSolver(mesh, flow_field(mesh), cfg, bd)
+    solver = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA)
     rng = np.random.default_rng(9)
     c = solver.project_dirichlet(rng.uniform(0.1, 2.0, solver.n_dof))
     v = rng.standard_normal(solver.n_dof)
@@ -235,8 +233,8 @@ def _operator_oracle(solver):
                 D, S = sc.D_blood[s], 1.0
             elif s in (1, 2):
                 continue  # albumin species live in blood only
-            elif sub == 1:
-                D, S = sc.alpha[s] * sc.D_blood[s], sc.sieving[s]
+            elif sub == 1:  # d_Ca scales free calcium, d_Ci both citrate species
+                D, S = solver.beta[0 if s == 0 else 1] * sc.D_blood[s], sc.sieving[s]
             else:
                 D, S = sc.D_dialysate[s], 1.0
             for a in range(3):
@@ -267,15 +265,16 @@ def _operator_oracle(solver):
 
 
 def test_operator_matches_an_element_by_element_oracle():
-    # D, alpha and sieving differ by species and subdomain, the flow crosses
+    # D, beta and sieving differ by species and subdomain, the flow crosses
     # the membrane, and eps2 != 1 weights the axial diffusion
     mesh = build_structured_mesh(GEOM, 5, 3, 2, 3)
     species = SpeciesConfig(D_blood=(1.0, 0.7, 0.6, 0.9, 0.8),
                             D_dialysate=(1.3, 1.1, 1.2, 1.4, 1.5),
-                            alpha=(0.8, 0, 0, 0.4, 0.4), sieving=(0.9, 0.5, 0.6, 0.7, 0.3))
+                            sieving=(0.9, 0.5, 0.6, 0.7, 0.3))
     bd = BoundaryData(inlet_blood=(0.2, 3.0, 0.1, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
-    solver = TransportSolver(mesh, flow_field(mesh, K=0.05), transport_cfg(species=species), bd)
+    solver = TransportSolver(mesh, flow_field(mesh, K=0.05), transport_cfg(species=species), bd,
+                             BETA)
     expected = _operator_oracle(solver)
     got = solver.L_bc.toarray()
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -287,7 +286,14 @@ def test_velocity_mesh_mismatch_rejected():
     cfg = transport_cfg()
     bd = BoundaryData(inlet_blood=(1, 1, 1, 1, 1), inlet_dialysate=(1, 0, 0, 1, 1))
     with pytest.raises(ConfigurationError):
-        TransportSolver(mesh, still_field(other), cfg, bd)
+        TransportSolver(mesh, still_field(other), cfg, bd, BETA)
+
+
+def test_negative_beta_rejected():
+    mesh = build_structured_mesh(GEOM, 3, 2, 1, 2)
+    bd = BoundaryData(inlet_blood=(1, 1, 1, 1, 1), inlet_dialysate=(1, 0, 0, 1, 1))
+    with pytest.raises(ConfigurationError, match="beta must be nonnegative"):
+        TransportSolver(mesh, still_field(mesh), transport_cfg(), bd, (-0.1, 0.4))
 
 
 # -- Newton solver ------------------------------------------------------------------
@@ -297,7 +303,7 @@ def test_linear_problem_converges_in_one_productive_iteration():
     cfg = transport_cfg(deltas=(0.0, 0.0, 0.0))
     bd = BoundaryData(inlet_blood=(0.3, 2.0, 0.0, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
-    _, res = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
+    _, res = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA).solve()
     assert res.converged
     assert len(res.trace) == 2
     assert res.trace[1] <= 1e-10 * max(1.0, res.trace[0])
@@ -310,7 +316,7 @@ def test_constant_solution_for_pure_diffusion():
     cfg = transport_cfg(deltas=(0.0, 0.0, 0.0))
     bd = BoundaryData(inlet_blood=(2.0, 1.5, 0.0, 2.0, 2.0),
                       inlet_dialysate=(2.0, 0, 0, 2.0, 2.0))
-    field, res = TransportSolver(mesh, still_field(mesh), cfg, bd).solve()
+    field, res = TransportSolver(mesh, still_field(mesh), cfg, bd, BETA).solve()
     assert res.converged
     blood = mesh.vertices[:, 1] <= GEOM.R1 + 1e-12
     rows = species_rows(field)
@@ -325,7 +331,7 @@ def test_newton_converges_monotonically_on_physical_data():
     cfg = transport_cfg()
     bd = BoundaryData(inlet_blood=(0.11, 3.71602, 0.0577928, 5.03048, 1.37152),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
-    field, res = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
+    field, res = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA).solve()
     assert res.converged
     assert len(res.trace) <= 10
     assert all(res.trace[i + 1] < res.trace[i] for i in range(len(res.trace) - 1))
@@ -337,7 +343,7 @@ def test_newton_error_carries_trace():
     bd = BoundaryData(inlet_blood=(0.11, 3.7, 0.06, 5.0, 1.4),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
     with pytest.raises(NewtonError) as exc:
-        TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
+        TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA).solve()
     assert len(exc.value.trace) >= 1
 
 
@@ -347,7 +353,7 @@ def _tight_tol_solver(newton_max_iter):
     cfg = transport_cfg(newton_max_iter=newton_max_iter, newton_tol=1e-14)
     bd = BoundaryData(inlet_blood=(0.11, 3.7, 0.06, 5.0, 1.4),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
-    return TransportSolver(mesh, flow_field(mesh), cfg, bd)
+    return TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA)
 
 
 @pytest.mark.parametrize("max_iter", [0, 1])
@@ -384,8 +390,8 @@ def test_solver_is_deterministic():
     cfg = transport_cfg()
     bd = BoundaryData(inlet_blood=(0.11, 3.7, 0.06, 5.0, 1.4),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
-    f1, _ = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
-    f2, _ = TransportSolver(mesh, flow_field(mesh), cfg, bd).solve()
+    f1, _ = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA).solve()
+    f2, _ = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA).solve()
     assert np.array_equal(f1, f2)
 
 
@@ -396,11 +402,10 @@ def _profile_solver(res, beta):
     prof = load_profile()
     mesh = build_structured_mesh(prof.geometry, *res)
     cfg = prof.transport_config()
-    cfg = replace(cfg, species=cfg.species.with_beta(*beta))
     bd = BoundaryData(inlet_blood=(0.11, 3.71602, 0.0577928, 5.03048, 1.37152),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
     velocity = compute_velocity_field(mesh, prof.base_hydraulics())
-    return TransportSolver(mesh, velocity, cfg, bd)
+    return TransportSolver(mesh, velocity, cfg, bd, beta)
 
 
 def _one_lu_per_step_newton(solver, c0):
@@ -608,12 +613,12 @@ def _total_calcium_boundary_flux(mesh, U, field, tag, sign):
 
 @pytest.mark.slow
 def test_total_calcium_flux_balances_at_discretization_tolerance():
-    # with S = 1 and alpha = 1 the total c1+c3+c5 is a conserved scalar;
+    # with S = 1 and beta = 1 the total c1+c3+c5 is a conserved scalar;
     # the convective in/out balance closes at the discretization level and
     # tightens under refinement
     from fiberdialysis.mesh import Boundary
 
-    sc = species_cfg(alpha=(1.0, 0, 0, 1.0, 1.0))
+    sc = species_cfg()
     bd = BoundaryData(inlet_blood=(0.11, 3.71602, 0.0577928, 5.03048, 1.37152),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
     imbalance = []
@@ -623,7 +628,7 @@ def test_total_calcium_flux_balances_at_discretization_tolerance():
         cfg = TransportConfig(Pe=10.0, eps2=0.01, species=sc,
                               reactions=ReactionParams(0.14, 0.3, 0.6, 0.5),
                               newton_tol=1e-8, newton_max_iter=30)
-        field, _ = TransportSolver(mesh, U, cfg, bd).solve()
+        field, _ = TransportSolver(mesh, U, cfg, bd, (1.0, 1.0)).solve()
         influx = (_total_calcium_boundary_flux(mesh, U, field, Boundary.INLET_BLOOD, +1)
                   + _total_calcium_boundary_flux(mesh, U, field, Boundary.INLET_DIALYSATE, -1))
         outflux = (_total_calcium_boundary_flux(mesh, U, field, Boundary.OUTLET_BLOOD, +1)
@@ -696,7 +701,7 @@ class Manufactured:
 @pytest.mark.slow
 def test_manufactured_solution_second_order_convergence():
     geom = GEOM
-    sc = species_cfg(alpha=(1.0, 0, 0, 1.0, 1.0))
+    sc = species_cfg()
     cfg = TransportConfig(Pe=5.0, eps2=0.05, species=sc,
                           reactions=ReactionParams(0.8, 0.9, 1.1, 0.7),
                           newton_tol=1e-11, newton_max_iter=40)
@@ -710,7 +715,8 @@ def test_manufactured_solution_second_order_convergence():
         velocity = compute_velocity_field(mesh, hyd)
         x, r = mesh.vertices[:, 0], mesh.vertices[:, 1]
         override = man.exact_all(x, r).T.ravel()
-        solver = TransportSolver(mesh, velocity, cfg, bd, dirichlet_override=override)
+        solver = TransportSolver(mesh, velocity, cfg, bd, (1.0, 1.0),
+                                 dirichlet_override=override)
         field, res = solver.solve(source_nodal=man.forcing(mesh, velocity))
         assert res.converged
         errs.append(solver.newton_norm(field - override))
