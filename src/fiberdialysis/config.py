@@ -16,8 +16,6 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
-
 from .cohort import PatientRecord
 from .exceptions import ConfigurationError
 from .flow import HydraulicState

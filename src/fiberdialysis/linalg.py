@@ -9,7 +9,10 @@ shares a fill-reducing ordering computed once (``fill_reducing_order``), and
 A ``Factorization`` also serves nearby matrices of the same order: a Newton
 solve factorizes its first Jacobian and solves each later one by iterative
 refinement on those factors, factorizing again only when refinement stalls
-before it reaches the accuracy of a direct solve.
+before it reaches the accuracy of a direct solve.  Given a relative
+tolerance, refinement stops earlier, as soon as its corrections are that
+small next to the distance it has moved from its start: an inexact Newton
+step needs its error small only next to its own update.
 """
 
 from __future__ import annotations
@@ -113,16 +116,19 @@ class Factorization:
                 residual=residual)
         return x
 
-    def refine(self, csc, b, x0=None):
+    def refine(self, csc, b, x0=None, rtol=None):
         """x with ``csc`` x = b for a matrix near the factorized one, by
         iterative refinement x <- x + LU^-1 (b - csc x) from the start
         ``x0`` (default 0); a start near x saves sweeps.
 
         Sweeps go on while the largest correction of every column at least
         halves, so they stop where roundoff stops them: there x is as
-        accurate as a direct solve.  A stall with the last correction above
-        ``_REFINED_CORRECTION`` of x means the factors are too far from
-        ``csc``: returns None, and the caller factorizes ``csc`` instead.
+        accurate as a direct solve.  With ``rtol`` they stop sooner, once
+        every column's last correction is at most ``rtol * max|x - x0|``;
+        the error left is then about that size.  A stall with the last
+        correction above ``_REFINED_CORRECTION`` of x means the factors are
+        too far from ``csc``: returns None, and the caller factorizes
+        ``csc`` instead.
         """
         if x0 is None:
             x0 = np.zeros_like(b)
@@ -134,19 +140,22 @@ class Factorization:
             if not np.all(size_next < 0.5 * size):
                 break
             x, size = x + dx, size_next
+            if rtol is not None and np.all(size <= rtol * _column_max(x - x0)):
+                return x
         if not np.all(size_next <= _REFINED_CORRECTION * _column_max(x)):
             return None
         return x
 
 
-def solve_linear(A: SparseMatrix, b, x0=None) -> np.ndarray:
+def solve_linear(A: SparseMatrix, b, x0=None, rtol=None) -> np.ndarray:
     """Solve A x = b by sparse direct LU; deterministic for fixed inputs.
 
     ``b`` is a vector or an (n, k) array of k right-hand sides, which share
     one factorization.  A is factorized in its given order, which the
     caller has taken from ``fill_reducing_order``.  When ``A.lu`` holds the
     factors of a nearby matrix, A is first solved by refinement on them,
-    starting from ``x0`` if given, and factorized only if that stalls;
+    starting from ``x0`` if given and to ``rtol`` if given (see
+    ``Factorization.refine``), and factorized only if that stalls;
     ``A.lu`` is left holding the factors used.  Raises SolverError
     (carrying the residual norm when available) on factorization breakdown
     or when the residual check of any column fails.
@@ -156,7 +165,7 @@ def solve_linear(A: SparseMatrix, b, x0=None) -> np.ndarray:
     if csc.shape[0] != b.shape[0]:
         raise SolverError(f"dimension mismatch: matrix {csc.shape[0]}, rhs {b.shape[0]}")
     if A.lu is not None:
-        x = A.lu.refine(csc, b, x0)
+        x = A.lu.refine(csc, b, x0, rtol)
         if x is not None:
             return x
         A.lu = None  # release the stale factors before factorizing

@@ -28,9 +28,11 @@ fixed per mesh (``NewtonPattern``): each step scatters values into it and
 solves the free block in a fill-reducing order computed once from the
 pattern, so every solve on a mesh takes the same path.  A solve factorizes
 its first Jacobian once; each later step solves by iterative refinement on
-those factors, to the accuracy of a direct solve, and factorizes again only
-when refinement stalls short of it.  The Newton iterates are those of one LU
-per step, up to roundoff.
+those factors and factorizes again only when refinement stalls short of the
+accuracy of a direct solve.  This is inexact Newton: a refined step is
+solved only to ``_NEWTON_FORCING`` = 1e-6 of its own update, which moves the
+converged field by at most about 1e-6 times the last update (below
+``newton_tol``).  The tangents are solved to roundoff.
 
 The linear operator L is assembled in one pass over all triangles.  beta =
 (d_Ca, d_Ci) is an argument of the solve (``TransportSolver(..., beta)``)
@@ -58,6 +60,10 @@ from .mesh import Boundary, Mesh, boundary_vertices
 
 N_SPECIES = 5
 MEMBRANE_BETA = (0, None, None, 1, 1)  # per species: the beta entry, None: stays in blood
+# error a refined Newton step may keep, relative to its own update: it adds at
+# most about 1e-6 * newton_tol to the converged field, far below the spread of
+# warm and cold solves; 1e-3 would move a landscape by up to 8e-8
+_NEWTON_FORCING = 1e-6
 
 
 # -- configuration types --------------------------------------------------------
@@ -479,7 +485,8 @@ class TransportSolver:
         whose right-hand side carries the Dirichlet columns J_fD g.  The
         first step factorizes J_ff; later ones refine on the factors kept
         from the step before (see ``solve_linear``), starting from c_f, which
-        leaves only the Newton update to refine.
+        leaves only the Newton update to refine, and only to
+        ``_NEWTON_FORCING`` of that update.
         """
         p = self.pattern
         J = self.jacobian(c_flat)
@@ -488,7 +495,7 @@ class TransportSolver:
         # only A holds the old factors, so a refactorization frees them first
         A.lu, self._lu = self._lu, None
         x = self.g_vec.copy()
-        x[p.free] = solve_linear(A, rhs[p.free], x0=c_flat[p.free])
+        x[p.free] = solve_linear(A, rhs[p.free], x0=c_flat[p.free], rtol=_NEWTON_FORCING)
         self._lu = A.lu
         return x
 

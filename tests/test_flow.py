@@ -86,6 +86,47 @@ def test_divergence_check_accepts_valid_geometries_down_to_one_cell(geom, res):
     assert U.div_residual <= 1e-10
 
 
+def _per_triangle_divergence_residual(U):
+    """Oracle of ``div_residual``: every triangle integrates its three edges
+    in its own region's model, so an interior edge is evaluated twice."""
+    mesh = U.mesh
+    tri, verts = mesh.triangles, mesh.vertices
+    total = np.zeros(mesh.n_triangles)
+    for region in Subdomain:
+        at = mesh.subdomain_of_triangle == region
+        for a, b in ((0, 1), (1, 2), (2, 0)):
+            total[at] += U._edge_flux(verts[tri[at, a]], verts[tri[at, b]], region)
+    return float(np.max(np.abs(total) / (mesh.fem.area * mesh.fem.rbar)))
+
+
+def _divergent_model(x, r, region):
+    # d_x U_x + (1/r) d_r (r U_r) = 2x + 3r (1 + region): the residual is O(1)
+    return x * x + r, r * r * (1.0 + region)
+
+
+@pytest.mark.parametrize("res", [(40, 6, 4, 5), (80, 12, 8, 10)])
+def test_divergence_residual_evaluates_each_edge_once_per_region(res):
+    m = build_structured_mesh(load_profile().geometry, *res)
+    U = compute_velocity_field(m, load_profile().base_hydraulics())
+    # the model is divergence-free: both sums are roundoff, next to max|U_x|
+    assert abs(U.div_residual - _per_triangle_divergence_residual(U)) <= 1e-12 * U.max_abs_ux
+    # a model the constructor would reject, so its residual is computed directly
+    points = [0]
+
+    def counted(x, r, region):
+        points[0] += np.size(x)
+        return _divergent_model(x, r, region)
+
+    divergent = object.__new__(VelocityField)
+    divergent.mesh, divergent.model = m, counted
+    residual = divergent._divergence_residual()
+    # horizontal, vertical and diagonal grid edges, the two interfaces twice
+    nx, nr = m.nx, m.nr
+    edges = nx * (nr + 1) + (nx + 1) * nr + nx * nr + 2 * nx
+    assert points[0] == 8 * edges
+    assert residual == pytest.approx(_per_triangle_divergence_residual(divergent), rel=1e-12)
+
+
 def test_radial_velocity_vanishes_on_axis_and_outer():
     m = mesh()
     U = compute_velocity_field(m, HYD)

@@ -718,12 +718,12 @@ def test_failed_tangent_solve_rejects_the_trial(fresh_ctx, exact_patients, monke
 
     calls = []
 
-    def solve_linear(A, b, x0=None):
+    def solve_linear(A, b, x0=None, rtol=None):
         if np.ndim(b) == 2:
             calls.append(None)
             if len(calls) == len(exact_patients) + 1:
                 raise SolverError("forced tangent failure")
-        return linalg.solve_linear(A, b, x0)
+        return linalg.solve_linear(A, b, x0, rtol)
 
     monkeypatch.setattr(transport, "solve_linear", solve_linear)
     cfg = MultiCostConfig(weights=default_weights(exact_patients))

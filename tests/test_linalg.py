@@ -188,3 +188,73 @@ def test_refinement_from_a_nearby_start_saves_sweeps(monkeypatch):
         sweeps.append(len(calls))
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
     assert sweeps[1] < sweeps[0]
+
+
+class _CountingLU:
+    """Stand-in for SuperLU factors that counts back-solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, b):
+        self.solves += 1
+        return self.lu.solve(b)
+
+
+def _refined_to_roundoff(factors, csc, b, x0):
+    # the refinement loop without a tolerance, as an oracle
+    dx = factors._lu.solve(b - csc @ x0)
+    x, size = x0 + dx, np.max(np.abs(dx), axis=0)
+    while True:
+        dx = factors._lu.solve(b - csc @ x)
+        size_next = np.max(np.abs(dx), axis=0)
+        if not np.all(size_next < 0.5 * size):
+            break
+        x, size = x + dx, size_next
+    return x if np.all(size_next <= 1e-13 * np.max(np.abs(x), axis=0)) else None
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_refinement_to_a_tolerance_stops_at_its_update(columns):
+    # as in an inexact Newton step: the start is the current iterate, and the
+    # solution needs an error small only next to the update from it
+    import scipy.sparse.linalg as spla
+    rng = np.random.default_rng(19)
+    A = _convection_diffusion(12, rng).tocsc()
+    B = (A + sp.diags(0.02 * rng.uniform(-1.0, 1.0, A.shape[0]))).tocsc()
+    b = rng.standard_normal((A.shape[0], columns)).squeeze()
+    expected = spla.spsolve(B, b)
+    start = expected + 1e-3 * rng.standard_normal(expected.shape)
+    factors = Factorization(A)
+    factors._lu = counted = _CountingLU(factors._lu)
+    full = factors.refine(B, b, start)
+    full_solves = counted.solves
+    rtol = 1e-6
+    x = factors.refine(B, b, start, rtol)
+    assert counted.solves - full_solves < full_solves
+    update = np.max(np.abs(x - start), axis=0)
+    assert np.all(np.max(np.abs(x - expected), axis=0) <= 2 * rtol * update)
+    assert np.max(np.abs(x - full)) > 0   # it did stop short of roundoff
+
+
+def test_refinement_without_a_tolerance_runs_to_roundoff():
+    rng = np.random.default_rng(20)
+    A = _convection_diffusion(12, rng).tocsc()
+    B = (A + sp.diags(0.02 * rng.uniform(-1.0, 1.0, A.shape[0]))).tocsc()
+    b = rng.standard_normal((A.shape[0], 2))
+    factors = Factorization(A)
+    for x0 in (np.zeros_like(b), 0.1 * rng.standard_normal(b.shape)):
+        x = factors.refine(B, b, x0, rtol=None)
+        assert np.array_equal(x, _refined_to_roundoff(factors, B, b, x0))
+
+
+def test_refinement_to_a_tolerance_on_unrelated_factors_stalls():
+    rng = np.random.default_rng(17)
+    A = _convection_diffusion(12, rng).tocsc()
+    unrelated = A.copy()
+    unrelated.data = rng.uniform(0.5, 1.5, A.nnz)
+    unrelated.setdiag(10.0)
+    b = rng.standard_normal(A.shape[0])
+    stale = Factorization(unrelated.tocsc())
+    for rtol in (1e-6, 1e-3):
+        assert stale.refine(A, b, 0.1 * b, rtol) is None

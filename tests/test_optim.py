@@ -91,15 +91,23 @@ def test_failure_at_start_propagates():
 
 
 def test_failures_during_search_treated_as_non_decrease():
-    # objective fails off the diagonal: the search stalls instead of crashing
+    # objective fails off the diagonal band; its minimum lies inside the band,
+    # off the diagonal, so the first long trial step overshoots out of the
+    # band and raises, and the search folds it in as non-decrease and halves
+    failures = []
+
     def partial(b):
         if abs(b[0] - b[1]) > 0.2:
+            failures.append(b.copy())
             raise SolverError("outside feasible band")
-        return float(np.sum((b - 0.4) ** 2))
+        return float(np.sum((b - [0.75, 0.6]) ** 2))
 
-    res = projected_gradient(partial, np.array([0.5, 0.5]),
-                             initial_step=0.1, tol=1e-7, n_max=100)
-    assert res.best_value <= partial(np.array([0.5, 0.5]))
+    start = np.array([0.5, 0.5])
+    res = projected_gradient(partial, start, initial_step=1.0, tol=1e-7, n_max=100)
+    assert failures
+    values = [v for _, v in res.trace]
+    assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+    assert res.best_value == min(values) < partial(start)
 
 
 def test_a_fault_during_search_propagates():
