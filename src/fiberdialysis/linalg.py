@@ -36,7 +36,8 @@ class SparseMatrix:
 
     A CSC matrix is the form the factorization takes without conversion.
     ``lu`` is None or a ``Factorization`` for ``solve_linear`` to use: of
-    this matrix, or of a nearby one in the same order to refine on.
+    this matrix, or of a nearby one in the same order to refine on, and
+    stays when the values ``data`` are overwritten in place.
     """
 
     def __init__(self, mat):
@@ -51,6 +52,10 @@ class SparseMatrix:
     @property
     def nnz(self):
         return self._mat.nnz
+
+    @property
+    def data(self):
+        return self._mat.data
 
     def to_csc(self):
         return self._mat.tocsc()

@@ -18,21 +18,24 @@ Discretization: P1 Galerkin on the structured triangulation, all integrals
 r-weighted.  Diffusion uses exact centroid integration, convection a midedge
 rule, and the reaction term a vertex-lumped r-weighted mass so the mass-action
 conservation identities hold nodewise and the Newton Jacobian is exact.  The
-nonlinear system is solved by Newton in variational form: each step solves
+nonlinear system F(c) = L c - M (f(c) + s) = 0, Dirichlet dofs fixed at g, is
+solved by Newton in variational form: each step solves
 
     grad_F(c_n) c_{n+1} = grad_F(c_n) c_n - F(c_n)
 
-for the free dofs only: the Dirichlet dofs take the inlet data directly and
-their columns move to the right-hand side.  The structure of that system is
-fixed per mesh (``NewtonPattern``): each step scatters values into it and
-solves the free block in a fill-reducing order computed once from the
-pattern, so every solve on a mesh takes the same path.  A solve factorizes
-its first Jacobian once; each later step solves by iterative refinement on
-those factors and factorizes again only when refinement stalls short of the
-accuracy of a direct solve.  This is inexact Newton: a refined step is
-solved only to ``_NEWTON_FORCING`` = 1e-6 of its own update, which moves the
-converged field by at most about 1e-6 times the last update (below
-``newton_tol``).  The tangents are solved to roundoff.
+for the free dofs only, so the system exists only as its free-free block
+J_ff = L_ff - M f'_ff, in a fill-reducing order; both are fixed per mesh
+(``NewtonPattern``), so every solve on a mesh takes the same path.  L is
+linear and cancels from the right-hand side but for its Dirichlet columns,
+the lift L_fD g_D: M (f(c) + s - f'(c) (c - g)) - L_fD g_D on the free rows.
+A solver assembles L_ff and the lift once and holds one block matrix, whose
+values each Jacobian overwrites and whose ``lu`` keeps the factors through a
+solve: it factorizes its first Jacobian; each later step solves by
+iterative refinement on those factors and factorizes again only when
+refinement stalls short of the accuracy of a direct solve.  This is inexact
+Newton: a refined step is solved only to ``_NEWTON_FORCING`` = 1e-6 of its
+own update, which moves the converged field by at most about 1e-6 times the
+last update (below ``newton_tol``).  The tangents are solved to roundoff.
 
 The linear operator L is assembled in one pass over all triangles.  beta =
 (d_Ca, d_Ci) is an argument of the solve (``TransportSolver(..., beta)``)
@@ -124,6 +127,8 @@ class TransportConfig:
             raise ConfigurationError("eps2 must be nonnegative")
         if not self.newton_tol > 0:
             raise ConfigurationError("newton_tol must be positive")
+        if self.newton_max_iter < 0:
+            raise ConfigurationError("newton_max_iter must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,6 @@ class BoundaryData:
 
 @dataclass
 class NewtonResult:
-    converged: bool
     n_solves: int
     trace: list
     tangents: np.ndarray | None = None   # (n_dof, 2) dc/dbeta, when asked for
@@ -216,58 +220,64 @@ class NewtonPattern:
     it and built once (``Mesh.newton_pattern``); solvers supply only values.
 
     - Dirichlet dofs, and the inlet entry each one takes;
-    - the CSR pattern of the full Jacobian (identity Dirichlet rows), with
-      the positions the operator and reaction triplets scatter to;
-    - the free dofs in a fill-reducing order taken from this pattern alone,
-      and the CSC pattern of the free-free block in that order, with the
-      positions it gathers from the full pattern.  Only that block is
-      factorized.
+    - the free dofs in a fill-reducing order (``free``), and the CSC pattern
+      of the free-free block in that order (``block_indices``,
+      ``block_indptr``, ``nnz`` entries), the only form the system takes;
+    - the block entry each operator triplet (``op_keep``, ``op_pos``) and
+      each reaction triplet (``rx_keep``, ``rx_pos``) with a free row and a
+      free column adds to;
+    - the lift: the operator triplets ``lift_src`` with a free row and a
+      Dirichlet column, by their row's position in ``free`` (``lift_rows``)
+      and their column dof (``lift_cols``).
 
     Index maps are int32 and every array is read-only.
     """
 
     def __init__(self, mesh: Mesh):
         fem = mesh.fem
-        n = self.n_dof = N_SPECIES * mesh.n_vertices
+        self.n_dof = N_SPECIES * mesh.n_vertices
         self.mass_species = np.stack([fem.lump_blood if k is None else fem.lump_all
                                       for k in MEMBRANE_BETA])
         self.norm_mass = np.repeat(fem.lump_all, N_SPECIES)
         self._build_dirichlet(mesh)
+        free = np.flatnonzero(~self.is_dirichlet)
+        n = free.size
+        number = np.full(self.n_dof, -1)  # a free dof's index in `free` before ordering
+        number[free] = np.arange(n)
 
-        op_rows, op_cols = _operator_dofs(mesh)
+        op_dof_rows, op_dof_cols = _operator_dofs(mesh)
+        op_rows, op_cols = number[op_dof_rows], number[op_dof_cols]
         # 5x5 reaction block of every node, pair-major like reaction_jacobian
         nodes = N_SPECIES * np.arange(mesh.n_vertices)
-        rx_rows = (nodes + np.repeat(np.arange(N_SPECIES), N_SPECIES)[:, None]).ravel()
-        rx_cols = (nodes + np.tile(np.arange(N_SPECIES), N_SPECIES)[:, None]).ravel()
-        self.op_keep = ~self.is_dirichlet[op_rows]
-        self.rx_keep = ~self.is_dirichlet[rx_rows]
-        keys = np.concatenate([op_rows[self.op_keep], self.dirichlet_dofs,
-                               rx_rows[self.rx_keep]]) * n
-        keys += np.concatenate([op_cols[self.op_keep], self.dirichlet_dofs,
-                                rx_cols[self.rx_keep]])
+        rx_rows = number[(nodes + np.repeat(np.arange(N_SPECIES), N_SPECIES)[:, None]).ravel()]
+        rx_cols = number[(nodes + np.tile(np.arange(N_SPECIES), N_SPECIES)[:, None]).ravel()]
+        self.op_keep = (op_rows >= 0) & (op_cols >= 0)
+        self.rx_keep = (rx_rows >= 0) & (rx_cols >= 0)
+        lift = (op_rows >= 0) & (op_cols < 0)
+        self.lift_src = np.flatnonzero(lift).astype(np.int32)
+        self.lift_cols = op_dof_cols[lift].astype(np.int32)
+        lift_rows = op_rows[lift]
+        keys = np.concatenate([op_rows[self.op_keep] * n + op_cols[self.op_keep],
+                               rx_rows[self.rx_keep] * n + rx_cols[self.rx_keep]])
+        n_op = int(self.op_keep.sum())
         # build arrays go before the ordering's factorization sets the memory peak
-        del op_rows, op_cols, rx_rows, rx_cols
+        del op_dof_rows, op_dof_cols, op_rows, op_cols, rx_rows, rx_cols, number
         keys, pos = np.unique(keys, return_inverse=True)
         pos = pos.astype(np.int32)
-        n_op, n_dir = int(self.op_keep.sum()), self.dirichlet_dofs.size
-        self.op_pos = pos[:n_op]
-        self.dirichlet_pos = pos[n_op:n_op + n_dir]
-        self.rx_pos = pos[n_op + n_dir:]
-        self.indices = (keys % n).astype(np.int32)
-        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
         self.nnz = keys.size
-        del keys, pos
 
-        # slot k + 1 marks entry k of the full pattern, so the reordered
-        # free-free block lists the positions it gathers from
-        free = np.flatnonzero(~self.is_dirichlet)
-        slots = sp.csr_matrix((np.arange(1, self.nnz + 1), self.indices, self.indptr),
-                              shape=(n, n))[free][:, free]
+        # slot k + 1 marks block entry k in natural order, so the reordered
+        # block lists where each of its entries came from
+        slots = sp.csr_matrix((np.arange(1, self.nnz + 1), keys % n,
+                               np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+        del keys
         order = fill_reducing_order(slots)
         block = slots[order][:, order].tocsc()
         del slots
+        moved = np.argsort(block.data).astype(np.int32)  # natural entry -> block entry
+        self.op_pos, self.rx_pos = moved[pos[:n_op]], moved[pos[n_op:]]
+        self.lift_rows = np.argsort(order)[lift_rows].astype(np.int32)
         self.free = free[order].astype(np.int32)
-        self.block_src = (block.data - 1).astype(np.int32)
         self.block_indices = block.indices.astype(np.int32)
         self.block_indptr = block.indptr.astype(np.int32)
 
@@ -297,17 +307,6 @@ class NewtonPattern:
         self.is_dirichlet = np.zeros(self.n_dof, dtype=bool)
         self.is_dirichlet[self.dirichlet_dofs] = True
 
-    def matrix(self, data) -> sp.csr_matrix:
-        """The full-system matrix with ``data`` in this pattern."""
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n_dof, self.n_dof))
-
-    def free_block(self, full: sp.csr_matrix) -> SparseMatrix:
-        """The free-free block of a full-system matrix in this pattern, as CSC
-        in the fill-reducing order of ``free``."""
-        n_free = self.free.size
-        return SparseMatrix(sp.csc_matrix((full.data[self.block_src], self.block_indices,
-                                           self.block_indptr), shape=(n_free, n_free)))
-
 
 # -- solver ------------------------------------------------------------------------
 
@@ -331,7 +330,10 @@ class TransportSolver:
         self.n_dof = self.pattern.n_dof
         self._build_dirichlet(dirichlet_override)
         self._build_linear_operator()
-        self._lu = None  # factors of an earlier step of the current solve
+        p, n_free = self.pattern, self.pattern.free.size
+        # each jacobian() overwrites the values; lu keeps a solve's factors
+        self._matrix = SparseMatrix(sp.csc_matrix(
+            (np.zeros(p.nnz), p.block_indices, p.block_indptr), shape=(n_free, n_free)))
 
     # .. boundary values ..
 
@@ -353,13 +355,14 @@ class TransportSolver:
     # .. linear operator (convection + diffusion + interface term) ..
 
     def _build_linear_operator(self):
-        """L with identity Dirichlet rows, its triplet values in the order of
-        ``_operator_dofs``.  Species s diffuses with D_blood_s in blood,
-        beta_k D_blood_s in the membrane, k = ``MEMBRANE_BETA[s]``, and
-        D_dialysate_s in dialysate; its membrane convection carries
-        sieving_s.  So beta enters L only as a factor of the membrane block
-        w K (r-weight times unit-diffusivity stiffness), which is kept for
-        ``_beta_tangents``."""
+        """L from its triplet values in the order of ``_operator_dofs``: its
+        free-free block in the pattern's block layout, and the lift L_fD g_D
+        on the free rows in the order of ``free``.  Species s diffuses with
+        D_blood_s in blood, beta_k D_blood_s in the membrane,
+        k = ``MEMBRANE_BETA[s]``, and D_dialysate_s in dialysate; its
+        membrane convection carries sieving_s.  So beta enters L only as a
+        factor of the membrane block w K (r-weight times unit-diffusivity
+        stiffness), which is kept for ``_beta_tangents``."""
         fem, cfg, sc, p = self.fem, self.cfg, self.cfg.species, self.pattern
         tri, sub = self.mesh.triangles, self.mesh.subdomain_of_triangle
         # per triangle: unit-diffusivity stiffness (axial part weighted by
@@ -385,10 +388,10 @@ class TransportSolver:
         interface = self._interface_term().ravel()
         vals.extend(interface for k in MEMBRANE_BETA if k is None)
 
-        vals = np.concatenate(vals)[p.op_keep]
-        self._op_data = np.bincount(p.op_pos, weights=vals, minlength=p.nnz)
-        self._op_data[p.dirichlet_pos] = 1.0
-        self.L_bc = p.matrix(self._op_data)
+        vals = np.concatenate(vals)
+        self._op_values = np.bincount(p.op_pos, weights=vals[p.op_keep], minlength=p.nnz)
+        self._lift = np.bincount(p.lift_rows, weights=vals[p.lift_src] * self.g_vec[p.lift_cols],
+                                 minlength=p.free.size)
 
     def _interface_term(self):
         """-int_{Gamma_bm} r U_r c phi dx for a non-crossing species, as the
@@ -405,26 +408,19 @@ class TransportSolver:
         terms = 0.5 * ur * phi[:, None, :, None] * phi[None, :, :, None]  # (a, b, g, E)
         return -mesh.geom.R1 * h * (terms[:, :, 0] + terms[:, :, 1])
 
-    # .. residual / jacobian / newton ..
+    # .. jacobian / newton ..
 
-    def residual(self, c_flat, source_nodal=None):
-        c_nodal = c_flat.reshape(-1, N_SPECIES).T
-        f = reaction_source(c_nodal, self.cfg.reactions)
-        if source_nodal is not None:
-            f = f + source_nodal
-        rhs_nl = (self.pattern.mass_species * f).T.reshape(-1)
-        rhs_nl[self.pattern.is_dirichlet] = 0.0
-        return self.L_bc @ c_flat - rhs_nl - self.g_vec
-
-    def jacobian(self, c_flat) -> sp.csr_matrix:
-        """Newton Jacobian of the full system (identity Dirichlet rows), its
-        values scattered into the mesh's fixed pattern."""
+    def jacobian(self, c_flat) -> SparseMatrix:
+        """The free-free block of the Newton Jacobian at ``c_flat``, L minus
+        the lumped reaction Jacobian, in the pattern's block layout: written
+        into the solver's one matrix, which is returned with whatever factors
+        its ``lu`` holds."""
         p = self.pattern
-        c_nodal = c_flat.reshape(-1, N_SPECIES).T
-        jf = reaction_jacobian(c_nodal, self.cfg.reactions)  # (5, 5, n_v)
-        data = self._op_data.copy()
+        jf = reaction_jacobian(c_flat.reshape(-1, N_SPECIES).T, self.cfg.reactions)
+        data = self._matrix.data
+        data[:] = self._op_values
         data[p.rx_pos] -= (p.mass_species[:, None, :] * jf).ravel()[p.rx_keep]
-        return p.matrix(data)
+        return self._matrix
 
     def _beta_tangents(self, c_flat) -> np.ndarray:
         """dc/dbeta at the converged field ``c_flat``: the (n_dof, 2) solution
@@ -447,10 +443,8 @@ class TransportSolver:
                                                   c_flat[dofs])
                 rhs[:, k] -= np.bincount(dofs.ravel(), weights=local.ravel(),
                                          minlength=self.n_dof)
-        A = p.free_block(self.jacobian(c_flat))
-        A.lu, self._lu = self._lu, None
         dc = np.zeros((self.n_dof, 2))
-        dc[p.free] = solve_linear(A, rhs[p.free])
+        dc[p.free] = solve_linear(self.jacobian(c_flat), rhs[p.free])
         return dc
 
     def initial_field(self) -> np.ndarray:
@@ -470,9 +464,7 @@ class TransportSolver:
         return c
 
     def project_dirichlet(self, c_flat):
-        out = c_flat.copy()
-        out[self.dirichlet_dofs] = self.dirichlet_vals
-        return out
+        return np.where(self.pattern.is_dirichlet, self.g_vec, c_flat)
 
     def newton_norm(self, delta_flat):
         return float(np.sqrt(np.sum(self.pattern.norm_mass * delta_flat**2)))
@@ -481,22 +473,24 @@ class TransportSolver:
         """One Newton update: the solution x of J x = J c - F(c) with
         x = g on the Dirichlet dofs.
 
-        Only the free dofs are solved for: J_ff x_f = (J (c - g) - F(c))_f,
-        whose right-hand side carries the Dirichlet columns J_fD g.  The
-        first step factorizes J_ff; later ones refine on the factors kept
+        Only the free dofs are solved for: J_ff x_f = (J (c - g) - F(c))_f
+        = M (f(c) + s - f'(c) (c - g)) - L_fD g_D, nodewise.  The first step
+        factorizes J_ff; later ones refine on the factors the matrix kept
         from the step before (see ``solve_linear``), starting from c_f, which
         leaves only the Newton update to refine, and only to
         ``_NEWTON_FORCING`` of that update.
         """
-        p = self.pattern
-        J = self.jacobian(c_flat)
-        rhs = J @ (c_flat - self.g_vec) - self.residual(c_flat, source_nodal)
-        A = p.free_block(J)
-        # only A holds the old factors, so a refactorization frees them first
-        A.lu, self._lu = self._lu, None
+        p, rp = self.pattern, self.cfg.reactions
+        c_nodal = c_flat.reshape(-1, N_SPECIES).T
+        shift = (c_flat - self.g_vec).reshape(-1, N_SPECIES).T
+        f = reaction_source(c_nodal, rp) - np.einsum(
+            "ijn,jn->in", reaction_jacobian(c_nodal, rp), shift)
+        if source_nodal is not None:
+            f = f + source_nodal
+        rhs = (p.mass_species * f).T.reshape(-1)[p.free] - self._lift
         x = self.g_vec.copy()
-        x[p.free] = solve_linear(A, rhs[p.free], x0=c_flat[p.free], rtol=_NEWTON_FORCING)
-        self._lu = A.lu
+        x[p.free] = solve_linear(self.jacobian(c_flat), rhs, x0=c_flat[p.free],
+                                 rtol=_NEWTON_FORCING)
         return x
 
     def solve(self, c0: np.ndarray | None = None, source_nodal=None,
@@ -511,7 +505,7 @@ class TransportSolver:
         cfg = self.cfg
         c_next = self.project_dirichlet(self.initial_field() if c0 is None else c0)
         trace = []
-        self._lu = None
+        self._matrix.lu = None
         try:
             while not trace or (len(trace) <= cfg.newton_max_iter + 1
                                 and trace[-1] > cfg.newton_tol):
@@ -533,9 +527,8 @@ class TransportSolver:
                     trace=trace)
             dc = self._beta_tangents(c_next) if tangents else None
         finally:
-            self._lu = None  # the factors are the largest thing a solve holds
-        return c_next, NewtonResult(converged=True, n_solves=len(trace), trace=trace,
-                                    tangents=dc)
+            self._matrix.lu = None  # the factors are the largest thing a solve holds
+        return c_next, NewtonResult(n_solves=len(trace), trace=trace, tangents=dc)
 
 
 # -- observable ---------------------------------------------------------------------

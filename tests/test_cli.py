@@ -123,6 +123,17 @@ def test_malformed_run_option_exits_2(workdir):
                    "--beta", "0.2,0.2", "--out", "fwd_bad_option") == 2
 
 
+def test_negative_newton_max_iter_exits_2(workdir):
+    raw = json.loads(packaged_data_path("default_profile.json").read_text())
+    raw["transport"]["newton_max_iter"] = -1
+    (workdir / "max_iter_profile.json").write_text(json.dumps(raw))
+    (workdir / "cfg_max_iter.json").write_text(json.dumps(
+        {"profile": "max_iter_profile.json", "mesh": [20, 4, 3, 4]}))
+    assert run(workdir, "forward", "--config", "cfg_max_iter.json",
+               "--patient", str(packaged_data_path("patient1.csv")),
+               "--beta", "0.2,0.2", "--out", "fwd_max_iter") == 2
+
+
 def _nan_config(workdir):
     # json writes and reads NaN and Infinity
     (workdir / "cfg_nan.json").write_text(json.dumps({"mesh": [20, 4, 3, 4],

@@ -4,9 +4,10 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fiberdialysis import linalg
+from fiberdialysis import linalg, transport
 from fiberdialysis.config import load_profile
 from fiberdialysis.exceptions import ConfigurationError, NewtonError, SolverError
 from fiberdialysis.flow import HydraulicState, VelocityField, compute_velocity_field
@@ -106,21 +107,23 @@ def test_jacobian_conservation_columns():
 
 # -- assembled system -------------------------------------------------------------
 
-def test_dirichlet_rows_are_identity_with_imposed_rhs():
+def test_step_returns_the_imposed_dirichlet_values():
     mesh = build_structured_mesh(GEOM, 4, 2, 1, 2)
     cfg = transport_cfg()
     bd = BoundaryData(inlet_blood=(0.5, 1.0, 0.1, 2.0, 0.7),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
     solver = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA)
-    c0 = solver.initial_field()
-    csr = solver.jacobian(c0)
-    c1 = solver.step(c0)
-    for dof, val in zip(solver.dirichlet_dofs, solver.dirichlet_vals):
-        row = csr.getrow(dof)
-        assert row.nnz == 1
-        assert row.indices[0] == dof
-        assert row.data[0] == 1.0
-        assert c1[dof] == val
+    c1 = solver.step(solver.initial_field())
+    assert np.array_equal(c1[solver.dirichlet_dofs], solver.dirichlet_vals)
+
+
+def _jacobian_dense(solver, c):
+    """``solver.jacobian(c)`` mapped back through ``pattern.free`` to a
+    dense n_dof matrix, zero in the Dirichlet rows and columns."""
+    free = solver.pattern.free
+    out = np.zeros((solver.n_dof, solver.n_dof))
+    out[np.ix_(free, free)] = solver.jacobian(c).to_csc().toarray()
+    return out
 
 
 def _oracle_cases():
@@ -143,8 +146,8 @@ def _oracle_cases():
 @pytest.mark.parametrize("case", range(3))
 def test_step_matches_full_system_oracle(case):
     solver, c, source = _oracle_cases()[case]
-    J = solver.jacobian(c).tocsc()
-    expected = spla.spsolve(J, J @ c - solver.residual(c, source))
+    F, J = _full_system_oracle(solver)
+    expected = np.linalg.solve(J(c), J(c) @ c - F(c, source))
     got = solver.step(c, source)
     assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -175,11 +178,9 @@ def test_linear_regime_block_structure():
     cfg = transport_cfg(deltas=(0.0, 0.0, 0.0))
     bd = BoundaryData(inlet_blood=(1, 1, 0, 1, 1), inlet_dialysate=(1, 0, 0, 1, 1))
     solver = TransportSolver(mesh, still_field(mesh), cfg, bd, BETA)
-    A = solver.jacobian(solver.initial_field()).tocoo()
-    s_row = A.row % 5
-    s_col = A.col % 5
-    off_species = s_row != s_col
-    assert np.all(s_col[off_species & (np.abs(A.data) > 0)] == 2)
+    rows, cols = np.nonzero(_jacobian_dense(solver, solver.initial_field()))
+    off_species = rows % 5 != cols % 5
+    assert np.all(cols[off_species] % 5 == 2)
 
 
 def test_operator_matches_directional_difference_quotient():
@@ -189,14 +190,17 @@ def test_operator_matches_directional_difference_quotient():
     bd = BoundaryData(inlet_blood=(0.2, 3.0, 0.1, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
     solver = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA)
+    F, _ = _full_system_oracle(solver)
+    free = solver.pattern.free
     rng = np.random.default_rng(8)
     c = solver.project_dirichlet(rng.uniform(0.1, 2.0, solver.n_dof))
-    v = rng.standard_normal(solver.n_dof)
-    A = solver.jacobian(c)
+    v = np.zeros(solver.n_dof)
+    v[free] = rng.standard_normal(free.size)
+    A = _jacobian_dense(solver, c)
     errs = []
     for h in (1e-3, 5e-4, 2.5e-4):
-        quot = (solver.residual(c + h * v) - solver.residual(c)) / h
-        errs.append(np.linalg.norm(quot - A @ v))
+        quot = (F(c + h * v) - F(c)) / h
+        errs.append(np.linalg.norm((quot - A @ v)[free]))
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.05)
     assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.05)
 
@@ -207,12 +211,14 @@ def test_jacobian_consistency_second_order():
     bd = BoundaryData(inlet_blood=(0.2, 3.0, 0.1, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
     solver = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA)
+    F, _ = _full_system_oracle(solver)
+    free = solver.pattern.free
     rng = np.random.default_rng(9)
     c = solver.project_dirichlet(rng.uniform(0.1, 2.0, solver.n_dof))
-    v = rng.standard_normal(solver.n_dof)
-    A = solver.jacobian(c)
-    errs = [np.linalg.norm(solver.residual(c + h * v) - solver.residual(c) - h * (A @ v))
-            for h in (1e-2, 5e-3)]
+    v = np.zeros(solver.n_dof)
+    v[free] = rng.standard_normal(free.size)
+    A = _jacobian_dense(solver, c)
+    errs = [np.linalg.norm((F(c + h * v) - F(c) - h * (A @ v))[free]) for h in (1e-2, 5e-3)]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
 
@@ -264,6 +270,37 @@ def _operator_oracle(solver):
     return L
 
 
+def _full_system_oracle(solver):
+    """(F, J) of ``solver`` as dense oracles on the full dof vector:
+    F(c, s) = L c - M (f(c) + s) - g, with identity Dirichlet rows (no mass
+    there), and its Jacobian J(c) = L - M f'(c), L from ``_operator_oracle``
+    and M the vertex-lumped r-weighted mass, on blood only for the albumin
+    species."""
+    fem, rp = solver.fem, solver.cfg.reactions
+    L = _operator_oracle(solver)
+    mass = np.stack([fem.lump_blood if s in (1, 2) else fem.lump_all for s in range(5)])
+    mass = mass.T.ravel()
+    mass[solver.dirichlet_dofs] = 0.0
+    g = np.zeros(solver.n_dof)
+    g[solver.dirichlet_dofs] = solver.dirichlet_vals
+
+    def F(c, source=None):
+        f = reaction_source(species_rows(c), rp)
+        if source is not None:
+            f = f + source
+        return L @ c - mass * f.T.ravel() - g
+
+    def J(c):
+        jf = reaction_jacobian(species_rows(c), rp)  # (5, 5, n_vertices)
+        out = L.copy()
+        for v in range(solver.mesh.n_vertices):
+            node = slice(5 * v, 5 * v + 5)
+            out[node, node] -= mass[node, None] * jf[:, :, v]
+        return out
+
+    return F, J
+
+
 def test_operator_matches_an_element_by_element_oracle():
     # D, beta and sieving differ by species and subdomain, the flow crosses
     # the membrane, and eps2 != 1 weights the axial diffusion
@@ -276,8 +313,14 @@ def test_operator_matches_an_element_by_element_oracle():
     solver = TransportSolver(mesh, flow_field(mesh, K=0.05), transport_cfg(species=species), bd,
                              BETA)
     expected = _operator_oracle(solver)
-    got = solver.L_bc.toarray()
-    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    p = solver.pattern
+    n = p.free.size
+    block = sp.csc_matrix((solver._op_values, p.block_indices, p.block_indptr),
+                          shape=(n, n)).toarray()
+    free_free = expected[np.ix_(p.free, p.free)]
+    assert np.max(np.abs(block - free_free)) <= 1e-13 * np.max(np.abs(free_free))
+    lift = expected[np.ix_(p.free, solver.dirichlet_dofs)] @ solver.dirichlet_vals
+    assert np.max(np.abs(solver._lift - lift)) <= 1e-13 * np.max(np.abs(lift))
 
 
 def test_velocity_mesh_mismatch_rejected():
@@ -287,6 +330,12 @@ def test_velocity_mesh_mismatch_rejected():
     bd = BoundaryData(inlet_blood=(1, 1, 1, 1, 1), inlet_dialysate=(1, 0, 0, 1, 1))
     with pytest.raises(ConfigurationError):
         TransportSolver(mesh, still_field(other), cfg, bd, BETA)
+
+
+def test_negative_newton_max_iter_rejected():
+    with pytest.raises(ConfigurationError, match="newton_max_iter must be >= 0"):
+        transport_cfg(newton_max_iter=-1)
+    assert transport_cfg(newton_max_iter=0).newton_max_iter == 0
 
 
 def test_negative_beta_rejected():
@@ -304,7 +353,6 @@ def test_linear_problem_converges_in_one_productive_iteration():
     bd = BoundaryData(inlet_blood=(0.3, 2.0, 0.0, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
     _, res = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA).solve()
-    assert res.converged
     assert len(res.trace) == 2
     assert res.trace[1] <= 1e-10 * max(1.0, res.trace[0])
 
@@ -316,8 +364,7 @@ def test_constant_solution_for_pure_diffusion():
     cfg = transport_cfg(deltas=(0.0, 0.0, 0.0))
     bd = BoundaryData(inlet_blood=(2.0, 1.5, 0.0, 2.0, 2.0),
                       inlet_dialysate=(2.0, 0, 0, 2.0, 2.0))
-    field, res = TransportSolver(mesh, still_field(mesh), cfg, bd, BETA).solve()
-    assert res.converged
+    field, _ = TransportSolver(mesh, still_field(mesh), cfg, bd, BETA).solve()
     blood = mesh.vertices[:, 1] <= GEOM.R1 + 1e-12
     rows = species_rows(field)
     for s, expected in ((0, 2.0), (3, 2.0), (4, 2.0)):
@@ -332,7 +379,6 @@ def test_newton_converges_monotonically_on_physical_data():
     bd = BoundaryData(inlet_blood=(0.11, 3.71602, 0.0577928, 5.03048, 1.37152),
                       inlet_dialysate=(1.25, 0, 0, 0, 0))
     field, res = TransportSolver(mesh, flow_field(mesh), cfg, bd, BETA).solve()
-    assert res.converged
     assert len(res.trace) <= 10
     assert all(res.trace[i + 1] < res.trace[i] for i in range(len(res.trace) - 1))
 
@@ -408,14 +454,15 @@ def _profile_solver(res, beta):
     return TransportSolver(mesh, velocity, cfg, bd, beta)
 
 
-def _one_lu_per_step_newton(solver, c0):
-    """``solve``'s Newton loop with each step a direct solve of the full
-    system: (final flat field, trace)."""
+def _one_lu_per_step_newton(solver, c0, monkeypatch):
+    """``solve``'s Newton loop with each step solved on a fresh LU of the
+    solver's own block: (final flat field, trace)."""
+    monkeypatch.setattr(transport, "_NEWTON_FORCING", None)
     cfg = solver.cfg
     c, trace = solver.project_dirichlet(c0), []
     while not trace or (len(trace) <= cfg.newton_max_iter + 1 and trace[-1] > cfg.newton_tol):
-        J = solver.jacobian(c).tocsc()
-        c_next = spla.spsolve(J, J @ c - solver.residual(c))
+        solver.jacobian(c).lu = None
+        c_next = solver.step(c)
         trace.append(solver.newton_norm(c_next - c))
         c = c_next
     return c, trace
@@ -437,13 +484,13 @@ def lu_count(monkeypatch):
 
 @pytest.mark.parametrize("res, warm", [((40, 6, 4, 5), False), ((40, 6, 4, 5), True),
                                        ((80, 12, 8, 10), False)])
-def test_solve_matches_one_lu_per_step_newton(res, warm, lu_count):
+def test_solve_matches_one_lu_per_step_newton(res, warm, lu_count, monkeypatch):
     solver = _profile_solver(res, (0.8, 0.4))
     c0 = _profile_solver(res, (0.6, 0.3)).solve()[0] if warm else solver.initial_field()
     before = lu_count()
     field, result = solver.solve(c0)
     lus = lu_count() - before
-    expected, trace = _one_lu_per_step_newton(solver, c0)
+    expected, trace = _one_lu_per_step_newton(solver, c0, monkeypatch)
     assert len(result.trace) == len(trace) >= 3
     assert lus < len(trace)
     assert np.linalg.norm(field - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -461,8 +508,6 @@ def test_two_step_warm_solve_factorizes_once(lu_count):
 def test_inexact_newton_steps_keep_the_iteration_and_save_back_solves(monkeypatch):
     # refined steps stop at _NEWTON_FORCING of their update: the same Newton
     # steps as steps refined to roundoff, fewer back-solves, the same outlets
-    from fiberdialysis import transport
-
     solves = [0]
     init = linalg.Factorization.__init__
 
@@ -521,8 +566,10 @@ def test_solve_releases_its_factorization(monkeypatch, max_iter):
 def test_in_solve_tangents_match_a_direct_solve(res, warm, lu_count):
     # dc/dbeta refined on the solve's own factors against spsolve of the
     # free block of J at the converged field, with the right-hand side
-    # -(L(beta + e_k) - L(beta)) c (L is affine in beta); measured 1.4e-14
-    # relative.  The tangents take no factorization of their own
+    # -(L(beta + e_k) - L(beta)) c (L is affine in beta) taken from two
+    # solvers' blocks and lifts at that field, where the reaction terms
+    # cancel; measured 1.4e-14 relative.  The tangents take no
+    # factorization of their own
     beta = (0.8, 0.4)
     solver = _profile_solver(res, beta)
     c0 = _profile_solver(res, (0.7, 0.45)).solve()[0] if warm else None
@@ -533,13 +580,14 @@ def test_in_solve_tangents_match_a_direct_solve(res, warm, lu_count):
     assert lu_count() - before == 2 * lus
     assert np.array_equal(field, plain)
     c, p = field, solver.pattern
-    A = p.free_block(solver.jacobian(c)).to_csc()
+    A = solver.jacobian(c).to_csc().copy()
     for k in range(2):
         shifted = list(beta)
         shifted[k] += 1.0
-        rhs = -((_profile_solver(res, shifted).L_bc - solver.L_bc) @ c)
+        other = _profile_solver(res, shifted)
+        rhs = -((other.jacobian(c).to_csc() - A) @ c[p.free] + (other._lift - solver._lift))
         expected = np.zeros(solver.n_dof)
-        expected[p.free] = spla.spsolve(A, rhs[p.free])
+        expected[p.free] = spla.spsolve(A, rhs)
         error = np.max(np.abs(result.tangents[:, k] - expected))
         assert error <= 1e-12 * np.max(np.abs(expected))
 
@@ -548,8 +596,6 @@ def test_in_solve_tangents_match_a_direct_solve(res, warm, lu_count):
 def test_tangent_solve_releases_its_factorization(monkeypatch, fail):
     # a failed tangent solve raises its own SolverError, not a NewtonError:
     # Newton converged.  No factors outlive the solve either way
-    from fiberdialysis import transport
-
     made = []
     init = linalg.Factorization.__init__
 
@@ -573,6 +619,28 @@ def test_tangent_solve_releases_its_factorization(monkeypatch, fail):
         assert solver.solve(tangents=True)[1].tangents.shape == (solver.n_dof, 2)
     gc.collect()
     assert made and all(ref() is None for ref in made)
+
+
+def test_solve_with_tangents_builds_its_matrix_once(monkeypatch):
+    # every step and the tangents write their values into the solver's one
+    # block matrix; no step makes a matrix of its own
+    prof = load_profile()
+    mesh = build_structured_mesh(prof.geometry, 40, 6, 4, 5)
+    velocity = compute_velocity_field(mesh, prof.base_hydraulics())
+    bd = BoundaryData(inlet_blood=(0.11, 3.71602, 0.0577928, 5.03048, 1.37152),
+                      inlet_dialysate=(1.25, 0, 0, 0, 0))
+    made = [0]
+    init = linalg.SparseMatrix.__init__
+
+    def counted(self, mat):
+        made[0] += 1
+        init(self, mat)
+
+    monkeypatch.setattr(linalg.SparseMatrix, "__init__", counted)
+    solver = TransportSolver(mesh, velocity, prof.transport_config(), bd, (0.8, 0.4))
+    _, result = solver.solve(tangents=True)
+    assert result.n_solves == 4 and result.tangents is not None
+    assert made[0] == 1
 
 
 def test_solve_without_tangents_returns_none():
@@ -752,8 +820,7 @@ def test_manufactured_solution_second_order_convergence():
         override = man.exact_all(x, r).T.ravel()
         solver = TransportSolver(mesh, velocity, cfg, bd, (1.0, 1.0),
                                  dirichlet_override=override)
-        field, res = solver.solve(source_nodal=man.forcing(mesh, velocity))
-        assert res.converged
+        field, _ = solver.solve(source_nodal=man.forcing(mesh, velocity))
         errs.append(solver.newton_norm(field - override))
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(len(errs) - 1)]
     assert orders[-1] >= 1.8, f"errors {errs}, orders {orders}"
