@@ -11,8 +11,7 @@ from .transport import (BoundaryData, NewtonResult, ReactionParams, SpeciesConfi
 from .optim import (GridResult, OptimResult, fd_gradient, grid_search,
                     levenberg_marquardt, powell_minimize, projected_gradient)
 from .cohort import (CohortTable, NoiseSpec, PatientRecord, add_measurement_noise,
-                     derive_seed, generate_cohort, make_reference_targets,
-                     perturb_coefficients)
+                     derive_seed, generate_cohort, make_reference_targets)
 from .inverse import (ForwardContext, MultiCostConfig,
                       context_from_profile, default_weights, identify_multi,
                       identify_single, landscape_scan, multi_patient_cost,

@@ -90,10 +90,18 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ConfigurationError("noise sigma must be >= 0")
         if not self.clip_factor > 0:
             raise ConfigurationError("clip factor must be > 0")
+
+    def perturb(self, values) -> np.ndarray:
+        """Multiplicative noise values (1 + eps), eps ~ N(0, sigma^2) drawn
+        entrywise in row order and clipped to +-clip_factor*sigma."""
+        values = np.asarray(values, dtype=float)
+        eps = np.random.default_rng(self.seed).normal(0.0, self.sigma, size=values.shape)
+        bound = self.clip_factor * self.sigma
+        return values * (1.0 + np.clip(eps, -bound, bound))
 
 
 @dataclass
@@ -264,14 +272,15 @@ def make_reference_targets(cohort: CohortTable, ctx, beta_star) -> list:
         try:
             calibrated.append(ctx.calibrate_record(rec))
         except FiberDialysisError as exc:
-            log.warning("patient %s excluded at calibration: %s", rec.id, exc)
+            log.warning("patient %s excluded at calibration: %s: %s",
+                        rec.id, type(exc).__name__, exc)
     beta = np.asarray(beta_star, dtype=float)
     outcome = ctx.forward_pairs([(rec, beta) for rec in calibrated])
     kept = []
     for rec, (outlet, err) in zip(calibrated, outcome):
         if err is not None:
-            log.warning("patient %s excluded at forward solve: %s: %s",
-                        rec.id, type(err).__name__, err)
+            log.warning("patient %s excluded at forward solve at beta %s: %s: %s",
+                        rec.id, beta.tolist(), type(err).__name__, err)
             continue
         rec.observed_outlet = np.asarray(outlet, dtype=float)
         kept.append(rec)
@@ -279,33 +288,11 @@ def make_reference_targets(cohort: CohortTable, ctx, beta_star) -> list:
 
 
 def add_measurement_noise(records, spec: NoiseSpec) -> list:
-    """Multiplicative target noise y (1 + eps), eps ~ N(0, sigma^2) clipped
-    to +-clip_factor*sigma; inputs untouched, new records returned."""
-    rng = np.random.default_rng(spec.seed)
-    bound = spec.clip_factor * spec.sigma
-    out = []
+    """Target noise ``spec.perturb`` on every record's outlet, drawn in
+    record order; inputs untouched, new records returned."""
     for rec in records:
         if rec.observed_outlet is None:
             raise UsageError(f"patient {rec.id} has no targets to perturb")
-        eps = rng.normal(0.0, spec.sigma, size=rec.observed_outlet.shape) if spec.sigma > 0 \
-            else np.zeros_like(rec.observed_outlet)
-        eps = np.clip(eps, -bound, bound)
-        noisy = replace(rec, observed_outlet=rec.observed_outlet * (1.0 + eps),
-                        extras=dict(rec.extras))
-        out.append(noisy)
-    return out
-
-
-def perturb_coefficients(beta_star, sigma: float, ns: int, seed: int,
-                         clip_factor: float = 3.0) -> np.ndarray:
-    """Per-patient multiplicative coefficient perturbations d = d*(1 + eps),
-    with the same clipping convention as the target noise: (ns, 2) array."""
-    if sigma < 0:
-        raise UsageError("sigma must be >= 0")
-    beta = np.asarray(beta_star, dtype=float)
-    rng = np.random.default_rng(seed)
-    if sigma == 0:
-        return np.tile(beta, (ns, 1))
-    eps = rng.normal(0.0, sigma, size=(ns, beta.size))
-    eps = np.clip(eps, -clip_factor * sigma, clip_factor * sigma)
-    return beta[None, :] * (1.0 + eps)
+    noisy = spec.perturb([rec.observed_outlet for rec in records])
+    return [replace(rec, observed_outlet=y, extras=dict(rec.extras))
+            for rec, y in zip(records, noisy)]

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cohort import PatientRecord, derive_seed, perturb_coefficients
+from .cohort import NoiseSpec, PatientRecord, derive_seed
 from .exceptions import (ConfigurationError, FiberDialysisError, NewtonError, SolverError,
                          UsageError)
 from .flow import HydraulicState, calibrate_hydraulics, compute_velocity_field
@@ -583,34 +583,37 @@ def sensitivity_study(patients, ctx: ForwardContext, beta_star, sigmas,
     """Propagate multiplicative coefficient perturbations, clipped to
     +-clip_factor*sigma, through the full forward solver and summarize
     relative output errors per noise level, per patient and per species.
+    Every level's cold solves go to ``forward_pairs`` as one batch.
     Patients whose perturbed solve fails are excluded from that level and
     reported."""
     beta_star = np.asarray(beta_star, dtype=float)
+    specs = [NoiseSpec(float(sigma), clip_factor, derive_seed(seed, "sensitivity", k))
+             for k, sigma in enumerate(sigmas)]
     refs = {}
     ref_out = ctx.forward_pairs([(rec, beta_star) for rec in patients], use_warm=False)
     kept = []
     for rec, (outlet, err) in zip(patients, ref_out):
         if err is not None:
-            log.warning("patient %s excluded from sensitivity reference: %s: %s",
-                        rec.id, type(err).__name__, err)
+            log.warning("patient %s excluded from sensitivity reference at beta %s: %s: %s",
+                        rec.id, beta_star.tolist(), type(err).__name__, err)
             continue
         refs[rec.id] = outlet
         kept.append(rec)
 
+    betas = [spec.perturb(np.tile(beta_star, (len(kept), 1))) for spec in specs]
+    outs = ctx.forward_pairs([(rec, beta) for level in betas for rec, beta in zip(kept, level)],
+                             use_warm=False)
+    n = len(kept)
     levels = []
-    for k, sigma in enumerate(sigmas):
-        level_seed = derive_seed(seed, "sensitivity", k)
-        betas = perturb_coefficients(beta_star, float(sigma), len(kept), level_seed,
-                                     clip_factor=clip_factor)
-        outs = ctx.forward_pairs(list(zip(kept, betas)), use_warm=False)
+    for k, (spec, level) in enumerate(zip(specs, betas)):
         per_patient = {}
         excluded = []
         species_acc = []
-        for rec, (outlet, err) in zip(kept, outs):
+        for rec, beta, (outlet, err) in zip(kept, level, outs[k * n:(k + 1) * n]):
             if err is not None:
                 excluded.append(rec.id)
-                log.warning("patient %s excluded at sigma=%s: %s: %s",
-                            rec.id, sigma, type(err).__name__, err)
+                log.warning("patient %s excluded at sigma=%s, beta %s: %s: %s",
+                            rec.id, spec.sigma, beta.tolist(), type(err).__name__, err)
                 continue
             rel = np.abs(outlet - refs[rec.id]) / np.abs(refs[rec.id])
             per_patient[rec.id] = float(np.mean(rel))
@@ -619,7 +622,7 @@ def sensitivity_study(patients, ctx: ForwardContext, beta_star, sigmas,
                         else np.full(5, np.nan))
         vals = list(per_patient.values())
         levels.append(SensitivityLevel(
-            sigma=float(sigma), per_patient_mean=per_patient,
+            sigma=spec.sigma, per_patient_mean=per_patient,
             per_species_mean=species_mean,
             cohort_mean=float(np.mean(vals)) if vals else math.nan,
             cohort_max=float(np.max(vals)) if vals else math.nan,

@@ -2,8 +2,9 @@
 
 Criteria 1, 5 and 7 run at the profile's default mesh; the cohort studies
 (2, 3, 4) run at a documented coarser mesh (40, 6, 4, 5) to keep the suite
-desk-scale.  All tolerances are pinned here.  A summary is appended to
-``acceptance_report.txt`` in the repository root.
+desk-scale.  All tolerances are pinned here.  A summary is written to
+``acceptance_report.txt`` in the repository root; it holds no wall-clock
+times, which go to stdout, so re-runs rewrite it byte for byte.
 """
 
 import json
@@ -36,11 +37,12 @@ JOBS = 4
 _report_lines = []
 
 
-def report(criterion, ok, detail):
+def report(criterion, ok, detail, timing=""):
+    """Record the criterion's line for the report; ``timing`` goes to stdout only."""
     line = f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
     _report_lines.append(line)
-    print("\n" + line)
-    assert ok, line
+    print("\n" + line + timing)
+    assert ok, line + timing
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +83,13 @@ def test_criterion_1_exact_data_identifiability(ctx_default, cohort_table):
     result = identify_multi(subset, INIT, cfg, ctx_default, tol=1e-10, max_iter=60)
     elapsed = time.time() - t0
     err = float(np.max(np.abs(result.best_point - BETA_STAR)))
-    ok = err <= 1e-3 and result.best_value <= 1e-8 and elapsed <= 600.0
+    fast = elapsed <= 600.0
+    ok = err <= 1e-3 and result.best_value <= 1e-8 and fast
     report(1, ok,
            f"recovered {np.round(result.best_point, 6).tolist()}, "
            f"max|err| {err:.2e} (<= 1e-3), J {result.best_value:.2e} (<= 1e-8), "
-           f"{elapsed:.0f}s at default mesh with {JOBS} jobs (<= 600s)")
+           f"at default mesh with {JOBS} jobs within 600s: {fast}",
+           timing=f" [{elapsed:.0f}s]")
 
 
 def test_criterion_2_landscape_geometry(ctx_coarse, targets_coarse):
@@ -189,7 +193,8 @@ def test_criterion_5_newton_solver(profile):
     solve_time = time.time() - t0
     monotone = all(res_t.trace[i + 1] < res_t.trace[i]
                    for i in range(len(res_t.trace) - 1))
-    b_ok = len(res_t.trace) <= 20 and monotone and solve_time <= 5.0
+    fast = solve_time <= 5.0
+    b_ok = len(res_t.trace) <= 20 and monotone and fast
 
     # (c) manufactured-solution L2 convergence order >= 1.8
     man_cfg = TransportConfig(Pe=5.0, eps2=0.05,
@@ -215,8 +220,9 @@ def test_criterion_5_newton_solver(profile):
     report(5, a_ok and b_ok and c_ok,
            f"(a) linear in 1 productive iteration: {a_ok}; "
            f"(b) Table-1 converged in {len(res_t.trace)} solves, monotone={monotone}, "
-           f"{solve_time:.2f}s (<= 5s): {b_ok}; "
-           f"(c) manufactured L2 order {order:.2f} (>= 1.8): {c_ok}")
+           f"within 5s={fast}: {b_ok}; "
+           f"(c) manufactured L2 order {order:.2f} (>= 1.8): {c_ok}",
+           timing=f" [(b) {solve_time:.2f}s]")
 
 
 def test_criterion_6_reaction_conservation():

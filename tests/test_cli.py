@@ -485,6 +485,24 @@ def test_sensitivity_honours_clip_factor(workdir, synth_bundle):
     assert clipped < 1e-6
 
 
+@pytest.mark.parametrize("clip_factor", [-1, 0])
+def test_clip_factor_not_above_zero_exits_2(workdir, synth_bundle, capsys, clip_factor):
+    # both commands that perturb reject the clip before they solve anything
+    cfg = json.loads((workdir / "cfg.json").read_text())
+    name = f"cfg_clip{clip_factor}.json"
+    (workdir / name).write_text(json.dumps(dict(cfg, clip_factor=clip_factor)))
+    for command, artifact, argv in (
+            ("sensitivity", "sensitivity.json", ["--sigmas", "0,0.02"]),
+            ("noise-study", "noise_study.json", ["--sigmas", "0,0.02", "--subcohort-size",
+                                                 "2", "--n-subcohorts", "2"])):
+        out = f"{command}_clip{clip_factor}"
+        capsys.readouterr()
+        assert run(workdir, command, "--config", name, "--targets", "synth", *argv,
+                   "--out", out) == 2
+        assert "clip factor must be > 0" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(workdir, out, artifact))
+
+
 def test_invert_single_command(workdir, synth_bundle):
     # build a patient CSV out of a synthetic record so the misfit is fittable
     with open(os.path.join(workdir, "synth", "targets.json")) as fh:

@@ -3,7 +3,7 @@ import pytest
 
 from fiberdialysis.cohort import (CohortTable, NoiseSpec, PatientRecord,
                                   add_measurement_noise, derive_seed, generate_cohort,
-                                  load_records, perturb_coefficients, save_records)
+                                  load_records, save_records)
 from fiberdialysis.exceptions import ConfigurationError, UsageError
 from fiberdialysis.flow import HydraulicState
 
@@ -141,23 +141,47 @@ def test_noise_requires_targets():
 # -- coefficient perturbations ----------------------------------------------------------
 
 def test_zero_sigma_perturbations_identity():
-    betas = perturb_coefficients((0.8, 0.4), sigma=0.0, ns=6, seed=3)
+    betas = NoiseSpec(sigma=0.0, seed=3).perturb(np.tile([0.8, 0.4], (6, 1)))
     assert np.array_equal(betas, np.tile([0.8, 0.4], (6, 1)))
 
 
 def test_perturbations_clipped_and_centered():
     ns = 10_000
     sigma = 0.05
-    betas = perturb_coefficients((0.8, 0.4), sigma=sigma, ns=ns, seed=4)
+    betas = NoiseSpec(sigma=sigma, seed=4).perturb(np.tile([0.8, 0.4], (ns, 1)))
     rel = betas / np.array([0.8, 0.4]) - 1.0
     assert np.all(np.abs(rel) <= 3 * sigma + 1e-12)
     assert np.abs(rel.mean(axis=0)).max() < 3 * sigma / np.sqrt(ns)
 
 
 def test_perturbation_reproducibility():
-    b1 = perturb_coefficients((0.8, 0.4), 0.03, 40, seed=5)
-    b2 = perturb_coefficients((0.8, 0.4), 0.03, 40, seed=5)
+    spec = NoiseSpec(sigma=0.03, seed=5)
+    b1 = spec.perturb(np.tile([0.8, 0.4], (40, 1)))
+    b2 = spec.perturb(np.tile([0.8, 0.4], (40, 1)))
     assert np.array_equal(b1, b2)
+
+
+def test_perturbation_draws_are_pinned():
+    # bundles depend on these draws bit for bit: one (n, k) block fills in
+    # the order of n draws of size k, so target noise and coefficient
+    # perturbations keep the values pinned here
+    noisy = add_measurement_noise(records(), NoiseSpec(sigma=0.03, seed=9))
+    assert [repr(float(v)) for v in noisy[0].observed_outlet] == [
+        '0.48795744596025686', '3.0218564916371102', '0.1900619274377466',
+        '1.0196831463267', '0.4137214362723051']
+    assert [repr(float(v)) for v in noisy[2].observed_outlet] == [
+        '0.5634140563057789', '3.7523257362732605', '0.2396570478922152',
+        '1.2908037867869795', '0.49189754278811443']
+    betas = NoiseSpec(sigma=0.03, seed=5).perturb(np.tile([0.8, 0.4], (40, 1)))
+    assert [repr(float(v)) for v in betas[0]] == ['0.7807536457939173', '0.38410769205246226']
+    assert [repr(float(v)) for v in betas[39]] == ['0.8232073346943972', '0.3956726995732088']
+
+
+@pytest.mark.parametrize("sigma, clip_factor", [(-0.01, 3.0), (float("nan"), 3.0),
+                                                (0.01, 0.0), (0.01, -1.0)])
+def test_noise_spec_rejects_bad_sigma_and_clip(sigma, clip_factor):
+    with pytest.raises(ConfigurationError):
+        NoiseSpec(sigma=sigma, clip_factor=clip_factor)
 
 
 # -- records ------------------------------------------------------------------------------

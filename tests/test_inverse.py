@@ -389,6 +389,30 @@ def test_sensitivity_reproducible(ctx, exact_patients):
     assert s1.levels[0].cohort_mean == s2.levels[0].cohort_mean
 
 
+def test_excluded_patients_are_logged_with_beta_and_type(ctx, caplog):
+    real = CohortTable.from_csv(packaged_data_path("sample_cohort.csv"))
+    cohort = generate_cohort(real, ns=3, seed=11)
+    cohort.values[cohort.field_names.index("c1_inlet_blood"), 1] = np.nan
+    cohort.values[cohort.field_names.index("Q_uf"), 2] = np.nan
+    with caplog.at_level("WARNING"):
+        [good] = make_reference_targets(cohort, ctx, (0.8, 0.4))
+        broken = replace(good, id="broken", inlet_blood=np.full(5, np.nan), extras={})
+        # seed 3 draws the level-0 coefficients (0.204..., -0.182...) for one
+        # patient, and a negative beta fails the solve
+        study = sensitivity_study([good, broken], ctx, np.array([0.8, 0.4]), [1.0], seed=3)
+    assert study.levels[0].excluded == [good.id]
+    messages = [r.getMessage() for r in caplog.records if "excluded" in r.getMessage()]
+    assert len(messages) == 4
+    assert messages[0].startswith("patient s3 excluded at calibration: CalibrationError: ")
+    assert messages[1].startswith("patient s2 excluded at forward solve at beta [0.8, 0.4]: "
+                                  "ConfigurationError: ")
+    assert messages[2].startswith("patient broken excluded from sensitivity reference at "
+                                  "beta [0.8, 0.4]: ConfigurationError: ")
+    assert messages[3].startswith(f"patient {good.id} excluded at sigma=1.0, beta "
+                                  "[0.20400106542776425, -0.18295897215777962]: "
+                                  "ConfigurationError: ")
+
+
 @pytest.mark.slow
 def test_identify_multi_invariant_to_initial_point(fresh_ctx, exact_patients):
     cfg = MultiCostConfig(weights=default_weights(exact_patients))
