@@ -75,6 +75,9 @@ class CohortTable:
             if len(row) != len(rows[0]):
                 raise ConfigurationError(f"{path}:{line_no}: {len(row)} cells where the "
                                          f"header has {len(rows[0])}")
+            if row[0] in names:
+                raise ConfigurationError(f"{path}:{line_no}: field {row[0]!r} repeats an "
+                                         "earlier row")
             names.append(row[0])
             try:
                 data.append([float(v) if v.strip() != "" else np.nan for v in row[1:]])

@@ -250,14 +250,16 @@ def load_patient_csv(path, base_hydraulics: HydraulicState) -> PatientRecord:
     """
     import csv as _csv
 
-    inlet_b = inlet_d = outlet = None
-    extras = {}
+    species_rows = ("inlet_blood", "inlet_dialysate", "observed_outlet_blood")
+    values = {}   # row name -> its values
     with open(path, newline="") as fh:
         rows = list(_csv.reader(fh))
     for line_no, row in enumerate(rows, start=1):
         if not row or row[0].strip() == "boundary":
             continue
         name = row[0].strip()
+        if name in values:
+            raise ConfigurationError(f"{path}:{line_no}: row {name!r} repeats an earlier row")
         vals = [v for v in row[1:] if v.strip() != ""]
         try:
             vals = [float(v) for v in vals]
@@ -265,23 +267,17 @@ def load_patient_csv(path, base_hydraulics: HydraulicState) -> PatientRecord:
             raise ConfigurationError(f"{path}:{line_no}: {exc}") from None
         if not all(math.isfinite(v) for v in vals):
             raise ConfigurationError(f"{path}:{line_no}: row {name!r} holds a non-finite value")
-        if name in ("inlet_blood", "inlet_dialysate", "observed_outlet_blood"):
+        if name in species_rows:
             if len(vals) != 5:
                 raise ConfigurationError(
                     f"{path}:{line_no}: row {name!r} must carry 5 species values")
-            if name == "inlet_blood":
-                inlet_b = vals
-            elif name == "inlet_dialysate":
-                inlet_d = vals
-            else:
-                outlet = vals
-        else:
-            if len(vals) != 1:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: extra row {name!r} must carry one value")
-            extras[name] = vals[0]
-    if inlet_b is None or inlet_d is None:
+        elif len(vals) != 1:
+            raise ConfigurationError(
+                f"{path}:{line_no}: extra row {name!r} must carry one value")
+        values[name] = vals
+    if "inlet_blood" not in values or "inlet_dialysate" not in values:
         raise ConfigurationError(f"{path}: patient file needs inlet_blood and inlet_dialysate rows")
+    extras = {name: v[0] for name, v in values.items() if name not in species_rows}
     from dataclasses import replace as _replace
     hyd = base_hydraulics
     if "Q_b" in extras:
@@ -289,6 +285,7 @@ def load_patient_csv(path, base_hydraulics: HydraulicState) -> PatientRecord:
     if "Q_d" in extras:
         hyd = _replace(hyd, Q_d=extras["Q_d"])
     return PatientRecord(id=os.path.splitext(os.path.basename(str(path)))[0],
-                         inlet_blood=inlet_b, inlet_dialysate=inlet_d,
-                         observed_outlet=outlet, hydraulics=hyd,
+                         inlet_blood=values["inlet_blood"],
+                         inlet_dialysate=values["inlet_dialysate"],
+                         observed_outlet=values.get("observed_outlet_blood"), hydraulics=hyd,
                          calibrated=False, extras=extras)

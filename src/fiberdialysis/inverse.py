@@ -397,20 +397,13 @@ def single_patient_cost(beta, patient: PatientRecord, ctx: ForwardContext) -> fl
     return float(np.sum(np.abs(outlet - y) ** 2 / np.abs(y) ** 2))
 
 
-def bound_penalty(beta, cfg: MultiCostConfig) -> float:
-    pen = 0.0
-    for b, (lo, hi) in zip(beta, cfg.bounds):
-        pen += max(0.0, lo - b) ** 2 + max(0.0, b - hi) ** 2
-    return cfg.penalty_scale * pen
-
-
 def multi_patient_cost(beta, patients, cfg: MultiCostConfig, ctx: ForwardContext) -> float:
     """sum_p ||W (F_p(beta) - y_p)||^2 + lam |beta - c|^2 + soft bound penalty,
     with c the center of the bound box.
 
-    Per-patient forward failures contribute ``failure_value`` each; terms are
-    summed in patient-id order so the cost is invariant under permutations of
-    the input list.
+    Per-patient forward failures contribute ``failure_value`` each; the
+    patient terms are summed exactly rounded (``math.fsum``), so the cost is
+    invariant under permutations of the input list.
     """
     if not patients:
         raise UsageError("multi-patient cost needs a nonempty patient list")
@@ -427,35 +420,33 @@ def _folded_cost(beta, patients, results, cfg: MultiCostConfig) -> float:
         if err is not None:
             log.info("beta %s: patient %s failed (%s: %s)", np.asarray(beta).tolist(),
                      rec.id, type(err).__name__, err)
-            terms.append((rec.id, cfg.failure_value))
+            terms.append(cfg.failure_value)
         else:
             resid = cfg.weights * (outlet - rec.observed_outlet)
-            terms.append((rec.id, float(np.dot(resid, resid))))
-    # id-sorted summation: permutation invariant, duplicates contribute k times
-    total = math.fsum(v for _, v in sorted(terms, key=lambda t: t[0]))
-    if cfg.lam > 0:
-        d = beta - _box_center(cfg)
-        total += cfg.lam * float(np.dot(d, d))
-    total += bound_penalty(beta, cfg)
-    return total
+            terms.append(float(np.dot(resid, resid)))
+    prior = _prior_rows(beta, cfg)
+    return math.fsum(terms) + float(np.dot(prior, prior))
 
 
-def _box_center(cfg: MultiCostConfig) -> np.ndarray:
-    return np.array([(lo + hi) / 2.0 for lo, hi in cfg.bounds])
+def _prior_rows(beta, cfg: MultiCostConfig) -> np.ndarray:
+    """The cost's rows beyond the patients: sqrt(lam) (beta - c), with c the
+    center of the bound box, then sqrt(penalty_scale) times each
+    coordinate's distance below and above its bound interval."""
+    beta = np.asarray(beta, dtype=float)
+    lo, hi = np.array(cfg.bounds, dtype=float).T
+    root_scale = math.sqrt(cfg.penalty_scale)
+    return np.concatenate([math.sqrt(cfg.lam) * (beta - (lo + hi) / 2.0),
+                           root_scale * np.maximum(0.0, lo - beta),
+                           root_scale * np.maximum(0.0, beta - hi)])
 
 
 def multi_patient_residuals(beta, patients, outlets, cfg: MultiCostConfig) -> np.ndarray:
     """The residual rows r whose squared norm is ``multi_patient_cost``, from
     the outlets F_p of ``patients``: W (F_p - y_p) per patient in the given
-    order, sqrt(lam) (beta - c), then sqrt(penalty_scale) times each
-    coordinate's distance below and above its bound interval."""
-    beta = np.asarray(beta, dtype=float)
-    lo, hi = np.array(cfg.bounds, dtype=float).T
-    root_scale = math.sqrt(cfg.penalty_scale)
+    order, then ``_prior_rows``."""
     return np.concatenate(
         [cfg.weights * (F - rec.observed_outlet) for rec, F in zip(patients, outlets)]
-        + [math.sqrt(cfg.lam) * (beta - _box_center(cfg)),
-           root_scale * np.maximum(0.0, lo - beta), root_scale * np.maximum(0.0, beta - hi)])
+        + [_prior_rows(beta, cfg)])
 
 
 def multi_patient_residual_jacobian(beta, jacobians, cfg: MultiCostConfig) -> np.ndarray:
@@ -477,12 +468,9 @@ def identify_single(patient: PatientRecord, beta0, ctx: ForwardContext,
                     n_max: int = 60, fd_step: float = 1e-3) -> OptimResult:
     """Projected gradient descent on the single-patient relative misfit over
     the box [0, 1]^2."""
-    beta0 = np.asarray(beta0, dtype=float)
-    if np.any(beta0 < 0.0) or np.any(beta0 > 1.0):
-        raise UsageError(f"initial point {beta0} outside the admissible box [0, 1]^2")
     return projected_gradient(lambda b: single_patient_cost(b, patient, ctx),
                               beta0, initial_step=initial_step, tol=tol,
-                              n_max=n_max, fd_step=fd_step, box=(0.0, 1.0))
+                              n_max=n_max, fd_step=fd_step)
 
 
 def identify_multi(patients, init, cfg: MultiCostConfig, ctx: ForwardContext,

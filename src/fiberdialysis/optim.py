@@ -55,12 +55,14 @@ class _CountedObjective:
         return v if np.isfinite(v) else math.inf
 
 
-def fd_gradient(f, beta, h: float) -> np.ndarray:
-    """Forward-difference pseudo-gradient ((f(b+h e_k) - f(b)) / h)_k."""
+def fd_gradient(f, beta, h: float, f0=None) -> np.ndarray:
+    """Forward-difference pseudo-gradient ((f(b+h e_k) - f(b)) / h)_k; ``f0``
+    is f(b) when the caller already has it."""
     if not h > 0:
         raise UsageError(f"finite-difference step must be positive, got {h}")
     beta = np.asarray(beta, dtype=float)
-    f0 = float(f(beta))
+    if f0 is None:
+        f0 = float(f(beta))
     grad = np.empty_like(beta)
     for k in range(beta.size):
         bk = beta.copy()
@@ -70,71 +72,58 @@ def fd_gradient(f, beta, h: float) -> np.ndarray:
 
 
 def projected_gradient(f, beta0, initial_step: float, tol: float, n_max: int,
-                       fd_step: float = 1e-3, box=(0.0, 1.0)) -> OptimResult:
-    """Projected gradient descent with adaptive step halving on [lo, hi]^d.
+                       fd_step: float = 1e-3) -> OptimResult:
+    """Projected gradient descent with adaptive step halving on [0, 1]^d.
 
     Follows the two-loop structure with step reset each outer iteration and
     an s >= 1e-12 floor; when the halving loop cannot find a decreasing
     projected step the iteration stops with reason "stalled" instead of
     accepting an uphill move, so the accepted-value trace is non-increasing.
+    Each point is evaluated once: the accepted candidate keeps the value the
+    halving loop found, and the gradient at it reuses that value.
     """
-    lo, hi = box
-    beta0 = np.asarray(beta0, dtype=float)
-    if np.any(beta0 < lo) or np.any(beta0 > hi):
-        raise UsageError(f"starting point {beta0} outside the box [{lo}, {hi}]^d")
+    beta = np.array(beta0, dtype=float)
+    if np.any(beta < 0.0) or np.any(beta > 1.0):
+        raise UsageError(f"starting point {beta} outside the box [0, 1]^d")
     obj = _CountedObjective(f)
-    beta = beta0.copy()
     j_cur = obj(beta)  # failure at beta0 propagates
     trace = [(beta.copy(), j_cur)]
 
-    def grad_at(b):
-        return fd_gradient(obj, b, fd_step)
+    def halve(first):
+        """Halve s from ``initial_step`` until the projected step decreases
+        f or a guard stops it: |step| <= tol on the first call and
+        s |step| <= tol later, as printed, or the step floor.  Returns the
+        candidate, its displacement, and its value if one was evaluated."""
+        g = fd_gradient(obj, beta, fd_step, j_cur)
+        s = float(initial_step)
+        while True:
+            cand = np.clip(beta - s * g, 0.0, 1.0)
+            disp = np.linalg.norm(cand - beta)
+            if (disp if first else s * disp) <= tol or s <= _STEP_FLOOR:
+                return cand, disp, None
+            j_cand = obj.safe(cand)
+            if j_cand < j_cur:
+                return cand, disp, j_cand
+            s /= 2.0
 
-    def trial(b, s, g):
-        return np.clip(b - s * g, lo, hi)
-
-    g = grad_at(beta)
-    s = float(initial_step)
-    # initial halving: unscaled displacement guard, as printed
-    while True:
-        cand = trial(beta, s, g)
-        disp = np.linalg.norm(cand - beta)
-        if disp <= tol or s <= _STEP_FLOOR:
-            break
-        if obj.safe(cand) < j_cur:
-            break
-        s /= 2.0
-
+    cand, disp, j_cand = halve(first=True)
     n = 0
-    stop_reason = "tolerance"
     while True:
-        cand = trial(beta, s, g)
-        disp = np.linalg.norm(cand - beta)
         if disp <= tol:
             stop_reason = "tolerance"
             break
         if n >= n_max:
             stop_reason = "max_iter"
             break
-        j_cand = obj.safe(cand)
+        if j_cand is None:
+            j_cand = obj.safe(cand)
         if not j_cand < j_cur:
             stop_reason = "stalled"
             break
-        beta = cand
-        j_cur = j_cand
+        beta, j_cur = cand, j_cand
         trace.append((beta.copy(), j_cur))
         n += 1
-        g = grad_at(beta)
-        s = float(initial_step)
-        # inner halving: s-scaled displacement guard, as printed
-        while True:
-            cand = trial(beta, s, g)
-            disp = np.linalg.norm(cand - beta)
-            if s * disp <= tol or s <= _STEP_FLOOR:
-                break
-            if obj.safe(cand) < j_cur:
-                break
-            s /= 2.0
+        cand, disp, j_cand = halve(first=False)
 
     values = [v for _, v in trace]
     k_best = int(np.argmin(values))

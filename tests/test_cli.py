@@ -392,14 +392,21 @@ def test_malformed_patient_id_exits_3(workdir, synth_bundle, capsys, ids, select
 
 
 def test_ragged_real_cohort_exits_2(workdir, capsys):
+    # a short row, and a field named twice, which row() cannot tell apart
     lines = packaged_data_path("sample_cohort.csv").read_text().splitlines()
-    lines[3] = lines[3].rsplit(",", 1)[0]
-    (workdir / "ragged.csv").write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    assert run(workdir, "synth", "--config", "cfg.json", "--real", "ragged.csv",
-               "--out", "synth_ragged") == 2
-    assert "ragged.csv:4: 6 cells where the header has 7" in capsys.readouterr().err
-    assert not (workdir / "synth_ragged").exists()
+    ragged = list(lines)
+    ragged[3] = ragged[3].rsplit(",", 1)[0]
+    q_uf = next(line for line in lines if line.startswith("Q_uf,"))
+    cases = [("ragged", ragged, "ragged.csv:4: 6 cells where the header has 7"),
+             ("repeated", lines + [q_uf],
+              f"repeated.csv:{len(lines) + 1}: field 'Q_uf' repeats an earlier row")]
+    for name, rows, message in cases:
+        (workdir / f"{name}.csv").write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run(workdir, "synth", "--config", "cfg.json", "--real", f"{name}.csv",
+                   "--out", f"synth_{name}") == 2
+        assert message in capsys.readouterr().err
+        assert not (workdir / f"synth_{name}").exists()
 
 
 def test_unknown_patient_id_exits_2(workdir, synth_bundle):

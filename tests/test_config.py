@@ -150,6 +150,20 @@ def test_patient_csv_parse_error_carries_line(tmp_path):
         load_patient_csv(path, HYD)
 
 
+@pytest.mark.parametrize("repeated", ["inlet_blood,9,9,9,9,9", "Q_b,0.4"])
+def test_patient_csv_repeated_row_carries_line(tmp_path, repeated):
+    # a second row of the same name must not replace the first
+    path = tmp_path / "twice.csv"
+    path.write_text("boundary,c1,c2,c3,c4,c5\n"
+                    "inlet_blood,0.1,3.7,0.06,5.0,1.4\n"
+                    "Q_b,0.3\n"
+                    "inlet_dialysate,1.25,0,0,0,0\n"
+                    f"{repeated}\n")
+    name = repeated.split(",")[0]
+    with pytest.raises(ConfigurationError, match=f"twice.csv:5: row '{name}' repeats"):
+        load_patient_csv(path, HYD)
+
+
 def test_patient_csv_requires_inlets(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("boundary,c1,c2,c3,c4,c5\n")

@@ -112,18 +112,34 @@ def test_failures_during_search_treated_as_non_decrease():
 
 def test_a_fault_during_search_propagates():
     # only package errors are folded in; any other exception is a fault.
-    # Calls 1-4 are the start and its gradient, call 5 the first trial step
+    # Call 1 is the start, calls 2-3 its gradient, call 4 the first trial step
     calls = [0]
 
     def faulty(b):
         calls[0] += 1
-        if calls[0] == 5:
+        if calls[0] == 4:
             raise TypeError("a fault")
         return float(np.sum((b - 0.4) ** 2))
 
     with pytest.raises(TypeError, match="a fault"):
         projected_gradient(faulty, np.array([0.6, 0.5]), initial_step=0.1, tol=1e-7, n_max=100)
-    assert calls[0] == 5
+    assert calls[0] == 4
+
+
+def test_no_point_evaluated_twice():
+    # the coarse difference step biases the gradient, so the run accepts
+    # steps and then stalls; the accepted candidate keeps its value and the
+    # gradient at it reuses that value
+    seen = []
+
+    def recorded(b):
+        seen.append(tuple(b))
+        return float(np.sum((b - [0.3, 0.7]) ** 2))
+
+    res = projected_gradient(recorded, np.array([0.9, 0.1]), initial_step=0.25, tol=1e-6,
+                             n_max=100, fd_step=0.1)
+    assert res.stop_reason == "stalled" and len(res.trace) > 2
+    assert len(set(seen)) == len(seen) == res.n_evals
 
 
 # -- Powell -------------------------------------------------------------------------
