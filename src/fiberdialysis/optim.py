@@ -55,14 +55,12 @@ class _CountedObjective:
         return v if np.isfinite(v) else math.inf
 
 
-def fd_gradient(f, beta, h: float, f0=None) -> np.ndarray:
-    """Forward-difference pseudo-gradient ((f(b+h e_k) - f(b)) / h)_k; ``f0``
-    is f(b) when the caller already has it."""
+def fd_gradient(f, beta, h: float, f0: float) -> np.ndarray:
+    """Forward-difference pseudo-gradient ((f(b+h e_k) - f0) / h)_k, where
+    ``f0`` is the value f(b) the caller already has."""
     if not h > 0:
         raise UsageError(f"finite-difference step must be positive, got {h}")
     beta = np.asarray(beta, dtype=float)
-    if f0 is None:
-        f0 = float(f(beta))
     grad = np.empty_like(beta)
     for k in range(beta.size):
         bk = beta.copy()

@@ -15,26 +15,30 @@ from fiberdialysis.optim import (fd_gradient, grid_search, levenberg_marquardt,
 # -- finite-difference pseudo-gradient ---------------------------------------------
 
 def test_fd_gradient_exact_on_affine():
-    g = fd_gradient(lambda b: 3 * b[0] + 5 * b[1], np.array([0.2, 0.9]), h=0.37)
+    f = lambda b: 3 * b[0] + 5 * b[1]
+    beta = np.array([0.2, 0.9])
+    g = fd_gradient(f, beta, h=0.37, f0=f(beta))
     assert np.allclose(g, [3.0, 5.0], atol=1e-12)
 
 
 def test_fd_gradient_forward_difference_bias():
     # f = b1^2 at (1, 0): ((1+h)^2 - 1)/h = 2 + h exactly
-    g = fd_gradient(lambda b: b[0] ** 2, np.array([1.0, 0.0]), h=1e-3)
+    f = lambda b: b[0] ** 2
+    beta = np.array([1.0, 0.0])
+    g = fd_gradient(f, beta, h=1e-3, f0=f(beta))
     assert g[0] == pytest.approx(2.001, abs=1e-12)
 
 
 def test_fd_gradient_rejects_nonpositive_step():
     with pytest.raises(UsageError):
-        fd_gradient(lambda b: 0.0, np.array([0.0, 0.0]), h=0.0)
+        fd_gradient(lambda b: 0.0, np.array([0.0, 0.0]), h=0.0, f0=0.0)
 
 
 def test_fd_gradient_propagates_failure():
     def bad(_):
         raise RuntimeError("forward solve exploded")
     with pytest.raises(RuntimeError):
-        fd_gradient(bad, np.array([0.5, 0.5]), h=1e-3)
+        fd_gradient(bad, np.array([0.5, 0.5]), h=1e-3, f0=0.0)
 
 
 # -- projected gradient descent ------------------------------------------------------
