@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -258,3 +260,59 @@ def test_refinement_to_a_tolerance_on_unrelated_factors_stalls():
     stale = Factorization(unrelated.tocsc())
     for rtol in (1e-6, 1e-3):
         assert stale.refine(A, b, 0.1 * b, rtol) is None
+
+
+def test_band_engine_swaps_rows_for_a_tiny_leading_pivot():
+    # partial pivoting: without the row swap the first pivot, 1e-14, would
+    # blow the elimination up
+    import scipy.sparse.linalg as spla
+    from fiberdialysis import linalg
+    rng = np.random.default_rng(21)
+    n = 40
+    A = sp.diags([rng.uniform(0.5, 1.5, n - 2), rng.uniform(0.5, 1.5, n - 1),
+                  np.r_[1e-14, rng.uniform(2.0, 3.0, n - 1)],
+                  rng.uniform(0.5, 1.5, n - 1)], [-2, -1, 0, 1], format="csc")
+    b = rng.standard_normal(n)
+    factors = Factorization(A)
+    assert isinstance(factors._lu, linalg._BandLU)
+    assert factors._lu._piv[0] != 1   # LAPACK's 1-based pivot row: swapped
+    x = factors.solve(A, b)
+    expected = spla.spsolve(A, b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_singular_band_matrix_raises_solver_error():
+    from fiberdialysis import linalg
+    A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    assert linalg._band_fits(3, 1, 1)
+    with pytest.raises(SolverError, match="singular"):
+        solve_linear(SparseMatrix(A), np.ones(3))
+
+
+def test_blas_behind_scipy_linalg_runs_one_thread():
+    # asked in a fresh process that loads the BLAS, set to four threads (as
+    # many as the machine has, at most), before the package is imported
+    import ctypes
+    import subprocess
+    import sys
+    from scipy.linalg import _flapack
+
+    import fiberdialysis
+    lib = ctypes.CDLL(_flapack.__file__)
+    names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+             "openblas_get_num_threads64_", "openblas_get_num_threads")
+    name = next((n for n in names if hasattr(lib, n)), None)
+    if name is None:
+        pytest.skip("the BLAS behind scipy.linalg exports no OpenBLAS thread count")
+    probe = (
+        "import ctypes\n"
+        "from scipy.linalg import _flapack\n"
+        f"get = getattr(ctypes.CDLL(_flapack.__file__), {name!r})\n"
+        "get.argtypes, get.restype = [], ctypes.c_int\n"
+        "import fiberdialysis\n"
+        "print(get())\n")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="4",
+               PYTHONPATH=os.path.dirname(os.path.dirname(fiberdialysis.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["1"]

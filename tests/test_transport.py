@@ -470,15 +470,15 @@ def _one_lu_per_step_newton(solver, c0, monkeypatch):
 
 @pytest.fixture
 def lu_count(monkeypatch):
-    """Number of sparse LU factorizations since the test started."""
+    """Number of LU factorizations since the test started, of either engine."""
     calls = [0]
-    splu = linalg.spla.splu
+    init = linalg.Factorization.__init__
 
-    def counted(*args, **kwargs):
+    def counted(self, csc):
         calls[0] += 1
-        return splu(*args, **kwargs)
+        init(self, csc)
 
-    monkeypatch.setattr(linalg.spla, "splu", counted)
+    monkeypatch.setattr(linalg.Factorization, "__init__", counted)
     return lambda: calls[0]
 
 
@@ -557,6 +557,47 @@ def test_solve_releases_its_factorization(monkeypatch, max_iter):
         assert max_iter == 0
     gc.collect()
     assert made and all(ref() is None for ref in made)
+
+
+def _block_csc(solver, c):
+    """A copy of the solver's free block of J at ``c``, in the pattern's order."""
+    return solver.jacobian(c).to_csc().copy()
+
+
+@pytest.mark.parametrize("res, band", [((40, 6, 4, 5), True), ((80, 12, 8, 10), False)])
+def test_newton_block_order_and_engine_follow_the_band_cap(res, band):
+    # (40,6,4,5) takes the axial-column order (x index, radial level,
+    # species) and the band engine; (80,12,8,10), whose band array would
+    # exceed the cap, keeps the fill-reducing order and SuperLU
+    solver = _profile_solver(res, (0.8, 0.4))
+    p, mesh = solver.pattern, solver.mesh
+    A = _block_csc(solver, solver.initial_field())
+    node, species = np.divmod(p.free, 5)
+    j, i = np.divmod(node, mesh.nx + 1)
+    axial = np.all(np.diff((i * (mesh.nr + 1) + j) * 5 + species) > 0)
+    factors = linalg.Factorization(A)
+    assert axial == band
+    assert isinstance(factors._lu, linalg._BandLU) == band
+    if not band:
+        # the order fill_reducing_order takes on the block in natural order
+        q = np.searchsorted(np.flatnonzero(~p.is_dirichlet), p.free)
+        natural = np.argsort(q)
+        assert np.array_equal(linalg.fill_reducing_order(A[natural][:, natural]), q)
+
+
+def test_band_and_superlu_engines_agree_on_a_coarse_newton_block(monkeypatch):
+    # the same block of J at a converged field, two engines, a direct solve each
+    solver = _profile_solver((40, 6, 4, 5), (0.8, 0.4))
+    field, _ = solver.solve()
+    A = _block_csc(solver, field)
+    b = np.random.default_rng(22).standard_normal((A.shape[0], 2))
+    band = linalg.Factorization(A)
+    monkeypatch.setattr(linalg, "_BAND_BYTES", 0)
+    superlu = linalg.Factorization(A)
+    assert isinstance(band._lu, linalg._BandLU)
+    assert isinstance(superlu._lu, spla.SuperLU)
+    x_band, x_superlu = band.solve(A, b), superlu.solve(A, b)
+    assert np.max(np.abs(x_band - x_superlu)) <= 1e-12 * np.max(np.abs(x_superlu))
 
 
 # -- tangents inside the solve ---------------------------------------------------------
