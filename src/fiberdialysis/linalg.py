@@ -2,25 +2,37 @@
 
 Backed by scipy.sparse compressed storage; problem sizes here (a few 1e4
 unknowns) make a direct factorization the robust choice for the
-nonsymmetric convection-dominated operators.  Every system of one pattern
-shares an order computed once (``factorization_order``), and
-``solve_linear`` factorizes systems already permuted into that order.
+nonsymmetric convection-dominated operators.  ``solve_linear`` factorizes a
+system in its given order, which its caller makes a narrow band where it
+can (``transport.NewtonPattern`` numbers the free dofs by axial column).
 
-Two engines factorize, both with partial pivoting; which one takes a matrix
-depends on its size alone.  A matrix whose entries lie within kl below and
-ku above the diagonal is a band matrix, and LAPACK's band LU (``dgbtrf``,
-``dgbtrs``) factorizes it in an array of (2 kl + ku + 1) n values with no
-ordering search.  When that array fits ``_BAND_BYTES`` (16 MiB), the band
-engine takes the matrix; above it, SuperLU takes it, in a fill-reducing
-order (``fill_reducing_order``).  The cap is set by memory: on the coarse
-Newton block (40,6,4,5) in its axial-column order (kl = ku = 67) the band
-array takes 4.0 MB and factorizes about 3x faster than SuperLU; on the
-default (80,12,8,10) block (kl = ku = 124) it would take 28.5 MB, where
-SuperLU's factors hold 1.40M entries (11 MB of values).
+One band engine, in two precisions, and SuperLU factorize, all with
+partial pivoting; which one takes a matrix depends on its pattern alone
+(``BandLayout``, computed once per pattern).  A matrix whose entries lie
+within kl below and ku above the diagonal is a band matrix, and LAPACK's
+band LU (``gbtrf``, ``gbtrs``) factorizes it in an array of
+(2 kl + ku + 1) n values with no ordering search.  That array's size
+against ``_BAND_BYTES`` (16 MiB) picks the engine:
 
-The BLAS behind ``scipy.linalg``, which both engines call, is pinned to one
-thread when this module is imported: on these block sizes OpenBLAS threads
-only spin, taking twice the CPU time for no shorter wall time.
+- float64 band factors when the array fits in float64, as on the coarse
+  Newton block (40,6,4,5) (kl = ku = 67, 3.8 MiB) and every smaller one;
+- else float32 band factors when it fits in float32, as on the default
+  block (80,12,8,10) (kl = ku = 124, 13.6 MiB; 27.2 MiB in float64).  A
+  direct solve on them refines in float64 to roundoff
+  (``Factorization.refine``), in about 4 back-solves while
+  cond * eps32 < 1 (mixed-precision refinement).  One LU takes 15 ms
+  there, against 59-83 ms with SuperLU, whose factors hold 1.41M entries;
+- else SuperLU, which orders the matrix itself (MMD on A^T + A), as on
+  (160,24,16,20): an LU of 0.9 s with 9.14M entries of fill.
+
+Float32 factors give way to SuperLU on the same matrix when ``sgbtrf``
+meets a zero pivot or the refinement of a direct solve stalls short of
+roundoff, so they fail no solve that float64 factors would have solved;
+the band array is dropped before SuperLU factorizes.
+
+The BLAS behind ``scipy.linalg``, which every engine calls, is pinned to
+one thread when this module is imported: on these block sizes OpenBLAS
+threads only spin, taking twice the CPU time for no shorter wall time.
 
 A ``Factorization`` also serves nearby matrices of the same order: a Newton
 solve factorizes its first Jacobian and solves each later one by iterative
@@ -36,18 +48,18 @@ from __future__ import annotations
 import ctypes
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import _flapack, lapack
 
 from .exceptions import AssemblyError, SolverError
 
-_ORDERING = "MMD_AT_PLUS_A"  # near-structurally-symmetric systems: ~2x less fill than COLAMD
 # largest last correction, relative to the solution, of an accepted refinement:
 # on the Newton systems refinement stalls at 2-7e-15 when it converges, and at
 # 1e-3 or above when the factors are too far from the matrix
 _REFINED_CORRECTION = 1e-13
-# largest band array (float64) the band engine factorizes; see the module docstring
+# largest band array the band engine factorizes, in float64 if it fits, else
+# in float32: 3.8 MiB (float64) on (40,6,4,5), 13.6 MiB (float32) on
+# (80,12,8,10); above it SuperLU factorizes.  See the module docstring
 _BAND_BYTES = 16 * 2**20
 _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
@@ -73,18 +85,21 @@ class SparseMatrix:
     the input of ``solve_linear``, with its dimension ``n`` and ``nnz``.
 
     A CSC matrix is the form the factorization takes without conversion.
+    ``layout`` is None or the ``BandLayout`` of its CSC pattern, which an
+    owner of many matrices of one pattern computes once and hands to each.
     ``lu`` is None or a ``Factorization`` for ``solve_linear`` to use: of
     this matrix, or of a nearby one in the same order to refine on, and
     stays when the values ``data`` are overwritten in place.
     """
 
-    def __init__(self, mat):
+    def __init__(self, mat, layout=None):
         if mat.shape[0] != mat.shape[1]:
             raise AssemblyError(f"matrix must be square, got shape {mat.shape}")
         mat.sum_duplicates()
         mat.sort_indices()
         self._mat = mat
         self.n = mat.shape[0]
+        self.layout = layout
         self.lu = None
 
     @property
@@ -99,44 +114,31 @@ class SparseMatrix:
         return self._mat.tocsc()
 
 
-def fill_reducing_order(A) -> np.ndarray:
-    """Symmetric permutation ``q`` that SuperLU's MMD_AT_PLUS_A ordering picks
-    for the pattern of the square matrix A (its values are ignored); factorize
-    ``A[q][:, q]`` with ``solve_linear``.
+class BandLayout:
+    """How the band engine stores a square CSC pattern (its values are
+    ignored): the bandwidths ``kl`` and ``ku``, the precision ``dtype`` of
+    its band factors, and ``position``, each stored entry's flat index in
+    the Fortran-ordered band array of ``rows`` x n values.  ``dtype`` is
+    float64 when that array fits ``_BAND_BYTES`` in float64, else float32
+    when it fits in float32, else None (and ``position`` None): SuperLU
+    factorizes."""
 
-    SuperLU orders from the pattern alone before it factorizes, so a cheap
-    incomplete factorization that drops all fill, of a diagonally dominant
-    matrix with that pattern, yields the same order as a full one.
-    """
-    pattern = sp.csc_matrix(A, dtype=float, copy=True)
-    pattern.data[:] = 1.0
-    n = pattern.shape[0]
-    surrogate = (pattern + sp.identity(n, format="csc") * (n + 1.0)).tocsc()
-    lu = spla.spilu(surrogate, drop_tol=1.0, fill_factor=1, permc_spec=_ORDERING)
-    # SuperLU moves column j to position perm_c[j]; q lists columns by position
-    return np.argsort(lu.perm_c).astype(np.int32)
-
-
-def _bandwidths(rows, cols):
-    """(kl, ku): how far the entries at (rows, cols) reach below and above
-    the diagonal."""
-    offset = rows - cols
-    return int(np.max(offset, initial=0)), int(-np.min(offset, initial=0))
-
-
-def _band_fits(n, kl, ku):
-    return (2 * kl + ku + 1) * n * 8 <= _BAND_BYTES
-
-
-def factorization_order(A, band_order) -> np.ndarray:
-    """Symmetric permutation to factorize the square matrix A in (its values
-    are ignored): ``band_order`` when A in that order is a band matrix small
-    enough for the band engine, else ``fill_reducing_order(A)``."""
-    coo = sp.coo_matrix(A)
-    position = np.argsort(band_order)
-    if _band_fits(A.shape[0], *_bandwidths(position[coo.row], position[coo.col])):
-        return band_order
-    return fill_reducing_order(A)
+    def __init__(self, csc):
+        n = csc.shape[0]
+        # int32 holds every position: a band array within the cap has at
+        # most _BAND_BYTES / 4 values
+        cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(csc.indptr))
+        offset = csc.indices - cols
+        self.kl, self.ku = int(np.max(offset, initial=0)), int(-np.min(offset, initial=0))
+        self.rows = 2 * self.kl + self.ku + 1
+        self.dtype = next((dtype for dtype in (np.float64, np.float32)
+                           if self.rows * n * np.dtype(dtype).itemsize <= _BAND_BYTES), None)
+        self.position = None
+        if self.dtype is not None:
+            # LAPACK band storage: entry (i, j) in row kl + ku + i - j of
+            # column j; the first kl rows are room for the fill of row swaps
+            self.position = self.kl + self.ku + offset + self.rows * cols
+            self.position.flags.writeable = False
 
 
 def _column_norms(r):
@@ -150,49 +152,67 @@ def _column_max(v):
 
 
 class _BandLU:
-    """LAPACK band LU factors (``dgbtrf``) of a CSC matrix whose entries lie
-    within ``kl`` below and ``ku`` above the diagonal; ``cols`` lists each
-    stored entry's column."""
+    """LAPACK band LU factors (``gbtrf``) of a CSC matrix with the pattern of
+    ``layout``, in its precision; ``info`` > 0 is the 1-based column where
+    elimination met a zero pivot.  ``solve`` takes and returns float64."""
 
-    def __init__(self, csc, cols, kl, ku):
-        # LAPACK band storage: entry (i, j) in row kl + ku + i - j of column
-        # j; the first kl rows are room for the fill that row swaps make
-        ab = np.zeros((2 * kl + ku + 1, csc.shape[0]), order="F")
-        ab[kl + ku + csc.indices - cols, cols] = csc.data
-        self._ab, self._piv, info = lapack.dgbtrf(ab, kl, ku, overwrite_ab=1)
-        if info > 0:
-            raise SolverError(f"sparse LU failed: band matrix is singular (pivot {info})")
-        self._kl, self._ku = kl, ku
+    def __init__(self, csc, layout):
+        ab = np.zeros(layout.rows * csc.shape[0], dtype=layout.dtype)
+        ab[layout.position] = csc.data
+        gbtrf, self._gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=layout.dtype)
+        self._ab, self._piv, self.info = gbtrf(ab.reshape((layout.rows, -1), order="F"),
+                                               layout.kl, layout.ku, overwrite_ab=1)
+        self._kl, self._ku = layout.kl, layout.ku
+        self.dtype = layout.dtype
 
     def solve(self, b):
-        return lapack.dgbtrs(self._ab, self._kl, self._ku, b, self._piv)[0]
+        x = self._gbtrs(self._ab, self._kl, self._ku, b.astype(self.dtype, copy=False),
+                        self._piv)[0]
+        return x.astype(float, copy=False)
 
 
 class Factorization:
-    """LU factors of one sparse matrix, taken in its given order: LAPACK's
-    band LU when its band array fits ``_BAND_BYTES``, else SuperLU's.
+    """LU factors of one sparse matrix, taken in its given order by the
+    engine its ``BandLayout`` picks (computed here when not given): band
+    factors in float64 or float32, or SuperLU's.
 
     ``solve`` answers systems of that matrix; ``refine`` reuses the factors
     for a nearby matrix of the same order, such as a later Newton Jacobian.
+    Float32 band factors that meet a zero pivot, or on which ``solve``
+    cannot refine to roundoff, are replaced by SuperLU's.
     """
 
-    def __init__(self, csc):
-        n = csc.shape[0]
-        cols = np.repeat(np.arange(n), np.diff(csc.indptr))
-        kl, ku = _bandwidths(csc.indices, cols)
-        if _band_fits(n, kl, ku):
-            self._lu = _BandLU(csc, cols, kl, ku)
-        else:
-            try:
-                self._lu = spla.splu(csc, permc_spec="NATURAL")
-            except RuntimeError as exc:  # SuperLU signals singularity this way
-                raise SolverError(f"sparse LU failed: {exc}") from exc
+    def __init__(self, csc, layout=None):
+        layout = BandLayout(csc) if layout is None else layout
+        self._lu = None if layout.dtype is None else _BandLU(csc, layout)
+        if self._lu is None:
+            self._superlu(csc)
+        elif self._lu.info > 0:
+            if self._lu.dtype == np.float64:
+                raise SolverError(
+                    f"sparse LU failed: band matrix is singular (pivot {self._lu.info})")
+            self._superlu(csc)  # a zero pivot in float32 need not be one in float64
+
+    def _superlu(self, csc):
+        self._lu = None  # the band array goes before SuperLU's factors come
+        try:
+            self._lu = spla.splu(csc, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU signals singularity this way
+            raise SolverError(f"sparse LU failed: {exc}") from exc
 
     def solve(self, csc, b) -> np.ndarray:
         """x with ``csc`` x = b, ``csc`` being the factorized matrix: one
-        back-solve, then the finite and residual checks of ``solve_linear``."""
+        back-solve, or on float32 factors refinement to roundoff (SuperLU's
+        back-solve if that stalls), then the finite and residual checks of
+        ``solve_linear``."""
+        x = None
+        if isinstance(self._lu, _BandLU) and self._lu.dtype == np.float32:
+            x = self.refine(csc, b)
+            if x is None:  # the matrix is too ill-conditioned for float32 factors
+                self._superlu(csc)
         try:
-            x = self._lu.solve(b)
+            if x is None:
+                x = self._lu.solve(b)
         except RuntimeError as exc:
             raise SolverError(f"sparse LU failed: {exc}") from exc
         if not np.all(np.isfinite(x)):
@@ -242,8 +262,8 @@ def solve_linear(A: SparseMatrix, b, x0=None, rtol=None) -> np.ndarray:
     """Solve A x = b by sparse direct LU; deterministic for fixed inputs.
 
     ``b`` is a vector or an (n, k) array of k right-hand sides, which share
-    one factorization.  A is factorized in its given order, which the
-    caller has taken from ``factorization_order``.  When ``A.lu`` holds the
+    one factorization.  A is factorized in its given order, with the
+    engine ``A.layout`` picks (see ``BandLayout``).  When ``A.lu`` holds the
     factors of a nearby matrix, A is first solved by refinement on them,
     starting from ``x0`` if given and to ``rtol`` if given (see
     ``Factorization.refine``), and factorized only if that stalls;
@@ -260,5 +280,5 @@ def solve_linear(A: SparseMatrix, b, x0=None, rtol=None) -> np.ndarray:
         if x is not None:
             return x
         A.lu = None  # release the stale factors before factorizing
-    A.lu = Factorization(csc)
+    A.lu = Factorization(csc, A.layout)
     return A.lu.solve(csc, b)

@@ -24,9 +24,9 @@ solved by Newton in variational form: each step solves
     grad_F(c_n) c_{n+1} = grad_F(c_n) c_n - F(c_n)
 
 for the free dofs only, so the system exists only as its free-free block
-J_ff = L_ff - M f'_ff, in the axial-column band order, or the fill-reducing
-order above the band engine's cap; both are fixed per mesh
-(``NewtonPattern``), so every solve on a mesh takes the same path.  L is
+J_ff = L_ff - M f'_ff, in the axial-column band order, with the band layout
+that picks its LU engine; both are fixed per mesh (``NewtonPattern``), so
+every solve on a mesh takes the same path.  L is
 linear and cancels from the right-hand side but for its Dirichlet columns,
 the lift L_fD g_D: M (f(c) + s - f'(c) (c - g)) - L_fD g_D on the free rows.
 A solver assembles L_ff and the lift once and holds one block matrix, whose
@@ -59,7 +59,7 @@ import scipy.sparse as sp
 
 from .exceptions import ConfigurationError, NewtonError, SolverError
 from .flow import VelocityField
-from .linalg import SparseMatrix, factorization_order, solve_linear
+from .linalg import BandLayout, SparseMatrix, solve_linear
 from .mesh import Boundary, Mesh, boundary_vertices
 
 N_SPECIES = 5
@@ -221,14 +221,16 @@ class NewtonPattern:
     it and built once (``Mesh.newton_pattern``); solvers supply only values.
 
     - Dirichlet dofs, and the inlet entry each one takes;
-    - the free dofs (``free``) in the order ``linalg.factorization_order``
-      picks: the axial-column order (by x index, then radial level, then
-      species), which makes the block a band matrix of bandwidth 67 on
-      (40,6,4,5) and 124 on (80,12,8,10), when the band engine takes it, or
-      else the fill-reducing order, as on (80,12,8,10), whose band array
-      would exceed the engine's memory cap; and the CSC pattern of the
-      free-free block in that order (``block_indices``, ``block_indptr``,
-      ``nnz`` entries), the only form the system takes;
+    - the free dofs (``free``) in the axial-column order (by x index, then
+      radial level, then species), which makes the block a band matrix of
+      bandwidth 67 on (40,6,4,5) and 124 on (80,12,8,10); the CSC pattern
+      of the free-free block in that order (``block_indices``,
+      ``block_indptr``, ``nnz`` entries), the only form the system takes;
+      and its ``linalg.BandLayout`` (``layout``), which picks the LU engine
+      and places the values for it: float64 band factors on (40,6,4,5)
+      (3.8 MiB), float32 band factors refined in float64 on (80,12,8,10)
+      (13.6 MiB), and SuperLU, ordering the block itself, on finer meshes
+      such as (160,24,16,20), whose band array exceeds the cap;
     - the block entry each operator triplet (``op_keep``, ``op_pos``) and
       each reaction triplet (``rx_keep``, ``rx_pos``) with a free row and a
       free column adds to;
@@ -266,7 +268,6 @@ class NewtonPattern:
         keys = np.concatenate([op_rows[self.op_keep] * n + op_cols[self.op_keep],
                                rx_rows[self.rx_keep] * n + rx_cols[self.rx_keep]])
         n_op = int(self.op_keep.sum())
-        # build arrays go before the ordering's factorization sets the memory peak
         del op_dof_rows, op_dof_cols, op_rows, op_cols, rx_rows, rx_cols, number
         keys, pos = np.unique(keys, return_inverse=True)
         pos = pos.astype(np.int32)
@@ -279,9 +280,10 @@ class NewtonPattern:
         del keys
         # axial-column order: by x index i, then radial level j, then species
         j, i = np.divmod(free // N_SPECIES, mesh.nx + 1)
-        order = factorization_order(slots, np.lexsort((free % N_SPECIES, j, i)))
+        order = np.lexsort((free % N_SPECIES, j, i))
         block = slots[order][:, order].tocsc()
         del slots
+        self.layout = BandLayout(block)
         moved = np.argsort(block.data).astype(np.int32)  # natural entry -> block entry
         self.op_pos, self.rx_pos = moved[pos[:n_op]], moved[pos[n_op:]]
         self.lift_rows = np.argsort(order)[lift_rows].astype(np.int32)
@@ -341,7 +343,8 @@ class TransportSolver:
         p, n_free = self.pattern, self.pattern.free.size
         # each jacobian() overwrites the values; lu keeps a solve's factors
         self._matrix = SparseMatrix(sp.csc_matrix(
-            (np.zeros(p.nnz), p.block_indices, p.block_indptr), shape=(n_free, n_free)))
+            (np.zeros(p.nnz), p.block_indices, p.block_indptr), shape=(n_free, n_free)),
+            p.layout)
 
     # .. boundary values ..
 

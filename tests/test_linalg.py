@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from fiberdialysis.exceptions import AssemblyError, SolverError
-from fiberdialysis.linalg import Factorization, SparseMatrix, fill_reducing_order, solve_linear
+from fiberdialysis.linalg import BandLayout, Factorization, SparseMatrix, solve_linear
 
 
 def matrix(dense):
@@ -89,28 +89,51 @@ def _convection_diffusion(m, rng):
     return A
 
 
-def test_fill_reducing_order_depends_on_pattern_only():
-    import scipy.sparse.linalg as spla
+def test_band_layout_depends_on_pattern_only_and_places_every_entry():
     rng = np.random.default_rng(13)
-    A = _convection_diffusion(12, rng)
-    q = fill_reducing_order(A)
-    # the order SuperLU takes when it factorizes A itself
-    perm_c = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c
-    assert np.array_equal(q, np.argsort(perm_c))
+    A = _convection_diffusion(12, rng).tocsc()
+    layout = BandLayout(A)
+    assert (layout.kl, layout.ku, layout.rows, layout.dtype) == (12, 12, 37, np.float64)
     B = A.copy()
     B.data = rng.standard_normal(B.nnz)
-    assert np.array_equal(fill_reducing_order(B), q)
+    assert np.array_equal(BandLayout(B).position, layout.position)
+    # LAPACK band storage: entry (i, j) in row kl + ku + i - j of column j
+    ab = np.zeros(layout.rows * A.shape[0])
+    ab[layout.position] = A.data
+    ab = ab.reshape((layout.rows, -1), order="F")
+    coo = A.tocoo()
+    assert np.array_equal(ab[layout.kl + layout.ku + coo.row - coo.col, coo.col], coo.data)
+    assert np.count_nonzero(ab) == A.nnz
 
 
-def test_preordered_solve_matches_ordered_solve():
+@pytest.mark.parametrize("cap, dtype", [(37 * 144 * 8, np.float64), (37 * 144 * 8 - 1, np.float32),
+                                        (37 * 144 * 4, np.float32), (37 * 144 * 4 - 1, None)])
+def test_band_layout_takes_the_widest_precision_that_fits_the_cap(monkeypatch, cap, dtype):
+    # the band array of the 144 x 144 five-point operator has 37 x 144 values
+    from fiberdialysis import linalg
+    monkeypatch.setattr(linalg, "_BAND_BYTES", cap)
+    layout = BandLayout(_convection_diffusion(12, np.random.default_rng(13)).tocsc())
+    assert layout.dtype == dtype
+    assert (layout.position is None) == (dtype is None)
+
+
+def test_superlu_above_the_cap_orders_for_itself(monkeypatch):
+    # a matrix whose band array fits the cap in no precision goes to
+    # SuperLU, which takes its own fill-reducing order (MMD on A^T + A)
     import scipy.sparse.linalg as spla
+    from fiberdialysis import linalg
     rng = np.random.default_rng(14)
-    A = _convection_diffusion(12, rng)
+    A = _convection_diffusion(12, rng).tocsc()
     b = rng.standard_normal(A.shape[0])
-    q = fill_reducing_order(A)
-    x = spla.spsolve(A.tocsc(), b)
-    xq = solve_linear(SparseMatrix(A[q][:, q].tocsc()), b[q])
-    assert np.linalg.norm(xq - x[q]) <= 1e-12 * np.linalg.norm(x)
+    monkeypatch.setattr(linalg, "_BAND_BYTES", 0)
+    factors = Factorization(A)
+    assert isinstance(factors._lu, spla.SuperLU)
+    own = spla.splu(A, permc_spec="MMD_AT_PLUS_A").perm_c
+    assert np.array_equal(factors._lu.perm_c, own)
+    assert not np.array_equal(own, np.arange(A.shape[0]))
+    x = factors.solve(A, b)
+    expected = spla.spsolve(A, b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_multi_column_rhs_matches_single_column_solves():
@@ -282,11 +305,65 @@ def test_band_engine_swaps_rows_for_a_tiny_leading_pivot():
 
 
 def test_singular_band_matrix_raises_solver_error():
-    from fiberdialysis import linalg
     A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
-    assert linalg._band_fits(3, 1, 1)
+    assert BandLayout(A).dtype == np.float64
     with pytest.raises(SolverError, match="singular"):
         solve_linear(SparseMatrix(A), np.ones(3))
+
+
+# a 3 x 3 tridiagonal band array (4 x 3 values) fits 48 bytes only in float32
+_FLOAT32_CAP_3 = 48
+
+
+def test_singular_matrix_on_float32_band_factors_raises_solver_error(monkeypatch):
+    # the float32 zero pivot hands the matrix to SuperLU, which finds it
+    # singular too
+    import scipy.sparse.linalg as spla
+    from fiberdialysis import linalg
+    A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    monkeypatch.setattr(linalg, "_BAND_BYTES", _FLOAT32_CAP_3)
+    assert BandLayout(A).dtype == np.float32
+    superlu, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: superlu.append(1) or splu(*a, **k))
+    with pytest.raises(SolverError, match="singular"):
+        solve_linear(SparseMatrix(A), np.ones(3))
+    assert superlu == [1]
+
+
+def test_float32_zero_pivot_falls_back_to_superlu(monkeypatch):
+    # 1 + 1e-10 rounds to 1 in float32, so sgbtrf meets an exact zero pivot
+    # in float64 the matrix is regular
+    import scipy.sparse.linalg as spla
+    from fiberdialysis import linalg
+    A = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-10, 0.0], [0.0, 1.0, 3.0]]))
+    x_true = np.ones(3)
+    monkeypatch.setattr(linalg, "_BAND_BYTES", _FLOAT32_CAP_3)
+    assert linalg._BandLU(A, BandLayout(A)).info > 0
+    factors = Factorization(A)
+    assert isinstance(factors._lu, spla.SuperLU)
+    x = factors.solve(A, A @ x_true)
+    assert np.max(np.abs(x - x_true)) <= 1e-4
+
+
+def test_stalled_refinement_on_float32_factors_falls_back_to_superlu(monkeypatch):
+    # tridiag(-1, 2 - lambda_1 + 1e-6, -1), lambda_1 the least eigenvalue of
+    # tridiag(-1, 2, -1): cond about 4e6, too large for float32 factors to
+    # refine to roundoff, so the direct solve hands the matrix to SuperLU
+    import scipy.sparse.linalg as spla
+    from fiberdialysis import linalg
+    n = 60
+    shift = 2.0 - 2.0 * np.cos(np.pi / (n + 1)) - 1e-6
+    A = sp.diags([-1.0, 2.0 - shift, -1.0], [-1, 0, 1], shape=(n, n), format="csc")
+    b = np.random.default_rng(23).standard_normal(n)
+    monkeypatch.setattr(linalg, "_BAND_BYTES", 4 * n * 4)
+    factors = Factorization(A)
+    assert isinstance(factors._lu, linalg._BandLU) and factors._lu.dtype == np.float32
+    assert factors.refine(A, b) is None
+    x = factors.solve(A, b)
+    assert isinstance(factors._lu, spla.SuperLU)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+    expected = spla.spsolve(A, b)
+    assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 def test_blas_behind_scipy_linalg_runs_one_thread():

@@ -474,9 +474,9 @@ def lu_count(monkeypatch):
     calls = [0]
     init = linalg.Factorization.__init__
 
-    def counted(self, csc):
+    def counted(self, *args):
         calls[0] += 1
-        init(self, csc)
+        init(self, *args)
 
     monkeypatch.setattr(linalg.Factorization, "__init__", counted)
     return lambda: calls[0]
@@ -519,8 +519,8 @@ def test_inexact_newton_steps_keep_the_iteration_and_save_back_solves(monkeypatc
             solves[0] += 1
             return self.lu.solve(b)
 
-    def counted(self, csc):
-        init(self, csc)
+    def counted(self, *args):
+        init(self, *args)
         self._lu = Counted(self._lu)
 
     monkeypatch.setattr(linalg.Factorization, "__init__", counted)
@@ -545,8 +545,8 @@ def test_solve_releases_its_factorization(monkeypatch, max_iter):
     made = []
     init = linalg.Factorization.__init__
 
-    def tracked(self, csc):
-        init(self, csc)
+    def tracked(self, *args):
+        init(self, *args)
         made.append(weakref.ref(self))
 
     monkeypatch.setattr(linalg.Factorization, "__init__", tracked)
@@ -564,25 +564,58 @@ def _block_csc(solver, c):
     return solver.jacobian(c).to_csc().copy()
 
 
-@pytest.mark.parametrize("res, band", [((40, 6, 4, 5), True), ((80, 12, 8, 10), False)])
-def test_newton_block_order_and_engine_follow_the_band_cap(res, band):
-    # (40,6,4,5) takes the axial-column order (x index, radial level,
-    # species) and the band engine; (80,12,8,10), whose band array would
-    # exceed the cap, keeps the fill-reducing order and SuperLU
+@pytest.mark.parametrize("res, double", [((40, 6, 4, 5), True), ((80, 12, 8, 10), False)])
+def test_newton_block_order_and_engine_follow_the_band_cap(res, double, monkeypatch):
+    # both blocks take the axial-column order (x index, radial level,
+    # species) and the band engine: (40,6,4,5) in float64, (80,12,8,10),
+    # whose float64 band array would exceed the cap, in float32.  Below
+    # both, SuperLU factorizes
     solver = _profile_solver(res, (0.8, 0.4))
     p, mesh = solver.pattern, solver.mesh
     A = _block_csc(solver, solver.initial_field())
     node, species = np.divmod(p.free, 5)
     j, i = np.divmod(node, mesh.nx + 1)
-    axial = np.all(np.diff((i * (mesh.nr + 1) + j) * 5 + species) > 0)
-    factors = linalg.Factorization(A)
-    assert axial == band
-    assert isinstance(factors._lu, linalg._BandLU) == band
-    if not band:
-        # the order fill_reducing_order takes on the block in natural order
-        q = np.searchsorted(np.flatnonzero(~p.is_dirichlet), p.free)
-        natural = np.argsort(q)
-        assert np.array_equal(linalg.fill_reducing_order(A[natural][:, natural]), q)
+    assert np.all(np.diff((i * (mesh.nr + 1) + j) * 5 + species) > 0)
+    factors = linalg.Factorization(A, p.layout)
+    assert isinstance(factors._lu, linalg._BandLU)
+    assert factors._lu.dtype == (np.float64 if double else np.float32)
+    monkeypatch.setattr(linalg, "_BAND_BYTES", p.layout.rows * p.free.size * 4 - 1)
+    assert isinstance(linalg.Factorization(A)._lu, spla.SuperLU)
+
+
+def test_float32_band_and_superlu_agree_on_a_default_newton_block(monkeypatch):
+    # the same block of J at a converged field: float32 band factors refined
+    # in float64, and SuperLU, a direct solve each
+    solver = _profile_solver((80, 12, 8, 10), (0.8, 0.4))
+    field, _ = solver.solve()
+    A = _block_csc(solver, field)
+    b = np.random.default_rng(25).standard_normal((A.shape[0], 2))
+    band = linalg.Factorization(A)
+    monkeypatch.setattr(linalg, "_BAND_BYTES", 0)
+    superlu = linalg.Factorization(A)
+    x_band, x_superlu = band.solve(A, b), superlu.solve(A, b)
+    assert isinstance(band._lu, linalg._BandLU) and band._lu.dtype == np.float32
+    assert isinstance(superlu._lu, spla.SuperLU)
+    assert np.max(np.abs(x_band - x_superlu)) <= 1e-12 * np.max(np.abs(x_superlu))
+
+
+def test_band_layout_is_computed_once_per_pattern(monkeypatch):
+    # every solver on a mesh hands the pattern's layout to its LUs
+    made = [0]
+    init = linalg.BandLayout.__init__
+
+    def counted(self, *args):
+        made[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(linalg.BandLayout, "__init__", counted)
+    first = _profile_solver((40, 6, 4, 5), (0.8, 0.4))
+    layout, built = first.pattern.layout, made[0]
+    first.solve()
+    solver = TransportSolver(first.mesh, first.velocity, first.cfg, first.bd, (0.3, 0.6))
+    solver.solve(tangents=True)
+    assert made[0] == built == 1
+    assert solver.pattern.layout is layout
 
 
 def test_band_and_superlu_engines_agree_on_a_coarse_newton_block(monkeypatch):
@@ -640,8 +673,8 @@ def test_tangent_solve_releases_its_factorization(monkeypatch, fail):
     made = []
     init = linalg.Factorization.__init__
 
-    def tracked(self, csc):
-        init(self, csc)
+    def tracked(self, *args):
+        init(self, *args)
         made.append(weakref.ref(self))
 
     def failing_tangents(A, b, x0=None, rtol=None):
@@ -673,9 +706,9 @@ def test_solve_with_tangents_builds_its_matrix_once(monkeypatch):
     made = [0]
     init = linalg.SparseMatrix.__init__
 
-    def counted(self, mat):
+    def counted(self, *args):
         made[0] += 1
-        init(self, mat)
+        init(self, *args)
 
     monkeypatch.setattr(linalg.SparseMatrix, "__init__", counted)
     solver = TransportSolver(mesh, velocity, prof.transport_config(), bd, (0.8, 0.4))
