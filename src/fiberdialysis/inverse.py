@@ -7,25 +7,28 @@ patient's frozen calibrated hydraulics, and observes the blood outlet
 averages.  Identification minimizes the weighted multi-patient least squares
 in log-parameters, by Levenberg-Marquardt on exact tangent outlet Jacobians,
 or the single-patient relative misfit (projected gradient), with forward
-failures (package errors, a beta below 0 among them) folded into a large
-objective value; any other exception is a fault and reaches the caller with
-its own type, from a home slot too.  A forward solve asked for tangents
+failures (package errors, a beta below 0 or not finite among them) folded
+into a large objective value; any other exception is a fault and reaches
+the caller with its own type, from a home slot too.  A forward solve asked for tangents
 returns the outlet Jacobian d outlet / d beta next to the outlet, taken
 inside that solve on the factors it already holds.
 
 Per-patient forward solves are independent.  Each process runs them through
 one ``ForwardSolver``, which also keeps each patient's warm-start state: the
 beta, field and (after a tangent solve) dc/dbeta of its last warm solve, so
-the next warm solve starts from the first-order prediction at its own beta.
-A field is the solve's own dof vector (entry 5*node + species, laid out by
-``transport``): it is cached, moved by its tangents and handed back to the
-next solve as is, and reshaped only to prolong a nested start node by node.
-``ForwardContext`` holds the main process's and, with jobs > 1, gives each
-patient a home slot: one worker process, forked with a copy of that
-solver, that runs all of that patient's solves in the order asked.  Fields
-and tangent fields never leave the process that solved them, each
-patient's warm-start history is the serial one, and results do not depend
-on ``jobs``: re-runs are byte-identical.
+the next warm solve starts from the first-order prediction at its own beta,
+and, from the patient's second warm solve on, the beta-free parts of its
+transport operator (``transport.BetaFreeOperator``), so that later warm
+solves at other beta only add the membrane terms.  A field is the solve's
+own dof vector (entry 5*node + species, laid out by ``transport``): it is
+cached, moved by its tangents and handed back to the next solve as is, and
+reshaped only to prolong a nested start node by node.  ``ForwardContext``
+holds the main process's and, with jobs > 1, gives each patient a home slot:
+one worker process, forked with a copy of that solver, that runs all of that
+patient's solves in the order asked.  Fields and tangent fields never leave
+the process that solved them, each patient's warm-start history is the
+serial one, and results do not depend on ``jobs``: re-runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -90,6 +93,14 @@ class ForwardSolver:
     their velocity fields, keyed by (patient id, hydraulics), and the
     warm-start state of each one's last warm task.
 
+    A warm-start state holds the patient's ``BetaFreeOperator`` (L0 and the
+    membrane block) from its second warm task on: about 240 KB on
+    (40,6,4,5) and 920 KB on (80,12,8,10) per patient, which a patient
+    solved once, or only cold, does not cost.  L0 depends on the velocity
+    field and the inlet values, so the operator is kept with the hydraulics
+    and inlets it was assembled for, and a task of a record that differs in
+    either assembles its own.
+
     A cold solve on a mesh whose four resolution counts are all even starts
     Newton from the same solve on the mesh with half of each count (nested
     iteration), prolonged to this mesh.  That coarse level is a
@@ -100,7 +111,9 @@ class ForwardSolver:
         self.mesh = build_structured_mesh(geom, *mesh_res)
         self.cfg = cfg
         self._velocity: dict = {}
-        self._warm: dict = {}     # patient id -> (beta, field, dc/dbeta or None)
+        # patient id -> (beta, field, dc/dbeta or None,
+        #                (operator key, BetaFreeOperator) or None)
+        self._warm: dict = {}
         self._coarse = None       # (coarse ForwardSolver, prolongation) if the mesh nests
         if not any(n % 2 for n in mesh_res):
             coarse = ForwardSolver(geom, [n // 2 for n in mesh_res], cfg)
@@ -110,11 +123,12 @@ class ForwardSolver:
         """Forward solve at beta = (d_Ca, d_Ci), warm-started from the field
         ``c0`` if given; returns (outlet, field, NewtonResult), whose
         ``tangents`` hold dc/dbeta when ``tangents`` is set."""
-        fld, result = self._newton(rec, beta, c0, tangents)
+        fld, result, _ = self._newton(rec, beta, c0, tangents)
         return outlet_concentration(fld, self.mesh), fld, result
 
-    def _newton(self, rec: PatientRecord, beta, c0, tangents=False):
-        """``solve`` without the outlet: (field, NewtonResult)."""
+    def _newton(self, rec: PatientRecord, beta, c0, tangents=False, beta_free=None):
+        """``solve`` without the outlet, on the patient's ``BetaFreeOperator``
+        ``beta_free`` if given: (field, NewtonResult, the solve's operator)."""
         if c0 is None:
             c0 = self._nested_start(rec, beta)
         key = (rec.id, rec.hydraulics)
@@ -122,8 +136,9 @@ class ForwardSolver:
             self._velocity[key] = compute_velocity_field(self.mesh, rec.hydraulics)
         bd = BoundaryData(inlet_blood=tuple(rec.inlet_blood),
                           inlet_dialysate=tuple(rec.inlet_dialysate))
-        solver = TransportSolver(self.mesh, self._velocity[key], self.cfg, bd, beta)
-        return solver.solve(c0=c0, tangents=tangents)
+        solver = TransportSolver(self.mesh, self._velocity[key], self.cfg, bd, beta,
+                                 beta_free=beta_free)
+        return *solver.solve(c0=c0, tangents=tangents), solver.beta_free
 
     def _nested_start(self, rec: PatientRecord, beta):
         """The cold solve on the half-resolution mesh, prolonged to this
@@ -133,7 +148,7 @@ class ForwardSolver:
             return None
         coarse, prolong = self._coarse
         try:
-            fld, _ = coarse._newton(rec, beta, None)
+            fld, _, _ = coarse._newton(rec, beta, None)
         except (NewtonError, SolverError) as exc:
             m = coarse.mesh
             log.debug("patient %s at beta %s: the solve on mesh %s failed (%s: %s); "
@@ -154,21 +169,32 @@ class ForwardSolver:
 
         A warm task starts from the patient's last warm-converged field
         here, if there is one, moved to this beta by its dc/dbeta if that
-        solve took tangents (c + dc/dbeta (beta - beta_old)); its own
-        beta, field and tangents then replace those.  A cold task neither
-        reads nor writes them."""
+        solve took tangents (c + dc/dbeta (beta - beta_old)), and on the
+        kept operator if it was assembled for this record's hydraulics and
+        inlets; its own beta, field and tangents then replace those, and
+        its operator is kept unless this was the patient's first warm task.
+        A cold task neither reads nor writes them."""
         beta = np.asarray(beta, dtype=float)
-        c0 = None
-        if warm and rec.id in self._warm:
-            beta_old, c0, dc = self._warm[rec.id]
+        state = self._warm.get(rec.id) if warm else None
+        c0 = beta_free = None
+        key = (rec.hydraulics, tuple(rec.inlet_blood), tuple(rec.inlet_dialysate))
+        if state is not None:
+            beta_old, c0, dc, kept = state
             if dc is not None:
-                c0 = c0 + dc @ (beta - beta_old)
+                # an infinite beta predicts NaN, which no solve reads: the
+                # solve rejects that beta first
+                with np.errstate(invalid="ignore"):
+                    c0 = c0 + dc @ (beta - beta_old)
+            if kept is not None and kept[0] == key:
+                beta_free = kept[1]
         try:
-            outlet, fld, result = self.solve(rec, beta, c0, tangents)
+            fld, result, beta_free = self._newton(rec, beta, c0, tangents, beta_free)
         except FiberDialysisError as exc:
             return None, exc
+        outlet = outlet_concentration(fld, self.mesh)
         if warm:
-            self._warm[rec.id] = beta, fld, result.tangents
+            self._warm[rec.id] = (beta, fld, result.tangents,
+                                  None if state is None else (key, beta_free))
         if tangents:
             outlet = np.column_stack([outlet] + [outlet_concentration(col, self.mesh)
                                                  for col in result.tangents.T])

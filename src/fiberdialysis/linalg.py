@@ -141,10 +141,17 @@ class BandLayout:
             self.position.flags.writeable = False
 
 
-def _column_norms(r):
+def _column_norms(v):
+    """The Euclidean norm of each column of ``v``: inf where the column
+    holds inf or its norm exceeds the float range, NaN where it holds NaN.
+    Each column is scaled by its largest entry before it is squared, so
+    that no square overflows."""
     # plain sums, not np.linalg.norm: OpenBLAS threads long dot products, and
     # its second thread then spins against SuperLU
-    return np.sqrt(np.sum(r * r, axis=0))
+    size = _column_max(v)
+    scale = np.where((size > 0) & (size < np.inf), size, 1.0)
+    with np.errstate(over="ignore"):
+        return scale * np.sqrt(np.sum((v / scale) ** 2, axis=0))
 
 
 def _column_max(v):
@@ -204,7 +211,9 @@ class Factorization:
         """x with ``csc`` x = b, ``csc`` being the factorized matrix: one
         back-solve, or on float32 factors refinement to roundoff (SuperLU's
         back-solve if that stalls), then the finite and residual checks of
-        ``solve_linear``."""
+        ``solve_linear``; the residual check of a column fails unless its
+        residual and its limit are finite and the residual is within the
+        limit."""
         x = None
         if isinstance(self._lu, _BandLU) and self._lu.dtype == np.float32:
             x = self.refine(csc, b)
@@ -219,8 +228,10 @@ class Factorization:
             raise SolverError("sparse LU produced non-finite solution", residual=np.inf)
         residual = _column_norms(csc @ x - b)
         limit = 1e-10 * (_column_norms(b) + 1.0)
-        if np.any(residual > limit):
-            k = np.argmax(residual / limit)
+        # a NaN residual or an infinite limit fails too: inf <= inf would pass
+        failed = ~((residual <= limit) & (limit < np.inf))
+        if np.any(failed):
+            k = np.argmax(failed)
             residual, limit = np.ravel(residual)[k], np.ravel(limit)[k]
             raise SolverError(
                 f"linear solve residual {residual:.3e} exceeds tolerance {limit:.3e}",

@@ -26,28 +26,50 @@ solved by Newton in variational form: each step solves
 for the free dofs only, so the system exists only as its free-free block
 J_ff = L_ff - M f'_ff, in the axial-column band order, with the band layout
 that picks its LU engine; both are fixed per mesh (``NewtonPattern``), so
-every solve on a mesh takes the same path.  L is
-linear and cancels from the right-hand side but for its Dirichlet columns,
-the lift L_fD g_D: M (f(c) + s - f'(c) (c - g)) - L_fD g_D on the free rows.
-A solver assembles L_ff and the lift once and holds one block matrix, whose
+every solve on a mesh takes the same path.  L is linear and cancels from the
+right-hand side but for its Dirichlet columns, the lift L_fD g_D:
+M (f(c) + s - f'(c) (c - g)) - L_fD g_D on the free rows.  Each step
+evaluates the reaction Jacobian f'(c) once and writes both its right-hand
+side and the block values from it.  A solver holds one block matrix, whose
 values each Jacobian overwrites and whose ``lu`` keeps the factors through a
-solve: it factorizes its first Jacobian; each later step solves by
-iterative refinement on those factors and factorizes again only when
-refinement stalls short of the accuracy of a direct solve.  This is inexact
-Newton: a refined step is solved only to ``_NEWTON_FORCING`` = 1e-6 of its
-own update, which moves the converged field by at most about 1e-6 times the
-last update (below ``newton_tol``).  The tangents are solved to roundoff.
+solve: it factorizes its first Jacobian; each later step solves by iterative
+refinement on those factors and factorizes again only when refinement stalls
+short of the accuracy of a direct solve.  This is inexact Newton: a refined
+step is solved only to ``_NEWTON_FORCING`` = 1e-6 of its own update, which
+moves the converged field by at most about 1e-6 times the last update (below
+``newton_tol``).  The tangents are solved to roundoff.
 
-The linear operator L is assembled in one pass over all triangles.  beta =
-(d_Ca, d_Ci) is an argument of the solve (``TransportSolver(..., beta)``)
-and enters L at one place: beta_k scales only the membrane diffusion of the
-species ``MEMBRANE_BETA`` maps to k (free calcium to d_Ca, citrate and
-calcium-citrate to d_Ci), so L is affine in beta.  The assembly keeps that
-membrane block.  Asked for tangents, a solve also returns dc/dbeta at its
-converged field: the two columns of J(c) dc/dbeta = -(dL/dbeta) c, the
-right-hand side taken from the kept block, refined on the factors the solve
-still holds before it releases them, so they cost no factorization of their
-own unless that refinement stalls.
+beta = (d_Ca, d_Ci) is an argument of the solve (``TransportSolver(...,
+beta)``) and enters L at one place: beta_k scales only the membrane
+diffusion of the species ``MEMBRANE_BETA`` maps to k (free calcium to d_Ca,
+citrate and calcium-citrate to d_Ci).  So L is affine in beta,
+
+    L(beta) = L0 + beta_1 L1 + beta_2 L2,
+
+and each part lives where what it depends on lives:
+
+- L0 (convection, the albumin interface term, blood and dialysate
+  diffusion) depends on the velocity field and, through its lift, on the
+  inlet values.  It is kept as its free-free block in the block layout
+  (190 KB on (40,6,4,5), 750 KB on (80,12,8,10)) and its lift.
+- L_k is the membrane block w K (r-weight times unit-diffusivity stiffness
+  of each membrane triangle; 23 KB on (40,6,4,5), 92 KB on (80,12,8,10))
+  times D_blood_s, for each species s that ``MEMBRANE_BETA`` maps to k.
+  The block entries it adds to are fixed per mesh
+  (``NewtonPattern.beta_pos``).
+
+L0 and the membrane block are assembled together, in one pass over all
+triangles, as a ``BetaFreeOperator``: about 240 KB on (40,6,4,5) and 920 KB
+on (80,12,8,10).  A solver assembles one unless it is handed one;
+``inverse.ForwardSolver`` keeps a patient's from its second warm solve on.
+A solve then only writes L0 + beta_1 L1 + beta_2 L2 into the block values,
+and the same sum into the lift: 0.08 ms on (40,6,4,5) and 0.3 ms on
+(80,12,8,10) for a solver handed its operator, against 1.1 ms and 4-5 ms for
+one that assembles it.  Asked for tangents, it also returns dc/dbeta at its
+converged field: the two columns of J(c) dc/dbeta = -(dL/dbeta) c = -L_k c,
+taken from the same membrane entries, refined on the factors the solve still
+holds before it releases them, so they cost no factorization of their own
+unless that refinement stalls.
 """
 
 from __future__ import annotations
@@ -197,23 +219,55 @@ def reaction_jacobian(c, rp: ReactionParams) -> np.ndarray:
 
 # -- per-mesh system structure -------------------------------------------------------
 
+def _triangle_dofs(tri, s):
+    """Row and column dofs of species s's 3x3 blocks on the triangles
+    ``tri``, each block row-major."""
+    return (N_SPECIES * np.repeat(tri, 3, axis=1).ravel() + s,
+            N_SPECIES * np.tile(tri, (1, 3)).ravel() + s)
+
+
 def _operator_dofs(mesh: Mesh):
-    """Row and column dofs of the linear operator's triplets, in the order
-    ``TransportSolver._build_linear_operator`` emits their values: per
-    species the 3x3 blocks of its triangles, then the 2x2 blood-membrane
-    edge blocks of the species that stay in blood."""
+    """Row and column dofs of L0's triplets, in the order
+    ``TransportSolver._assemble_beta_free`` emits their values: per species
+    the 3x3 blocks of its triangles, then the 2x2 blood-membrane edge blocks
+    of the species that stay in blood."""
     tri = mesh.triangles
     ends = mesh.edges_with_tag(Boundary.BLOOD_MEMBRANE).T  # (2, E)
     rows, cols = [], []
     for s, k in enumerate(MEMBRANE_BETA):
-        a_tri = tri[mesh.fem.is_blood] if k is None else tri
-        rows.append(N_SPECIES * np.repeat(a_tri, 3, axis=1).ravel() + s)
-        cols.append(N_SPECIES * np.tile(a_tri, (1, 3)).ravel() + s)
+        r, c = _triangle_dofs(tri[mesh.fem.is_blood] if k is None else tri, s)
+        rows.append(r)
+        cols.append(c)
     for s, k in enumerate(MEMBRANE_BETA):
         if k is None:
             rows.append(N_SPECIES * np.repeat(ends, 2, axis=0).ravel() + s)
             cols.append(N_SPECIES * np.tile(ends, (2, 1)).ravel() + s)
     return np.concatenate(rows), np.concatenate(cols)
+
+
+def _membrane_dofs(mesh: Mesh):
+    """Row and column dofs of the membrane diffusion triplets, the entries
+    of L1 and L2, in the order ``TransportSolver._add_beta_terms`` emits
+    their values: per species that crosses the membrane, the 3x3 blocks of
+    the membrane triangles."""
+    tri = mesh.triangles[mesh.fem.is_membrane]
+    dofs = [_triangle_dofs(tri, s) for s, k in enumerate(MEMBRANE_BETA) if k is not None]
+    return np.concatenate([r for r, _ in dofs]), np.concatenate([c for _, c in dofs])
+
+
+def _split_triplets(number, n, dof_rows, dof_cols):
+    """The triplets with row dofs ``dof_rows`` and column dofs ``dof_cols``,
+    split by ``number`` (a free dof's index among the ``n`` free dofs, -1
+    for a Dirichlet dof): the mask of those with a free row and a free
+    column, and their keys row * n + col in those indices; and of those
+    with a free row and a Dirichlet column, the lift: their indices, column
+    dofs and row indices."""
+    rows, cols = number[dof_rows], number[dof_cols]
+    keep = (rows >= 0) & (cols >= 0)
+    lift = (rows >= 0) & (cols < 0)
+    keys = rows[keep] * n + cols[keep]
+    return (keep, keys, np.flatnonzero(lift).astype(np.int32),
+            dof_cols[lift].astype(np.int32), rows[lift])
 
 
 class NewtonPattern:
@@ -231,12 +285,17 @@ class NewtonPattern:
       (3.8 MiB), float32 band factors refined in float64 on (80,12,8,10)
       (13.6 MiB), and SuperLU, ordering the block itself, on finer meshes
       such as (160,24,16,20), whose band array exceeds the cap;
-    - the block entry each operator triplet (``op_keep``, ``op_pos``) and
-      each reaction triplet (``rx_keep``, ``rx_pos``) with a free row and a
-      free column adds to;
-    - the lift: the operator triplets ``lift_src`` with a free row and a
-      Dirichlet column, by their row's position in ``free`` (``lift_rows``)
-      and their column dof (``lift_cols``).
+    - the block entry each L0 triplet (``_operator_dofs``; ``op_keep``,
+      ``op_pos``) and each reaction triplet (``rx_keep``, ``rx_pos``) with a
+      free row and a free column adds to;
+    - the membrane triplets (``_membrane_dofs``), the entries of L1 and L2,
+      with a free row and a free column (``beta_keep``), merged
+      (``beta_merge``) into the distinct block entries they add to
+      (``beta_pos``);
+    - the lift: the L0 triplets ``lift_src`` with a free row and a Dirichlet
+      column, by their row's position in ``free`` (``lift_rows``) and their
+      column dof (``lift_cols``), and the same of the membrane triplets
+      (``beta_lift_src``, ``beta_lift_rows``, ``beta_lift_cols``).
 
     Index maps are int32 and every array is read-only.
     """
@@ -253,22 +312,19 @@ class NewtonPattern:
         number = np.full(self.n_dof, -1)  # a free dof's index in `free` before ordering
         number[free] = np.arange(n)
 
-        op_dof_rows, op_dof_cols = _operator_dofs(mesh)
-        op_rows, op_cols = number[op_dof_rows], number[op_dof_cols]
+        self.op_keep, op_keys, self.lift_src, self.lift_cols, lift_rows = _split_triplets(
+            number, n, *_operator_dofs(mesh))
+        (self.beta_keep, beta_keys, self.beta_lift_src, self.beta_lift_cols,
+         beta_lift_rows) = _split_triplets(number, n, *_membrane_dofs(mesh))
         # 5x5 reaction block of every node, pair-major like reaction_jacobian
         nodes = N_SPECIES * np.arange(mesh.n_vertices)
         rx_rows = number[(nodes + np.repeat(np.arange(N_SPECIES), N_SPECIES)[:, None]).ravel()]
         rx_cols = number[(nodes + np.tile(np.arange(N_SPECIES), N_SPECIES)[:, None]).ravel()]
-        self.op_keep = (op_rows >= 0) & (op_cols >= 0)
         self.rx_keep = (rx_rows >= 0) & (rx_cols >= 0)
-        lift = (op_rows >= 0) & (op_cols < 0)
-        self.lift_src = np.flatnonzero(lift).astype(np.int32)
-        self.lift_cols = op_dof_cols[lift].astype(np.int32)
-        lift_rows = op_rows[lift]
-        keys = np.concatenate([op_rows[self.op_keep] * n + op_cols[self.op_keep],
-                               rx_rows[self.rx_keep] * n + rx_cols[self.rx_keep]])
-        n_op = int(self.op_keep.sum())
-        del op_dof_rows, op_dof_cols, op_rows, op_cols, rx_rows, rx_cols, number
+        rx_keys = rx_rows[self.rx_keep] * n + rx_cols[self.rx_keep]
+        n_op, n_rx = op_keys.size, rx_keys.size
+        keys = np.concatenate([op_keys, rx_keys, beta_keys])
+        del op_keys, rx_keys, beta_keys, rx_rows, rx_cols, number
         keys, pos = np.unique(keys, return_inverse=True)
         pos = pos.astype(np.int32)
         self.nnz = keys.size
@@ -285,8 +341,12 @@ class NewtonPattern:
         del slots
         self.layout = BandLayout(block)
         moved = np.argsort(block.data).astype(np.int32)  # natural entry -> block entry
-        self.op_pos, self.rx_pos = moved[pos[:n_op]], moved[pos[n_op:]]
-        self.lift_rows = np.argsort(order)[lift_rows].astype(np.int32)
+        self.op_pos, self.rx_pos = moved[pos[:n_op]], moved[pos[n_op:n_op + n_rx]]
+        self.beta_pos, merge = np.unique(moved[pos[n_op + n_rx:]], return_inverse=True)
+        self.beta_merge = merge.astype(np.int32)
+        to_block = np.argsort(order)  # a free dof's index in `free` -> its position
+        self.lift_rows = to_block[lift_rows].astype(np.int32)
+        self.beta_lift_rows = to_block[beta_lift_rows].astype(np.int32)
         self.free = free[order].astype(np.int32)
         self.block_indices = block.indices.astype(np.int32)
         self.block_indptr = block.indptr.astype(np.int32)
@@ -320,17 +380,43 @@ class NewtonPattern:
 
 # -- solver ------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class BetaFreeOperator:
+    """What the linear operator L(beta) = L0 + beta_1 L1 + beta_2 L2 holds
+    that beta does not change: L0 as its free-free block in the pattern's
+    block layout (``values``) and its lift L0_fD g_D on the free rows in the
+    order of ``free`` (``lift``), and the membrane block w K (r-weight times
+    unit-diffusivity stiffness of each membrane triangle, ``membrane``) that
+    L1 and L2 apply.  It depends on the mesh, velocity field, config and
+    Dirichlet values it was assembled for, and on nothing else; its arrays
+    are read-only."""
+
+    values: np.ndarray
+    lift: np.ndarray
+    membrane: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.values, self.lift, self.membrane):
+            arr.flags.writeable = False
+
+
 class TransportSolver:
     """Assembles and solves the coupled stationary system for fixed velocity,
-    coefficients, boundary data and beta = (d_Ca, d_Ci), whose entries are >= 0."""
+    coefficients, boundary data and beta = (d_Ca, d_Ci), whose entries are
+    finite and >= 0.
+
+    ``beta_free``, if given, is the ``BetaFreeOperator`` (``self.beta_free``)
+    of an earlier solver with the same mesh, velocity field, config and
+    Dirichlet values, which this one then takes as it is instead of
+    assembling it again."""
 
     def __init__(self, mesh: Mesh, velocity: VelocityField, cfg: TransportConfig,
-                 bd: BoundaryData, beta, dirichlet_override=None):
+                 bd: BoundaryData, beta, dirichlet_override=None, beta_free=None):
         if velocity.mesh is not mesh:
             raise ConfigurationError("velocity field was built on a different mesh")
         self.beta = tuple(float(b) for b in beta)
-        if any(b < 0 for b in self.beta):
-            raise ConfigurationError(f"beta must be nonnegative, got {self.beta}")
+        if not all(0.0 <= b < np.inf for b in self.beta):  # False for NaN too
+            raise ConfigurationError(f"beta must be nonnegative and finite, got {self.beta}")
         self.mesh = mesh
         self.velocity = velocity
         self.cfg = cfg
@@ -339,7 +425,8 @@ class TransportSolver:
         self.pattern = mesh.newton_pattern
         self.n_dof = self.pattern.n_dof
         self._build_dirichlet(dirichlet_override)
-        self._build_linear_operator()
+        self.beta_free = self._assemble_beta_free() if beta_free is None else beta_free
+        self._add_beta_terms()
         p, n_free = self.pattern, self.pattern.free.size
         # each jacobian() overwrites the values; lu keeps a solve's factors
         self._matrix = SparseMatrix(sp.csc_matrix(
@@ -363,17 +450,13 @@ class TransportSolver:
         self.g_vec = np.zeros(self.n_dof)
         self.g_vec[p.dirichlet_dofs] = vals
 
-    # .. linear operator (convection + diffusion + interface term) ..
+    # .. linear operator L(beta) = L0 + beta_1 L1 + beta_2 L2 ..
 
-    def _build_linear_operator(self):
-        """L from its triplet values in the order of ``_operator_dofs``: its
-        free-free block in the pattern's block layout, and the lift L_fD g_D
-        on the free rows in the order of ``free``.  Species s diffuses with
-        D_blood_s in blood, beta_k D_blood_s in the membrane,
-        k = ``MEMBRANE_BETA[s]``, and D_dialysate_s in dialysate; its
-        membrane convection carries sieving_s.  So beta enters L only as a
-        factor of the membrane block w K (r-weight times unit-diffusivity
-        stiffness), which is kept for ``_beta_tangents``."""
+    def _assemble_beta_free(self) -> BetaFreeOperator:
+        """L0 from its triplet values in the order of ``_operator_dofs``, and
+        the membrane block.  Species s diffuses with D_blood_s in blood and
+        D_dialysate_s in dialysate, and its membrane convection carries
+        sieving_s; its membrane diffusion is beta's (``_add_beta_terms``)."""
         fem, cfg, sc, p = self.fem, self.cfg, self.cfg.species, self.pattern
         tri, sub = self.mesh.triangles, self.mesh.subdomain_of_triangle
         # per triangle: unit-diffusivity stiffness (axial part weighted by
@@ -385,13 +468,11 @@ class TransportSolver:
         wq = (fem.area / 3.0)[:, None] * fem.r_q
         conv = np.einsum("tq,qa,tqb->tab", wq, fem.phi_q, conv_b)
         w = fem.area * fem.rbar
-        self._membrane_block = w[fem.is_membrane][:, None, None] * stiff[fem.is_membrane]
 
         vals = []
         for s, k in enumerate(MEMBRANE_BETA):
-            d_membrane = 0.0 if k is None else self.beta[k] * sc.D_blood[s]
             # coefficients indexed by Subdomain: blood, membrane, dialysate
-            D = np.array([sc.D_blood[s], d_membrane, sc.D_dialysate[s]])[sub]
+            D = np.array([sc.D_blood[s], 0.0, sc.D_dialysate[s]])[sub]
             S = np.array([1.0, sc.sieving[s], 1.0])[sub]
             on = fem.is_blood if k is None else slice(None)
             ke = (D * w)[on][:, None, None] * stiff[on]
@@ -400,9 +481,44 @@ class TransportSolver:
         vals.extend(interface for k in MEMBRANE_BETA if k is None)
 
         vals = np.concatenate(vals)
-        self._op_values = np.bincount(p.op_pos, weights=vals[p.op_keep], minlength=p.nnz)
-        self._lift = np.bincount(p.lift_rows, weights=vals[p.lift_src] * self.g_vec[p.lift_cols],
-                                 minlength=p.free.size)
+        return BetaFreeOperator(
+            values=np.bincount(p.op_pos, weights=vals[p.op_keep], minlength=p.nnz),
+            lift=np.bincount(p.lift_rows, weights=vals[p.lift_src] * self.g_vec[p.lift_cols],
+                             minlength=p.free.size),
+            membrane=w[fem.is_membrane][:, None, None] * stiff[fem.is_membrane])
+
+    def _add_beta_terms(self):
+        """beta_1 L1 + beta_2 L2 from their triplet values in the order of
+        ``_membrane_dofs``: L_k applies the membrane block times D_blood_s to
+        each species s that ``MEMBRANE_BETA`` maps to k.  Keeps the values
+        they add to L0's block entries ``pattern.beta_pos``
+        (``_beta_values``), and the lift of L(beta), L0's plus theirs
+        (``_lift``)."""
+        sc, p = self.cfg.species, self.pattern
+        scale = np.array([self.beta[k] * sc.D_blood[s]
+                          for s, k in enumerate(MEMBRANE_BETA) if k is not None])
+        vals = (scale[:, None] * self.beta_free.membrane.ravel()).ravel()
+        self._beta_values = np.bincount(p.beta_merge, weights=vals[p.beta_keep],
+                                        minlength=p.beta_pos.size)
+        self._lift = self.beta_free.lift + np.bincount(
+            p.beta_lift_rows, weights=vals[p.beta_lift_src] * self.g_vec[p.beta_lift_cols],
+            minlength=p.free.size)
+
+    def _beta_derivative(self, c_flat) -> np.ndarray:
+        """(dL/dbeta_k) c_flat = L_k c_flat on the free rows, k = 0, 1:
+        (n_free, 2).  L_k applies the membrane block times D_blood_s to each
+        species s that ``MEMBRANE_BETA`` maps to k."""
+        sc = self.cfg.species
+        tri = self.mesh.triangles[self.fem.is_membrane]
+        out = np.zeros((self.n_dof, 2))
+        for s, k in enumerate(MEMBRANE_BETA):
+            if k is not None:
+                dofs = N_SPECIES * tri + s
+                local = sc.D_blood[s] * np.einsum("tab,tb->ta", self.beta_free.membrane,
+                                                  c_flat[dofs])
+                out[:, k] += np.bincount(dofs.ravel(), weights=local.ravel(),
+                                         minlength=self.n_dof)
+        return out[self.pattern.free]
 
     def _interface_term(self):
         """-int_{Gamma_bm} r U_r c phi dx for a non-crossing species, as the
@@ -421,41 +537,29 @@ class TransportSolver:
 
     # .. jacobian / newton ..
 
-    def jacobian(self, c_flat) -> SparseMatrix:
-        """The free-free block of the Newton Jacobian at ``c_flat``, L minus
-        the lumped reaction Jacobian, in the pattern's block layout: written
-        into the solver's one matrix, which is returned with whatever factors
-        its ``lu`` holds."""
+    def jacobian(self, c_flat, jf=None) -> SparseMatrix:
+        """The free-free block of the Newton Jacobian at ``c_flat``, L(beta)
+        minus the lumped reaction Jacobian ``jf`` (``reaction_jacobian`` at
+        ``c_flat``, evaluated here if not given), in the pattern's block
+        layout: written into the solver's one matrix, which is returned with
+        whatever factors its ``lu`` holds."""
         p = self.pattern
-        jf = reaction_jacobian(c_flat.reshape(-1, N_SPECIES).T, self.cfg.reactions)
+        if jf is None:
+            jf = reaction_jacobian(c_flat.reshape(-1, N_SPECIES).T, self.cfg.reactions)
         data = self._matrix.data
-        data[:] = self._op_values
+        data[:] = self.beta_free.values
+        data[p.beta_pos] += self._beta_values
         data[p.rx_pos] -= (p.mass_species[:, None, :] * jf).ravel()[p.rx_keep]
         return self._matrix
 
     def _beta_tangents(self, c_flat) -> np.ndarray:
         """dc/dbeta at the converged field ``c_flat``: the (n_dof, 2) solution
-        of J(c) dc/dbeta_k = -(dL/dbeta_k) c on the free dofs, zero on the
-        Dirichlet dofs (their values do not depend on beta).  Both columns
-        refine on the factors of the solve that converged to ``c_flat``.
-
-        L is affine in beta: beta_k multiplies only D_blood_s times the
-        membrane block w K of each species s that ``MEMBRANE_BETA`` maps to
-        k, which the assembly kept, so -(dL/dbeta_k) c applies that block to
-        those species.
-        """
-        p, sc = self.pattern, self.cfg.species
-        tri = self.mesh.triangles[self.fem.is_membrane]
-        rhs = np.zeros((self.n_dof, 2))
-        for s, k in enumerate(MEMBRANE_BETA):
-            if k is not None:
-                dofs = N_SPECIES * tri + s
-                local = sc.D_blood[s] * np.einsum("tab,tb->ta", self._membrane_block,
-                                                  c_flat[dofs])
-                rhs[:, k] -= np.bincount(dofs.ravel(), weights=local.ravel(),
-                                         minlength=self.n_dof)
+        of J(c) dc/dbeta_k = -L_k c on the free dofs, zero on the Dirichlet
+        dofs (their values do not depend on beta).  Both columns refine on
+        the factors of the solve that converged to ``c_flat``."""
         dc = np.zeros((self.n_dof, 2))
-        dc[p.free] = solve_linear(self.jacobian(c_flat), rhs[p.free])
+        dc[self.pattern.free] = solve_linear(self.jacobian(c_flat),
+                                             -self._beta_derivative(c_flat))
         return dc
 
     def initial_field(self) -> np.ndarray:
@@ -485,8 +589,9 @@ class TransportSolver:
         x = g on the Dirichlet dofs.
 
         Only the free dofs are solved for: J_ff x_f = (J (c - g) - F(c))_f
-        = M (f(c) + s - f'(c) (c - g)) - L_fD g_D, nodewise.  The first step
-        factorizes J_ff; later ones refine on the factors the matrix kept
+        = M (f(c) + s - f'(c) (c - g)) - L_fD g_D, nodewise; f'(c) is
+        evaluated once, for this and for J_ff.  The first step factorizes
+        J_ff; later ones refine on the factors the matrix kept
         from the step before (see ``solve_linear``), starting from c_f, which
         leaves only the Newton update to refine, and only to
         ``_NEWTON_FORCING`` of that update.
@@ -494,13 +599,13 @@ class TransportSolver:
         p, rp = self.pattern, self.cfg.reactions
         c_nodal = c_flat.reshape(-1, N_SPECIES).T
         shift = (c_flat - self.g_vec).reshape(-1, N_SPECIES).T
-        f = reaction_source(c_nodal, rp) - np.einsum(
-            "ijn,jn->in", reaction_jacobian(c_nodal, rp), shift)
+        jf = reaction_jacobian(c_nodal, rp)
+        f = reaction_source(c_nodal, rp) - np.einsum("ijn,jn->in", jf, shift)
         if source_nodal is not None:
             f = f + source_nodal
         rhs = (p.mass_species * f).T.reshape(-1)[p.free] - self._lift
         x = self.g_vec.copy()
-        x[p.free] = solve_linear(self.jacobian(c_flat), rhs, x0=c_flat[p.free],
+        x[p.free] = solve_linear(self.jacobian(c_flat, jf), rhs, x0=c_flat[p.free],
                                  rtol=_NEWTON_FORCING)
         return x
 

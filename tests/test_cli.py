@@ -76,6 +76,23 @@ def test_forward_outputs_and_determinism(workdir):
         assert read_bytes(workdir, f"fwd/{name}") == read_bytes(workdir, f"fwd2/{name}")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_forward_at_an_extreme_beta_checks_its_residual_without_overflow(workdir):
+    # at d_Ca = 1e300 the membrane entries reach 3e298: squared, they
+    # overflowed the residual norm and its limit alike, and inf <= inf let
+    # the check pass unexamined.  Scaled, it passes on its merits, and the
+    # outlet is the conducting-membrane limit, that of d_Ca = 1e20
+    (workdir / "cfg_extreme.json").write_text(json.dumps({"mesh": [40, 6, 4, 5], "seed": 7}))
+    patient = str(packaged_data_path("patient1.csv"))
+    outlets = []
+    for beta in ("1e300,0.4", "1e20,0.4"):
+        assert run(workdir, "forward", "--config", "cfg_extreme.json", "--patient", patient,
+                   "--beta", beta, "--out", f"fwd_{beta}") == 0
+        with open(os.path.join(workdir, f"fwd_{beta}", "outlet.json")) as fh:
+            outlets.append(np.array(json.load(fh)["outlet"]))
+    assert np.max(np.abs(outlets[0] - outlets[1]) / np.abs(outlets[1])) <= 1e-10
+
+
 def test_missing_profile_field_exits_2(workdir):
     raw = json.loads(packaged_data_path("default_profile.json").read_text())
     del raw["hydraulics"]["K_over_mu"]

@@ -652,6 +652,98 @@ def test_landscape_outlets_do_not_depend_on_the_point_order():
         assert np.max(np.abs(runs[1][key] - outlet) / np.abs(outlet)) <= 1e-7
 
 
+# -- the kept beta-free operator ------------------------------------------------------
+
+def _count_assemblies(monkeypatch):
+    """The list to which each assembly of a ``BetaFreeOperator`` appends its
+    solver's mesh."""
+    built = []
+    assemble = TransportSolver._assemble_beta_free
+
+    def counted(self):
+        built.append(self.mesh)
+        return assemble(self)
+
+    monkeypatch.setattr(TransportSolver, "_assemble_beta_free", counted)
+    return built
+
+
+def test_a_patient_solved_once_keeps_no_operator(fresh_ctx):
+    # synth solves each patient once, warm: its operators are not kept
+    context = fresh_ctx()
+    cohort = generate_cohort(CohortTable.from_csv(packaged_data_path("sample_cohort.csv")),
+                             ns=3, seed=5)
+    records = make_reference_targets(cohort, context, (0.8, 0.4))
+    assert len(records) == 3
+    assert all(context._solver._warm[rec.id][3] is None for rec in records)
+
+
+def test_warm_solves_assemble_each_patients_operator_at_most_twice(exact_patients,
+                                                                    monkeypatch):
+    # a cold task keeps nothing; a patient's first warm task keeps no L0,
+    # its second keeps the one it assembled, and every later one reuses it,
+    # with tangents or without
+    built = _count_assemblies(monkeypatch)
+    profile = load_profile()
+    solver = ForwardSolver(profile.geometry, MESH, profile.transport_config())
+    a, b = exact_patients[:2]
+    assert solver.task(a, (0.8, 0.4), False)[1] is None
+    assert len(built) == 1 and a.id not in solver._warm
+    for k, beta in enumerate(((0.8, 0.4), (0.7, 0.5), (0.6, 0.45), (0.75, 0.35), (0.8, 0.4))):
+        for rec in (a, b):
+            assert solver.task(rec, beta, True, tangents=k % 2 == 1)[1] is None
+        if k == 0:
+            assert solver._warm[a.id][3] is None and solver._warm[b.id][3] is None
+        if k == 1:
+            kept = solver._warm[a.id][3][1]
+    assert len(built) == 1 + 2 * 2
+    assert solver._warm[a.id][3][1] is kept
+
+
+@pytest.mark.parametrize("change", ["hydraulics", "inlets"])
+def test_a_record_with_other_hydraulics_or_inlets_gets_its_own_operator(
+        exact_patients, monkeypatch, change):
+    # the same id with other hydraulics or other inlets has another L0: its
+    # warm task assembles its own, and its outlet is that of a fresh solver
+    # started from the same warm state
+    built = _count_assemblies(monkeypatch)
+    profile = load_profile()
+    solver = ForwardSolver(profile.geometry, MESH, profile.transport_config())
+    rec = exact_patients[0]
+    for beta in ((0.8, 0.4), (0.7, 0.5)):
+        assert solver.task(rec, beta, True)[1] is None
+    if change == "hydraulics":
+        other = replace(rec, hydraulics=replace(rec.hydraulics, Q_b=1.2 * rec.hydraulics.Q_b),
+                        extras={})
+    else:
+        other = replace(rec, inlet_blood=1.2 * rec.inlet_blood, extras={})
+    fresh = ForwardSolver(profile.geometry, MESH, profile.transport_config())
+    fresh._warm[rec.id] = solver._warm[rec.id][:3] + (None,)
+    beta = np.array([0.75, 0.45])
+    before = len(built)
+    outlet, err = solver.task(other, beta, True)
+    assert err is None and len(built) == before + 1
+    expected, _ = fresh.task(other, beta, True)
+    assert np.max(np.abs(outlet - expected) / np.abs(expected)) <= 1e-12
+    # the kept L0 is now the other record's, so the first one assembles anew
+    assert solver.task(rec, beta, True)[1] is None
+    assert len(built) == before + 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_forward_pairs_folds_a_non_finite_beta(fresh_ctx, exact_patients):
+    # rejected where the solve checks beta, and folded like any package
+    # error, also after a warm tangent solve, whose prediction meets it
+    context = fresh_ctx()
+    rec = exact_patients[0]
+    assert context.forward_pairs([(rec, np.array([0.8, 0.4]), True)])[0][1] is None
+    results = context.forward_pairs([(rec, np.array([np.nan, 0.4])),
+                                     (rec, np.array([0.8, np.inf]), True)])
+    for outlet, err in results:
+        assert outlet is None and isinstance(err, ConfigurationError)
+        assert "beta must be nonnegative and finite" in str(err)
+
+
 # -- nested cold starts ---------------------------------------------------------------
 
 BETAS = ((0.8, 0.4), (0.3, 0.6), (0.6, 0.15))

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from fiberdialysis.exceptions import AssemblyError, SolverError
-from fiberdialysis.linalg import BandLayout, Factorization, SparseMatrix, solve_linear
+from fiberdialysis.linalg import (BandLayout, Factorization, SparseMatrix, _column_norms,
+                                  solve_linear)
 
 
 def matrix(dense):
@@ -65,6 +66,24 @@ def test_residual_contract():
     b = np.array([1.0, 1.0, 1.0])
     x = solve_linear(matrix(dense), b)
     assert np.linalg.norm(dense @ x - b) <= 1e-10 * (np.linalg.norm(b) + 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_residual_norms_are_scaled_so_no_square_overflows():
+    # entries near 1e200 square past the float range; the residual check of
+    # such a solve is computed on its merits
+    A = matrix(np.diag([3e200, 4e200]))
+    assert np.allclose(solve_linear(A, np.array([3e200, 8e200])), [1.0, 2.0])
+    norms = _column_norms(np.array([[3e200, 0.0], [4e200, 0.0]]))
+    assert norms[0] == pytest.approx(5e200, rel=1e-15) and norms[1] == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_residual_check_fails_when_its_limit_overflows():
+    # |b| beyond the float range makes the limit inf, which no residual may
+    # pass: inf <= inf would
+    with pytest.raises(SolverError, match="exceeds tolerance inf"):
+        solve_linear(matrix(np.eye(2)), np.array([1.5e308, 1.5e308]))
 
 
 def test_singular_matrix_raises_solver_error():

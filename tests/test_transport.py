@@ -222,10 +222,12 @@ def test_jacobian_consistency_second_order():
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
 
 
-def _operator_oracle(solver):
-    """L of ``solver`` as a dense matrix built triangle by triangle and edge
-    by edge from the weak form, with identity Dirichlet rows."""
+def _operator_oracle(solver, beta=None):
+    """L of ``solver`` at ``beta`` (default the solver's) as a dense matrix
+    built triangle by triangle and edge by edge from the weak form, with
+    identity Dirichlet rows."""
     mesh, sc, cfg = solver.mesh, solver.cfg.species, solver.cfg
+    beta = solver.beta if beta is None else beta
     ux, ur = solver.velocity.u_x, solver.velocity.u_r
     L = np.zeros((solver.n_dof, solver.n_dof))
     for t, (tri, sub) in enumerate(zip(mesh.triangles, mesh.subdomain_of_triangle)):
@@ -240,7 +242,7 @@ def _operator_oracle(solver):
             elif s in (1, 2):
                 continue  # albumin species live in blood only
             elif sub == 1:  # d_Ca scales free calcium, d_Ci both citrate species
-                D, S = solver.beta[0 if s == 0 else 1] * sc.D_blood[s], sc.sieving[s]
+                D, S = beta[0 if s == 0 else 1] * sc.D_blood[s], sc.sieving[s]
             else:
                 D, S = sc.D_dialysate[s], 1.0
             for a in range(3):
@@ -303,24 +305,36 @@ def _full_system_oracle(solver):
 
 def test_operator_matches_an_element_by_element_oracle():
     # D, beta and sieving differ by species and subdomain, the flow crosses
-    # the membrane, and eps2 != 1 weights the axial diffusion
+    # the membrane, and eps2 != 1 weights the axial diffusion.  L(beta) =
+    # L0 + beta_1 L1 + beta_2 L2 and its lift at several beta, (0, 0) among
+    # them, with L0 assembled for each and with one kept L0 reused; then the
+    # tangent right-hand side -L_k c against the oracle's -(dL/dbeta_k) c
     mesh = build_structured_mesh(GEOM, 5, 3, 2, 3)
     species = SpeciesConfig(D_blood=(1.0, 0.7, 0.6, 0.9, 0.8),
                             D_dialysate=(1.3, 1.1, 1.2, 1.4, 1.5),
                             sieving=(0.9, 0.5, 0.6, 0.7, 0.3))
     bd = BoundaryData(inlet_blood=(0.2, 3.0, 0.1, 4.0, 1.0),
                       inlet_dialysate=(1.2, 0, 0, 0, 0))
-    solver = TransportSolver(mesh, flow_field(mesh, K=0.05), transport_cfg(species=species), bd,
-                             BETA)
-    expected = _operator_oracle(solver)
-    p = solver.pattern
-    n = p.free.size
-    block = sp.csc_matrix((solver._op_values, p.block_indices, p.block_indptr),
-                          shape=(n, n)).toarray()
-    free_free = expected[np.ix_(p.free, p.free)]
-    assert np.max(np.abs(block - free_free)) <= 1e-13 * np.max(np.abs(free_free))
-    lift = expected[np.ix_(p.free, solver.dirichlet_dofs)] @ solver.dirichlet_vals
-    assert np.max(np.abs(solver._lift - lift)) <= 1e-13 * np.max(np.abs(lift))
+    velocity, cfg = flow_field(mesh, K=0.05), transport_cfg(species=species)
+    kept = TransportSolver(mesh, velocity, cfg, bd, BETA)
+    p, no_reaction = kept.pattern, np.zeros((5, 5, mesh.n_vertices))
+    for beta in ((0.0, 0.0), BETA, (2.5, 0.03), (0.0, 1.7)):
+        expected = _operator_oracle(kept, beta)
+        free_free = expected[np.ix_(p.free, p.free)]
+        lift = expected[np.ix_(p.free, kept.dirichlet_dofs)] @ kept.dirichlet_vals
+        for solver in (TransportSolver(mesh, velocity, cfg, bd, beta),
+                       TransportSolver(mesh, velocity, cfg, bd, beta, beta_free=kept.beta_free)):
+            # the Jacobian with no reaction term is L(beta)'s block
+            block = solver.jacobian(solver.initial_field(), no_reaction).to_csc().toarray()
+            assert np.max(np.abs(block - free_free)) <= 1e-13 * np.max(np.abs(free_free))
+            assert np.max(np.abs(solver._lift - lift)) <= 1e-13 * np.max(np.abs(lift))
+    # L is affine in beta, so the oracle's dL/dbeta_k is L(e_k) - L(0)
+    c = kept.project_dirichlet(np.random.default_rng(26).uniform(0.1, 2.0, kept.n_dof))
+    at_zero = _operator_oracle(kept, (0.0, 0.0))
+    for k, unit in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        expected = -((_operator_oracle(kept, unit) - at_zero) @ c)[p.free]
+        rhs = -kept._beta_derivative(c)[:, k]
+        assert np.max(np.abs(rhs - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_velocity_mesh_mismatch_rejected():
@@ -343,6 +357,15 @@ def test_negative_beta_rejected():
     bd = BoundaryData(inlet_blood=(1, 1, 1, 1, 1), inlet_dialysate=(1, 0, 0, 1, 1))
     with pytest.raises(ConfigurationError, match="beta must be nonnegative"):
         TransportSolver(mesh, still_field(mesh), transport_cfg(), bd, (-0.1, 0.4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_beta_rejected(bad):
+    # NaN passes a plain "below 0" check
+    mesh = build_structured_mesh(GEOM, 3, 2, 1, 2)
+    bd = BoundaryData(inlet_blood=(1, 1, 1, 1, 1), inlet_dialysate=(1, 0, 0, 1, 1))
+    with pytest.raises(ConfigurationError, match="beta must be nonnegative and finite"):
+        TransportSolver(mesh, still_field(mesh), transport_cfg(), bd, (0.8, bad))
 
 
 # -- Newton solver ------------------------------------------------------------------
