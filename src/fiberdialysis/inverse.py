@@ -93,9 +93,9 @@ class ForwardSolver:
     their velocity fields, keyed by (patient id, hydraulics), and the
     warm-start state of each one's last warm task.
 
-    A warm-start state holds the patient's ``BetaFreeOperator`` (L0 and the
-    membrane block) from its second warm task on: about 240 KB on
-    (40,6,4,5) and 920 KB on (80,12,8,10) per patient, which a patient
+    A warm-start state holds the patient's ``BetaFreeOperator`` (L0's block
+    values and lift) from its second warm task on: about 215 KB on
+    (40,6,4,5) and 830 KB on (80,12,8,10) per patient, which a patient
     solved once, or only cold, does not cost.  L0 depends on the velocity
     field and the inlet values, so the operator is kept with the hydraulics
     and inlets it was assembled for, and a task of a record that differs in

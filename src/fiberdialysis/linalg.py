@@ -6,29 +6,28 @@ nonsymmetric convection-dominated operators.  ``solve_linear`` factorizes a
 system in its given order, which its caller makes a narrow band where it
 can (``transport.NewtonPattern`` numbers the free dofs by axial column).
 
-One band engine, in two precisions, and SuperLU factorize, all with
-partial pivoting; which one takes a matrix depends on its pattern alone
-(``BandLayout``, computed once per pattern).  A matrix whose entries lie
-within kl below and ku above the diagonal is a band matrix, and LAPACK's
-band LU (``gbtrf``, ``gbtrs``) factorizes it in an array of
-(2 kl + ku + 1) n values with no ordering search.  That array's size
-against ``_BAND_BYTES`` (16 MiB) picks the engine:
+Two engines factorize, both with partial pivoting; which one takes a
+matrix depends on its pattern alone (``BandLayout``, computed once per
+pattern).  A matrix whose entries lie within kl below and ku above the
+diagonal is a band matrix, and LAPACK's band LU (``sgbtrf``, ``sgbtrs``)
+factorizes it in an array of (2 kl + ku + 1) n values with no ordering
+search.  That array's size in float32 against ``_BAND_BYTES`` (16 MiB)
+picks the engine:
 
-- float64 band factors when the array fits in float64, as on the coarse
-  Newton block (40,6,4,5) (kl = ku = 67, 3.8 MiB) and every smaller one;
-- else float32 band factors when it fits in float32, as on the default
-  block (80,12,8,10) (kl = ku = 124, 13.6 MiB; 27.2 MiB in float64).  A
+- float32 band factors when the array fits, as on the Newton blocks of
+  (40,6,4,5) (kl = ku = 67, 1.9 MiB) and (80,12,8,10) (kl = ku = 124,
+  13.6 MiB; one LU takes 15 ms there, against 59-83 ms with SuperLU).  A
   direct solve on them refines in float64 to roundoff
-  (``Factorization.refine``), in about 4 back-solves while
-  cond * eps32 < 1 (mixed-precision refinement).  One LU takes 15 ms
-  there, against 59-83 ms with SuperLU, whose factors hold 1.41M entries;
+  (``Factorization.refine``), in about 4 back-solves while cond * eps32 < 1
+  (mixed-precision refinement).  The matrix and each right-hand side are
+  divided by their largest entries before the cast, so none overflows;
 - else SuperLU, which orders the matrix itself (MMD on A^T + A), as on
-  (160,24,16,20): an LU of 0.9 s with 9.14M entries of fill.
+  (160,24,16,20): an LU of 0.57-0.65 s with 9.39M entries of fill.
 
-Float32 factors give way to SuperLU on the same matrix when ``sgbtrf``
-meets a zero pivot or the refinement of a direct solve stalls short of
-roundoff, so they fail no solve that float64 factors would have solved;
-the band array is dropped before SuperLU factorizes.
+Band factors give way to SuperLU on the same matrix when ``sgbtrf`` meets a
+zero pivot or the refinement of a direct solve stalls short of roundoff, so
+a solve fails only where SuperLU fails too; the band array is dropped
+before SuperLU factorizes.
 
 The BLAS behind ``scipy.linalg``, which every engine calls, is pinned to
 one thread when this module is imported: on these block sizes OpenBLAS
@@ -57,9 +56,9 @@ from .exceptions import AssemblyError, SolverError
 # on the Newton systems refinement stalls at 2-7e-15 when it converges, and at
 # 1e-3 or above when the factors are too far from the matrix
 _REFINED_CORRECTION = 1e-13
-# largest band array the band engine factorizes, in float64 if it fits, else
-# in float32: 3.8 MiB (float64) on (40,6,4,5), 13.6 MiB (float32) on
-# (80,12,8,10); above it SuperLU factorizes.  See the module docstring
+# largest band array, in float32, the band engine factorizes: 1.9 MiB on
+# (40,6,4,5), 13.6 MiB on (80,12,8,10); above it SuperLU factorizes.  See the
+# module docstring
 _BAND_BYTES = 16 * 2**20
 _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
@@ -116,12 +115,10 @@ class SparseMatrix:
 
 class BandLayout:
     """How the band engine stores a square CSC pattern (its values are
-    ignored): the bandwidths ``kl`` and ``ku``, the precision ``dtype`` of
-    its band factors, and ``position``, each stored entry's flat index in
-    the Fortran-ordered band array of ``rows`` x n values.  ``dtype`` is
-    float64 when that array fits ``_BAND_BYTES`` in float64, else float32
-    when it fits in float32, else None (and ``position`` None): SuperLU
-    factorizes."""
+    ignored): the bandwidths ``kl`` and ``ku``, and ``position``, each
+    stored entry's flat index in the Fortran-ordered float32 band array of
+    ``rows`` x n values; ``position`` is None when that array exceeds
+    ``_BAND_BYTES``: SuperLU factorizes."""
 
     def __init__(self, csc):
         n = csc.shape[0]
@@ -131,14 +128,18 @@ class BandLayout:
         offset = csc.indices - cols
         self.kl, self.ku = int(np.max(offset, initial=0)), int(-np.min(offset, initial=0))
         self.rows = 2 * self.kl + self.ku + 1
-        self.dtype = next((dtype for dtype in (np.float64, np.float32)
-                           if self.rows * n * np.dtype(dtype).itemsize <= _BAND_BYTES), None)
         self.position = None
-        if self.dtype is not None:
+        if self.rows * n * 4 <= _BAND_BYTES:
             # LAPACK band storage: entry (i, j) in row kl + ku + i - j of
             # column j; the first kl rows are room for the fill of row swaps
             self.position = self.kl + self.ku + offset + self.rows * cols
             self.position.flags.writeable = False
+
+
+def _scale(size):
+    """``size`` where it is positive and finite, else 1: a divisor that
+    neither divides by zero nor turns finite values into NaN."""
+    return np.where((size > 0) & (size < np.inf), size, 1.0)
 
 
 def _column_norms(v):
@@ -148,8 +149,7 @@ def _column_norms(v):
     that no square overflows."""
     # plain sums, not np.linalg.norm: OpenBLAS threads long dot products, and
     # its second thread then spins against SuperLU
-    size = _column_max(v)
-    scale = np.where((size > 0) & (size < np.inf), size, 1.0)
+    scale = _scale(_column_max(v))
     with np.errstate(over="ignore"):
         return scale * np.sqrt(np.sum((v / scale) ** 2, axis=0))
 
@@ -159,46 +159,45 @@ def _column_max(v):
 
 
 class _BandLU:
-    """LAPACK band LU factors (``gbtrf``) of a CSC matrix with the pattern of
-    ``layout``, in its precision; ``info`` > 0 is the 1-based column where
-    elimination met a zero pivot.  ``solve`` takes and returns float64."""
+    """LAPACK float32 band LU factors (``sgbtrf``) of a CSC matrix with the
+    pattern of ``layout``, taken of the matrix divided by its largest entry
+    so that no entry overflows the cast; ``info`` > 0 is the 1-based column
+    where elimination met a zero pivot.  ``solve`` takes and returns
+    float64, and scales each column of its right-hand side the same way."""
 
     def __init__(self, csc, layout):
-        ab = np.zeros(layout.rows * csc.shape[0], dtype=layout.dtype)
-        ab[layout.position] = csc.data
-        gbtrf, self._gbtrs = lapack.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=layout.dtype)
-        self._ab, self._piv, self.info = gbtrf(ab.reshape((layout.rows, -1), order="F"),
-                                               layout.kl, layout.ku, overwrite_ab=1)
+        self._scale = _scale(np.max(np.abs(csc.data), initial=0.0))
+        ab = np.zeros(layout.rows * csc.shape[0], dtype=np.float32)
+        ab[layout.position] = csc.data / self._scale
+        self._ab, self._piv, self.info = lapack.sgbtrf(
+            ab.reshape((layout.rows, -1), order="F"), layout.kl, layout.ku, overwrite_ab=1)
         self._kl, self._ku = layout.kl, layout.ku
-        self.dtype = layout.dtype
 
     def solve(self, b):
-        x = self._gbtrs(self._ab, self._kl, self._ku, b.astype(self.dtype, copy=False),
-                        self._piv)[0]
-        return x.astype(float, copy=False)
+        size = _scale(_column_max(b))
+        x = lapack.sgbtrs(self._ab, self._kl, self._ku, (b / size).astype(np.float32),
+                          self._piv)[0]
+        with np.errstate(over="ignore"):  # a solution past the float range is inf
+            return x.astype(float) * (size / self._scale)
 
 
 class Factorization:
     """LU factors of one sparse matrix, taken in its given order by the
-    engine its ``BandLayout`` picks (computed here when not given): band
-    factors in float64 or float32, or SuperLU's.
+    engine its ``BandLayout`` picks (computed here when not given): float32
+    band factors, or SuperLU's.
 
     ``solve`` answers systems of that matrix; ``refine`` reuses the factors
     for a nearby matrix of the same order, such as a later Newton Jacobian.
-    Float32 band factors that meet a zero pivot, or on which ``solve``
-    cannot refine to roundoff, are replaced by SuperLU's.
+    Band factors that meet a zero pivot, or on which ``solve`` cannot
+    refine to roundoff, are replaced by SuperLU's.
     """
 
     def __init__(self, csc, layout=None):
         layout = BandLayout(csc) if layout is None else layout
-        self._lu = None if layout.dtype is None else _BandLU(csc, layout)
-        if self._lu is None:
+        self._lu = None if layout.position is None else _BandLU(csc, layout)
+        # a zero pivot in float32 need not be one in float64
+        if self._lu is None or self._lu.info > 0:
             self._superlu(csc)
-        elif self._lu.info > 0:
-            if self._lu.dtype == np.float64:
-                raise SolverError(
-                    f"sparse LU failed: band matrix is singular (pivot {self._lu.info})")
-            self._superlu(csc)  # a zero pivot in float32 need not be one in float64
 
     def _superlu(self, csc):
         self._lu = None  # the band array goes before SuperLU's factors come
@@ -209,13 +208,13 @@ class Factorization:
 
     def solve(self, csc, b) -> np.ndarray:
         """x with ``csc`` x = b, ``csc`` being the factorized matrix: one
-        back-solve, or on float32 factors refinement to roundoff (SuperLU's
-        back-solve if that stalls), then the finite and residual checks of
-        ``solve_linear``; the residual check of a column fails unless its
-        residual and its limit are finite and the residual is within the
-        limit."""
+        back-solve on SuperLU's factors, or on band factors refinement to
+        roundoff (SuperLU's back-solve if that stalls), then the finite and
+        residual checks of ``solve_linear``; the residual check of a column
+        fails unless its residual and its limit are finite and the residual
+        is within the limit."""
         x = None
-        if isinstance(self._lu, _BandLU) and self._lu.dtype == np.float32:
+        if isinstance(self._lu, _BandLU):
             x = self.refine(csc, b)
             if x is None:  # the matrix is too ill-conditioned for float32 factors
                 self._superlu(csc)

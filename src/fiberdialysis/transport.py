@@ -50,17 +50,17 @@ and each part lives where what it depends on lives:
 
 - L0 (convection, the albumin interface term, blood and dialysate
   diffusion) depends on the velocity field and, through its lift, on the
-  inlet values.  It is kept as its free-free block in the block layout
-  (190 KB on (40,6,4,5), 750 KB on (80,12,8,10)) and its lift.
+  inlet values.  It is kept as its free-free block in the block layout and
+  its lift, in one pass over all triangles, as a ``BetaFreeOperator``:
+  about 215 KB on (40,6,4,5) and 830 KB on (80,12,8,10).
 - L_k is the membrane block w K (r-weight times unit-diffusivity stiffness
   of each membrane triangle; 23 KB on (40,6,4,5), 92 KB on (80,12,8,10))
   times D_blood_s, for each species s that ``MEMBRANE_BETA`` maps to k.
-  The block entries it adds to are fixed per mesh
+  It depends only on the mesh and config, and each solver builds it over
+  the membrane triangles.  The block entries it adds to are fixed per mesh
   (``NewtonPattern.beta_pos``).
 
-L0 and the membrane block are assembled together, in one pass over all
-triangles, as a ``BetaFreeOperator``: about 240 KB on (40,6,4,5) and 920 KB
-on (80,12,8,10).  A solver assembles one unless it is handed one;
+A solver assembles a ``BetaFreeOperator`` unless it is handed one;
 ``inverse.ForwardSolver`` keeps a patient's from its second warm solve on.
 A solve then only writes L0 + beta_1 L1 + beta_2 L2 into the block values,
 and the same sum into the lift: 0.08 ms on (40,6,4,5) and 0.3 ms on
@@ -257,17 +257,17 @@ def _membrane_dofs(mesh: Mesh):
 
 def _split_triplets(number, n, dof_rows, dof_cols):
     """The triplets with row dofs ``dof_rows`` and column dofs ``dof_cols``,
-    split by ``number`` (a free dof's index among the ``n`` free dofs, -1
-    for a Dirichlet dof): the mask of those with a free row and a free
-    column, and their keys row * n + col in those indices; and of those
-    with a free row and a Dirichlet column, the lift: their indices, column
-    dofs and row indices."""
+    split by ``number`` (a free dof's position in the block order of the
+    ``n`` free dofs, -1 for a Dirichlet dof): the mask of those with a free
+    row and a free column, and their keys col * n + row in those positions,
+    which sort in CSC order; and of those with a free row and a Dirichlet
+    column, the lift: their indices, column dofs and row positions."""
     rows, cols = number[dof_rows], number[dof_cols]
     keep = (rows >= 0) & (cols >= 0)
     lift = (rows >= 0) & (cols < 0)
-    keys = rows[keep] * n + cols[keep]
+    keys = cols[keep] * n + rows[keep]
     return (keep, keys, np.flatnonzero(lift).astype(np.int32),
-            dof_cols[lift].astype(np.int32), rows[lift])
+            dof_cols[lift].astype(np.int32), rows[lift].astype(np.int32))
 
 
 class NewtonPattern:
@@ -279,12 +279,13 @@ class NewtonPattern:
       radial level, then species), which makes the block a band matrix of
       bandwidth 67 on (40,6,4,5) and 124 on (80,12,8,10); the CSC pattern
       of the free-free block in that order (``block_indices``,
-      ``block_indptr``, ``nnz`` entries), the only form the system takes;
-      and its ``linalg.BandLayout`` (``layout``), which picks the LU engine
-      and places the values for it: float64 band factors on (40,6,4,5)
-      (3.8 MiB), float32 band factors refined in float64 on (80,12,8,10)
-      (13.6 MiB), and SuperLU, ordering the block itself, on finer meshes
-      such as (160,24,16,20), whose band array exceeds the cap;
+      ``block_indptr``, ``nnz`` entries), the only form the system takes,
+      built in that order from the start; and its ``linalg.BandLayout``
+      (``layout``), which picks the LU engine and places the values for
+      it: float32 band factors refined in float64 on (40,6,4,5) (1.9 MiB)
+      and (80,12,8,10) (13.6 MiB), and SuperLU, ordering the block itself,
+      on finer meshes such as (160,24,16,20), whose band array exceeds the
+      cap;
     - the block entry each L0 triplet (``_operator_dofs``; ``op_keep``,
       ``op_pos``) and each reaction triplet (``rx_keep``, ``rx_pos``) with a
       free row and a free column adds to;
@@ -308,48 +309,38 @@ class NewtonPattern:
         self.norm_mass = np.repeat(fem.lump_all, N_SPECIES)
         self._build_dirichlet(mesh)
         free = np.flatnonzero(~self.is_dirichlet)
+        # axial-column order: by x index i, then radial level j, then species
+        j, i = np.divmod(free // N_SPECIES, mesh.nx + 1)
+        free = free[np.lexsort((free % N_SPECIES, j, i))]
         n = free.size
-        number = np.full(self.n_dof, -1)  # a free dof's index in `free` before ordering
+        number = np.full(self.n_dof, -1)  # a free dof's position in `free`
         number[free] = np.arange(n)
 
-        self.op_keep, op_keys, self.lift_src, self.lift_cols, lift_rows = _split_triplets(
+        self.op_keep, op_keys, self.lift_src, self.lift_cols, self.lift_rows = _split_triplets(
             number, n, *_operator_dofs(mesh))
         (self.beta_keep, beta_keys, self.beta_lift_src, self.beta_lift_cols,
-         beta_lift_rows) = _split_triplets(number, n, *_membrane_dofs(mesh))
+         self.beta_lift_rows) = _split_triplets(number, n, *_membrane_dofs(mesh))
         # 5x5 reaction block of every node, pair-major like reaction_jacobian
         nodes = N_SPECIES * np.arange(mesh.n_vertices)
         rx_rows = number[(nodes + np.repeat(np.arange(N_SPECIES), N_SPECIES)[:, None]).ravel()]
         rx_cols = number[(nodes + np.tile(np.arange(N_SPECIES), N_SPECIES)[:, None]).ravel()]
         self.rx_keep = (rx_rows >= 0) & (rx_cols >= 0)
-        rx_keys = rx_rows[self.rx_keep] * n + rx_cols[self.rx_keep]
+        rx_keys = rx_cols[self.rx_keep] * n + rx_rows[self.rx_keep]
         n_op, n_rx = op_keys.size, rx_keys.size
         keys = np.concatenate([op_keys, rx_keys, beta_keys])
         del op_keys, rx_keys, beta_keys, rx_rows, rx_cols, number
         keys, pos = np.unique(keys, return_inverse=True)
         pos = pos.astype(np.int32)
         self.nnz = keys.size
-
-        # slot k + 1 marks block entry k in natural order, so the reordered
-        # block lists where each of its entries came from
-        slots = sp.csr_matrix((np.arange(1, self.nnz + 1), keys % n,
-                               np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
-        del keys
-        # axial-column order: by x index i, then radial level j, then species
-        j, i = np.divmod(free // N_SPECIES, mesh.nx + 1)
-        order = np.lexsort((free % N_SPECIES, j, i))
-        block = slots[order][:, order].tocsc()
-        del slots
-        self.layout = BandLayout(block)
-        moved = np.argsort(block.data).astype(np.int32)  # natural entry -> block entry
-        self.op_pos, self.rx_pos = moved[pos[:n_op]], moved[pos[n_op:n_op + n_rx]]
-        self.beta_pos, merge = np.unique(moved[pos[n_op + n_rx:]], return_inverse=True)
+        self.op_pos, self.rx_pos = pos[:n_op], pos[n_op:n_op + n_rx]
+        self.beta_pos, merge = np.unique(pos[n_op + n_rx:], return_inverse=True)
         self.beta_merge = merge.astype(np.int32)
-        to_block = np.argsort(order)  # a free dof's index in `free` -> its position
-        self.lift_rows = to_block[lift_rows].astype(np.int32)
-        self.beta_lift_rows = to_block[beta_lift_rows].astype(np.int32)
-        self.free = free[order].astype(np.int32)
-        self.block_indices = block.indices.astype(np.int32)
-        self.block_indptr = block.indptr.astype(np.int32)
+        self.free = free.astype(np.int32)
+        self.block_indices = (keys % n).astype(np.int32)
+        self.block_indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        del keys
+        self.layout = BandLayout(sp.csc_matrix(
+            (np.zeros(self.nnz), self.block_indices, self.block_indptr), shape=(n, n)))
 
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
@@ -383,20 +374,18 @@ class NewtonPattern:
 @dataclass(frozen=True)
 class BetaFreeOperator:
     """What the linear operator L(beta) = L0 + beta_1 L1 + beta_2 L2 holds
-    that beta does not change: L0 as its free-free block in the pattern's
-    block layout (``values``) and its lift L0_fD g_D on the free rows in the
-    order of ``free`` (``lift``), and the membrane block w K (r-weight times
-    unit-diffusivity stiffness of each membrane triangle, ``membrane``) that
-    L1 and L2 apply.  It depends on the mesh, velocity field, config and
-    Dirichlet values it was assembled for, and on nothing else; its arrays
-    are read-only."""
+    that depends on the patient and not on beta: L0 as its free-free block
+    in the pattern's block layout (``values``) and its lift L0_fD g_D on the
+    free rows in the order of ``free`` (``lift``).  It depends on the mesh,
+    velocity field, config and Dirichlet values it was assembled for, and
+    on nothing else; its arrays are read-only.  L1 and L2 depend only on
+    the mesh and config, and each solver builds them."""
 
     values: np.ndarray
     lift: np.ndarray
-    membrane: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.values, self.lift, self.membrane):
+        for arr in (self.values, self.lift):
             arr.flags.writeable = False
 
 
@@ -426,6 +415,8 @@ class TransportSolver:
         self.n_dof = self.pattern.n_dof
         self._build_dirichlet(dirichlet_override)
         self.beta_free = self._assemble_beta_free() if beta_free is None else beta_free
+        stiff, w = self._stiffness(self.fem.is_membrane)
+        self._membrane = w[:, None, None] * stiff  # the block w K that L1 and L2 apply
         self._add_beta_terms()
         p, n_free = self.pattern, self.pattern.free.size
         # each jacobian() overwrites the values; lu keeps a solve's factors
@@ -452,22 +443,28 @@ class TransportSolver:
 
     # .. linear operator L(beta) = L0 + beta_1 L1 + beta_2 L2 ..
 
+    def _stiffness(self, on=slice(None)):
+        """The unit-diffusivity stiffness K of the triangles ``on``, its
+        axial part weighted by eps2, and their r-weight w."""
+        fem, cfg = self.fem, self.cfg
+        bx, br = fem.bx[on], fem.br[on]
+        stiff = ((cfg.eps2 / cfg.Pe) * bx[:, :, None] * bx[:, None, :]
+                 + (1.0 / cfg.Pe) * br[:, :, None] * br[:, None, :])
+        return stiff, (fem.area * fem.rbar)[on]
+
     def _assemble_beta_free(self) -> BetaFreeOperator:
-        """L0 from its triplet values in the order of ``_operator_dofs``, and
-        the membrane block.  Species s diffuses with D_blood_s in blood and
-        D_dialysate_s in dialysate, and its membrane convection carries
-        sieving_s; its membrane diffusion is beta's (``_add_beta_terms``)."""
-        fem, cfg, sc, p = self.fem, self.cfg, self.cfg.species, self.pattern
+        """L0 from its triplet values in the order of ``_operator_dofs``.
+        Species s diffuses with D_blood_s in blood and D_dialysate_s in
+        dialysate, and its membrane convection carries sieving_s; its
+        membrane diffusion is beta's (``_add_beta_terms``)."""
+        fem, sc, p = self.fem, self.cfg.species, self.pattern
         tri, sub = self.mesh.triangles, self.mesh.subdomain_of_triangle
-        # per triangle: unit-diffusivity stiffness (axial part weighted by
-        # eps2) and midedge convection sum_q w_q phi_a(q) (Ux(q) bx_b + Ur(q) br_b)
-        stiff = ((cfg.eps2 / cfg.Pe) * fem.bx[:, :, None] * fem.bx[:, None, :]
-                 + (1.0 / cfg.Pe) * fem.br[:, :, None] * fem.br[:, None, :])
+        # per triangle: midedge convection sum_q w_q phi_a(q) (Ux(q) bx_b + Ur(q) br_b)
         conv_b = ((self.velocity.u_x[tri] @ fem.phi_q.T)[:, :, None] * fem.bx[:, None, :]
                   + (self.velocity.u_r[tri] @ fem.phi_q.T)[:, :, None] * fem.br[:, None, :])
         wq = (fem.area / 3.0)[:, None] * fem.r_q
         conv = np.einsum("tq,qa,tqb->tab", wq, fem.phi_q, conv_b)
-        w = fem.area * fem.rbar
+        stiff, w = self._stiffness()
 
         vals = []
         for s, k in enumerate(MEMBRANE_BETA):
@@ -484,8 +481,7 @@ class TransportSolver:
         return BetaFreeOperator(
             values=np.bincount(p.op_pos, weights=vals[p.op_keep], minlength=p.nnz),
             lift=np.bincount(p.lift_rows, weights=vals[p.lift_src] * self.g_vec[p.lift_cols],
-                             minlength=p.free.size),
-            membrane=w[fem.is_membrane][:, None, None] * stiff[fem.is_membrane])
+                             minlength=p.free.size))
 
     def _add_beta_terms(self):
         """beta_1 L1 + beta_2 L2 from their triplet values in the order of
@@ -497,7 +493,7 @@ class TransportSolver:
         sc, p = self.cfg.species, self.pattern
         scale = np.array([self.beta[k] * sc.D_blood[s]
                           for s, k in enumerate(MEMBRANE_BETA) if k is not None])
-        vals = (scale[:, None] * self.beta_free.membrane.ravel()).ravel()
+        vals = (scale[:, None] * self._membrane.ravel()).ravel()
         self._beta_values = np.bincount(p.beta_merge, weights=vals[p.beta_keep],
                                         minlength=p.beta_pos.size)
         self._lift = self.beta_free.lift + np.bincount(
@@ -514,7 +510,7 @@ class TransportSolver:
         for s, k in enumerate(MEMBRANE_BETA):
             if k is not None:
                 dofs = N_SPECIES * tri + s
-                local = sc.D_blood[s] * np.einsum("tab,tb->ta", self.beta_free.membrane,
+                local = sc.D_blood[s] * np.einsum("tab,tb->ta", self._membrane,
                                                   c_flat[dofs])
                 out[:, k] += np.bincount(dofs.ravel(), weights=local.ravel(),
                                          minlength=self.n_dof)

@@ -112,7 +112,7 @@ def test_band_layout_depends_on_pattern_only_and_places_every_entry():
     rng = np.random.default_rng(13)
     A = _convection_diffusion(12, rng).tocsc()
     layout = BandLayout(A)
-    assert (layout.kl, layout.ku, layout.rows, layout.dtype) == (12, 12, 37, np.float64)
+    assert (layout.kl, layout.ku, layout.rows) == (12, 12, 37)
     B = A.copy()
     B.data = rng.standard_normal(B.nnz)
     assert np.array_equal(BandLayout(B).position, layout.position)
@@ -125,15 +125,22 @@ def test_band_layout_depends_on_pattern_only_and_places_every_entry():
     assert np.count_nonzero(ab) == A.nnz
 
 
-@pytest.mark.parametrize("cap, dtype", [(37 * 144 * 8, np.float64), (37 * 144 * 8 - 1, np.float32),
-                                        (37 * 144 * 4, np.float32), (37 * 144 * 4 - 1, None)])
+@pytest.mark.parametrize("cap, dtype", [(37 * 144 * 8 - 1, np.float32), (37 * 144 * 4, np.float32),
+                                        (37 * 144 * 4 - 1, None)])
 def test_band_layout_takes_the_widest_precision_that_fits_the_cap(monkeypatch, cap, dtype):
-    # the band array of the 144 x 144 five-point operator has 37 x 144 values
+    # the band array of the 144 x 144 five-point operator has 37 x 144
+    # values: float32 band factors when they fit the cap, else SuperLU's
+    import scipy.sparse.linalg as spla
     from fiberdialysis import linalg
     monkeypatch.setattr(linalg, "_BAND_BYTES", cap)
-    layout = BandLayout(_convection_diffusion(12, np.random.default_rng(13)).tocsc())
-    assert layout.dtype == dtype
+    A = _convection_diffusion(12, np.random.default_rng(13)).tocsc()
+    layout = BandLayout(A)
     assert (layout.position is None) == (dtype is None)
+    factors = Factorization(A, layout)
+    if dtype is None:
+        assert isinstance(factors._lu, spla.SuperLU)
+    else:
+        assert factors._lu._ab.dtype == dtype
 
 
 def test_superlu_above_the_cap_orders_for_itself(monkeypatch):
@@ -323,25 +330,12 @@ def test_band_engine_swaps_rows_for_a_tiny_leading_pivot():
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def test_singular_band_matrix_raises_solver_error():
-    A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
-    assert BandLayout(A).dtype == np.float64
-    with pytest.raises(SolverError, match="singular"):
-        solve_linear(SparseMatrix(A), np.ones(3))
-
-
-# a 3 x 3 tridiagonal band array (4 x 3 values) fits 48 bytes only in float32
-_FLOAT32_CAP_3 = 48
-
-
-def test_singular_matrix_on_float32_band_factors_raises_solver_error(monkeypatch):
-    # the float32 zero pivot hands the matrix to SuperLU, which finds it
-    # singular too
+def test_singular_band_matrix_raises_solver_error(monkeypatch):
+    # the zero pivot of the band factors hands the matrix to SuperLU, which
+    # finds it singular too
     import scipy.sparse.linalg as spla
-    from fiberdialysis import linalg
     A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
-    monkeypatch.setattr(linalg, "_BAND_BYTES", _FLOAT32_CAP_3)
-    assert BandLayout(A).dtype == np.float32
+    assert BandLayout(A).position is not None
     superlu, splu = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: superlu.append(1) or splu(*a, **k))
     with pytest.raises(SolverError, match="singular"):
@@ -349,14 +343,13 @@ def test_singular_matrix_on_float32_band_factors_raises_solver_error(monkeypatch
     assert superlu == [1]
 
 
-def test_float32_zero_pivot_falls_back_to_superlu(monkeypatch):
+def test_float32_zero_pivot_falls_back_to_superlu():
     # 1 + 1e-10 rounds to 1 in float32, so sgbtrf meets an exact zero pivot
     # in float64 the matrix is regular
     import scipy.sparse.linalg as spla
     from fiberdialysis import linalg
     A = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 1e-10, 0.0], [0.0, 1.0, 3.0]]))
     x_true = np.ones(3)
-    monkeypatch.setattr(linalg, "_BAND_BYTES", _FLOAT32_CAP_3)
     assert linalg._BandLU(A, BandLayout(A)).info > 0
     factors = Factorization(A)
     assert isinstance(factors._lu, spla.SuperLU)
@@ -364,7 +357,7 @@ def test_float32_zero_pivot_falls_back_to_superlu(monkeypatch):
     assert np.max(np.abs(x - x_true)) <= 1e-4
 
 
-def test_stalled_refinement_on_float32_factors_falls_back_to_superlu(monkeypatch):
+def test_stalled_refinement_on_float32_factors_falls_back_to_superlu():
     # tridiag(-1, 2 - lambda_1 + 1e-6, -1), lambda_1 the least eigenvalue of
     # tridiag(-1, 2, -1): cond about 4e6, too large for float32 factors to
     # refine to roundoff, so the direct solve hands the matrix to SuperLU
@@ -374,15 +367,33 @@ def test_stalled_refinement_on_float32_factors_falls_back_to_superlu(monkeypatch
     shift = 2.0 - 2.0 * np.cos(np.pi / (n + 1)) - 1e-6
     A = sp.diags([-1.0, 2.0 - shift, -1.0], [-1, 0, 1], shape=(n, n), format="csc")
     b = np.random.default_rng(23).standard_normal(n)
-    monkeypatch.setattr(linalg, "_BAND_BYTES", 4 * n * 4)
     factors = Factorization(A)
-    assert isinstance(factors._lu, linalg._BandLU) and factors._lu.dtype == np.float32
+    assert isinstance(factors._lu, linalg._BandLU)
     assert factors.refine(A, b) is None
     x = factors.solve(A, b)
     assert isinstance(factors._lu, spla.SuperLU)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
     expected = spla.spsolve(A, b)
     assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("size", [1e300, 1e-300])
+def test_band_factors_take_entries_beyond_the_float32_range(size):
+    # entries and right-hand sides far outside float32's range (3.4e38
+    # down to 1.4e-45) are scaled by their largest magnitude before the
+    # cast, so the float32 factors neither overflow nor flush to zero
+    import scipy.sparse.linalg as spla
+    from fiberdialysis import linalg
+    rng = np.random.default_rng(24)
+    A = (size * _convection_diffusion(12, rng)).tocsc()
+    b = size * rng.standard_normal((A.shape[0], 2))
+    factors = Factorization(A)
+    assert isinstance(factors._lu, linalg._BandLU) and factors._lu.info == 0
+    x = factors.solve(A, b)
+    assert isinstance(factors._lu, linalg._BandLU)
+    expected = spla.spsolve(A, b)
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_blas_behind_scipy_linalg_runs_one_thread():
