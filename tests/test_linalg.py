@@ -330,12 +330,21 @@ def test_band_engine_swaps_rows_for_a_tiny_leading_pivot():
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-def test_singular_band_matrix_raises_solver_error(monkeypatch):
-    # the zero pivot of the band factors hands the matrix to SuperLU, which
-    # finds it singular too
-    import scipy.sparse.linalg as spla
+def test_singular_band_matrix_raises_solver_error():
     A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
     assert BandLayout(A).position is not None
+    with pytest.raises(SolverError, match="singular"):
+        solve_linear(SparseMatrix(A), np.ones(3))
+
+
+def test_singular_matrix_on_float32_band_factors_raises_solver_error(monkeypatch):
+    # the float32 zero pivot hands the matrix to SuperLU, which finds it
+    # singular too
+    import scipy.sparse.linalg as spla
+    from fiberdialysis import linalg
+    A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0], [0.0, 1.0, 3.0]]))
+    band = linalg._BandLU(A, BandLayout(A))
+    assert band._ab.dtype == np.float32 and band.info > 0
     superlu, splu = [], spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **k: superlu.append(1) or splu(*a, **k))
     with pytest.raises(SolverError, match="singular"):

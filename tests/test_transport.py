@@ -597,23 +597,29 @@ def test_newton_block_order_and_engine_follow_the_band_cap(res, monkeypatch):
     assert isinstance(linalg.Factorization(A)._lu, spla.SuperLU)
 
 
-def test_float32_band_and_superlu_agree_on_a_default_newton_block(monkeypatch):
+def _band_and_superlu_agree(monkeypatch, res, seed):
     # the same block of J at a converged field: float32 band factors refined
-    # in float64, and SuperLU, a direct solve each; on the default mesh and
-    # on the coarse one
-    for res, seed in (((80, 12, 8, 10), 25), ((40, 6, 4, 5), 22)):
-        solver = _profile_solver(res, (0.8, 0.4))
-        field, _ = solver.solve()
-        A = _block_csc(solver, field)
-        b = np.random.default_rng(seed).standard_normal((A.shape[0], 2))
-        band = linalg.Factorization(A)
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "_BAND_BYTES", 0)
-            superlu = linalg.Factorization(A)
-        x_band, x_superlu = band.solve(A, b), superlu.solve(A, b)
-        assert isinstance(band._lu, linalg._BandLU)
-        assert isinstance(superlu._lu, spla.SuperLU)
-        assert np.max(np.abs(x_band - x_superlu)) <= 1e-12 * np.max(np.abs(x_superlu))
+    # in float64, and SuperLU, a direct solve each
+    solver = _profile_solver(res, (0.8, 0.4))
+    field, _ = solver.solve()
+    A = _block_csc(solver, field)
+    b = np.random.default_rng(seed).standard_normal((A.shape[0], 2))
+    band = linalg.Factorization(A)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_BAND_BYTES", 0)
+        superlu = linalg.Factorization(A)
+    x_band, x_superlu = band.solve(A, b), superlu.solve(A, b)
+    assert isinstance(band._lu, linalg._BandLU)
+    assert isinstance(superlu._lu, spla.SuperLU)
+    assert np.max(np.abs(x_band - x_superlu)) <= 1e-12 * np.max(np.abs(x_superlu))
+
+
+def test_float32_band_and_superlu_agree_on_a_default_newton_block(monkeypatch):
+    _band_and_superlu_agree(monkeypatch, (80, 12, 8, 10), 25)
+
+
+def test_band_and_superlu_engines_agree_on_a_coarse_newton_block(monkeypatch):
+    _band_and_superlu_agree(monkeypatch, (40, 6, 4, 5), 22)
 
 
 def test_band_layout_is_computed_once_per_pattern(monkeypatch):
